@@ -2,8 +2,9 @@
 
 Nodes compare structurally (dataclass equality). Fields that carry
 provenance rather than meaning -- the raw source text of a column
-reference and the name binding attached during planning -- are excluded
-from comparison so that parse/render round-trips stay equal.
+reference, a statement's unparsed trailing text -- are excluded from
+comparison so that parse/render round-trips stay equal. Nodes carry no
+name bindings: `binder.bind` keeps those outside the tree.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ class ColumnRef:
     table_quoted: bool = False
     column_quoted: bool = False
     raw: str = field(default="", compare=False, repr=False)
-    # (relation alias, column ordinal) attached by the planner
-    binding: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -218,7 +218,3 @@ class MockBackend:
     def call_count(self):
         with self._lock:
             return len(self.calls)
-
-    def reset(self):
-        with self._lock:
-            self.calls.clear()

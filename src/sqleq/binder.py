@@ -1,0 +1,283 @@
+"""Name binding shared by the planner and the executor.
+
+`bind` resolves every name of a statement once, before any row is read.
+The result is a `Binding` keyed by the identity of AST nodes, so the
+tree itself carries no per-schema state and one parsed statement can
+run against several instances.
+
+Rows are flat tuples: a FROM clause concatenates its relations in
+source order, so a column reference becomes (outer depth, slot) -- step
+`depth` enclosing row contexts out, then read `row[slot]`.
+
+Resolution rules:
+- a qualified name `t.c` looks for relation alias `t` in the innermost
+  scope first, then in each enclosing scope; an unqualified name must
+  match exactly one relation of the first scope that has it
+  (`AmbiguousColumn` otherwise);
+- a relation with repeated column names binds the first of them;
+- `*` and `t.*` expand into qualified references;
+- ORDER BY keys resolve to a 1-based output position, then to a unique
+  output name, then to an expression over the input relations;
+- relation aliases of one FROM clause must differ.
+
+Scopes follow execution: an expression subquery sees the row it is
+evaluated on, a derived table sees only the rows around its FROM
+clause, a CTE definition and LIMIT/OFFSET see no enclosing row.
+"""
+
+from dataclasses import dataclass, field
+
+from .ast_nodes import (
+    ColumnRef, DerivedTable, Exists, FuncCall, InSubquery, Join, Literal,
+    SelectItem, SelectStmt, SetOp, Star, Subquery, TableRef,
+    _children as ast_children,
+)
+from .errors import AmbiguousColumn, PlanError, UnresolvedName
+
+
+@dataclass
+class Binding:
+    """Name resolution of one statement, keyed by id() of AST nodes."""
+    slots: dict = field(default_factory=dict)   # ColumnRef -> (depth, slot)
+    items: dict = field(default_factory=dict)   # SelectCore -> [SelectItem]
+    grouped: set = field(default_factory=set)   # SelectCores that aggregate
+    order: dict = field(default_factory=dict)   # SelectStmt -> [int | None]
+    ctes: dict = field(default_factory=dict)    # TableRef -> Cte it names
+
+
+def bind(stmt, schema):
+    """Resolve every name of `stmt` against `schema`.
+
+    Raises UnresolvedName, AmbiguousColumn or PlanError (duplicate
+    alias, unexpandable star). ORDER BY keys map to an output index, or
+    to None when the key is an expression over the input row.
+    """
+    binder = _Binder(schema)
+    binder.statement(stmt, {}, None)
+    return binder.binding
+
+
+def aggregate_calls(expr):
+    """Aggregate calls at this select level (subqueries keep their own)."""
+    calls = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Subquery, InSubquery, Exists)):
+            if isinstance(node, InSubquery):
+                stack.append(node.operand)
+            continue
+        if isinstance(node, FuncCall) and node.is_aggregate:
+            calls.append(node)
+            continue
+        stack.extend(ast_children(node))
+    return calls
+
+
+class _Scope:
+    """Relations of one flat row plus the scope of the enclosing row."""
+    __slots__ = ("relations", "parent")
+
+    def __init__(self, relations, parent):
+        self.relations = []  # [(alias, columns or None, offset)]
+        offset = 0
+        for alias, columns in relations:
+            self.relations.append((alias, columns, offset))
+            # a recursive CTE's placeholder (None) never executes
+            offset += len(columns or ())
+        self.parent = parent
+
+    def resolve(self, ref):
+        scope, depth = self, 0
+        while scope is not None:
+            slot = scope._resolve_local(ref)
+            if slot is not None:
+                return depth, slot
+            scope, depth = scope.parent, depth + 1
+        raise UnresolvedName(
+            f"{ref.table}.{ref.column}" if ref.table else ref.column)
+
+    def _resolve_local(self, ref):
+        name = ref.column.lower()
+        if ref.table:
+            for alias, columns, offset in self.relations:
+                if alias == ref.table.lower():
+                    ordinal = _find_column(columns, name)
+                    if ordinal is None:
+                        raise UnresolvedName(f"{ref.table}.{ref.column}")
+                    return offset + ordinal
+            return None
+        matches = []
+        for _alias, columns, offset in self.relations:
+            ordinal = _find_column(columns, name)
+            if ordinal is not None:
+                matches.append(offset + ordinal)
+        if len(matches) > 1:
+            raise AmbiguousColumn(ref.column)
+        return matches[0] if matches else None
+
+
+def _find_column(columns, name):
+    if columns is None:
+        return 0  # recursive-CTE placeholder scope accepts any column
+    for i, column in enumerate(columns):
+        if column.lower() == name:
+            return i
+    return None
+
+
+class _Binder:
+    def __init__(self, schema):
+        self.schema = schema
+        self.binding = Binding()
+
+    def statement(self, stmt, ctes, outer):
+        """Bind a statement run inside `outer`; returns its output names.
+
+        `ctes` maps each visible CTE name to (Cte, output columns).
+        """
+        if stmt.ctes:
+            ctes = dict(ctes)
+            for cte in stmt.ctes:
+                visible = ctes
+                if cte.recursive:
+                    placeholder = cte.columns or _peek_output_names(cte.query)
+                    visible = {**ctes, cte.name: (cte, placeholder)}
+                names = self.statement(cte.query, visible, None)
+                ctes[cte.name] = (cte, list(cte.columns) or names)
+        names, scope = self.body(stmt.body, ctes, outer)
+        if stmt.order_by:
+            self.order_keys(stmt, names, scope or _Scope([], outer), ctes)
+        if stmt.limit is not None:
+            no_row = _Scope([], None)
+            for expr in (stmt.limit.count, stmt.limit.offset):
+                if expr is not None:
+                    self.expr(expr, no_row, ctes)
+        return names
+
+    def body(self, body, ctes, outer):
+        """Returns (output names, scope of a select core or None)."""
+        if isinstance(body, SetOp):
+            names, _ = self.body(body.left, ctes, outer)
+            self.body(body.right, ctes, outer)
+            return names, None
+        if isinstance(body, SelectStmt):
+            return self.statement(body, ctes, outer), None
+        return self.core(body, ctes, outer)
+
+    def core(self, core, ctes, outer):
+        relations = []
+        if core.from_item is not None:
+            relations = self.from_item(core.from_item, ctes, outer)
+        scope = _Scope(relations, outer)
+        items = _expand_stars(core.items, relations)
+        per_group = [item.expr for item in items]
+        if core.having is not None:
+            per_group.append(core.having)
+        for expr in [core.where, *core.group_by, *per_group]:
+            if expr is not None:
+                self.expr(expr, scope, ctes)
+        self.binding.items[id(core)] = items
+        if core.group_by or any(aggregate_calls(e) for e in per_group):
+            self.binding.grouped.add(id(core))
+        names = [item.output_name() or f"col{i}"
+                 for i, item in enumerate(items)]
+        return names, scope
+
+    def from_item(self, item, ctes, outer):
+        """Relations [(alias, columns)] of a FROM item, in row order."""
+        if isinstance(item, TableRef):
+            alias = (item.alias or item.name).lower()
+            if item.name in ctes:
+                cte, columns = ctes[item.name]
+                self.binding.ctes[id(item)] = cte
+                return [(alias, columns)]
+            table = self.schema.find_table(item.name)
+            if table is None:
+                raise UnresolvedName(item.name)
+            return [(alias, [c.lower() for c in table.columns])]
+        if isinstance(item, DerivedTable):
+            names = self.statement(item.query, ctes, outer)
+            return [((item.alias or "subquery").lower(), names)]
+        if isinstance(item, Join):
+            relations = self.from_item(item.left, ctes, outer) + \
+                self.from_item(item.right, ctes, outer)
+            seen = set()
+            for alias, _columns in relations:
+                if alias in seen:
+                    raise PlanError(f"duplicate relation alias {alias!r}")
+                seen.add(alias)
+            if item.condition is not None:
+                self.expr(item.condition, _Scope(relations, outer), ctes)
+            return relations
+        raise PlanError(f"cannot plan FROM item {item!r}")
+
+    def expr(self, expr, scope, ctes):
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ColumnRef):
+                self.binding.slots[id(node)] = scope.resolve(node)
+            elif isinstance(node, (Subquery, Exists)):
+                self.statement(node.query, ctes, scope)
+            elif isinstance(node, InSubquery):
+                self.statement(node.query, ctes, scope)
+                stack.append(node.operand)
+            else:
+                stack.extend(ast_children(node))
+
+    def order_keys(self, stmt, names, scope, ctes):
+        lowered = [name.lower() for name in names]
+        keys = []
+        for item in stmt.order_by:
+            expr = item.expr
+            if isinstance(expr, Literal) and isinstance(expr.value, int) and \
+                    not isinstance(expr.value, bool):
+                if not 1 <= expr.value <= len(names):
+                    raise UnresolvedName(f"ORDER BY position {expr.value}")
+                keys.append(expr.value - 1)
+            elif isinstance(expr, ColumnRef) and expr.table is None and \
+                    lowered.count(expr.column.lower()) == 1:
+                keys.append(lowered.index(expr.column.lower()))
+            else:
+                self.expr(expr, scope, ctes)
+                keys.append(None)
+        self.binding.order[id(stmt)] = keys
+
+
+def _expand_stars(items, relations):
+    expanded = []
+    for item in items:
+        if not isinstance(item, Star):
+            expanded.append(item)
+            continue
+        if not relations:
+            raise PlanError("star projection requires a FROM clause")
+        targets = relations
+        if item.qualifier:
+            targets = [r for r in relations if r[0] == item.qualifier.lower()]
+            if not targets:
+                raise UnresolvedName(item.qualifier)
+        for alias, columns in targets:
+            if columns is None:
+                raise PlanError(
+                    f"cannot expand * against relation {alias!r}")
+            for column in columns:
+                expanded.append(SelectItem(expr=ColumnRef(
+                    table=alias, column=column, raw=f"{alias}.{column}")))
+    return expanded
+
+
+def _peek_output_names(stmt):
+    """Output names of a recursive CTE, taken from its non-recursive arm."""
+    body = stmt.body
+    while isinstance(body, SetOp):
+        body = body.left
+    if isinstance(body, SelectStmt):
+        return _peek_output_names(body)
+    names = []
+    for i, item in enumerate(body.items):
+        if isinstance(item, Star):
+            return None
+        names.append(item.output_name() or f"col{i}")
+    return names

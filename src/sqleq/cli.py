@@ -16,11 +16,11 @@ import os
 import sys
 
 from .backend import GenConfig, HttpBackend, MockBackend
-from .bench import load_dataset, run_benchmark, write_report
+from .bench import QueryPair, load_dataset, run_benchmark, write_report
 from .errors import SqleqError
 from .executor import instance_from_dict
 from .features import extract_features
-from .oracle import oracle_check
+from .oracle import OracleOutcome, oracle_check
 from .parser import parse_sql
 from .pipeline import (
     Backends, LABEL_EQUIVALENT, LABEL_NON_EQUIVALENT, PipelineConfig,
@@ -256,11 +256,9 @@ def _load_schema_file(path):
         raise UsageError(f"malformed schema file {path}: {exc}") from exc
 
 
-class _AdHocPair:
-    def __init__(self, sql1, sql2, pair_id="pair-0"):
-        self.id = pair_id
-        self.sql1 = sql1
-        self.sql2 = sql2
+def _ad_hoc_pair(args):
+    return QueryPair(id="pair-0", sql1=args.sql1, sql2=args.sql2,
+                     schema_name=args.schema, label=None)
 
 
 # --- commands ---
@@ -273,7 +271,7 @@ def cmd_check(args):
     if args.strategy == "fewshot" and cfg.exemplars is None:
         raise UsageError("fewshot strategy needs --exemplars-file")
     cfg.fail_soft = False
-    pair = _AdHocPair(args.sql1, args.sql2)
+    pair = _ad_hoc_pair(args)
     verdict = check_pair(pair, schema, args.strategy, args.with_plans,
                          backends, cfg)
     print(json.dumps(verdict_to_dict(verdict), sort_keys=True))
@@ -346,7 +344,7 @@ def cmd_prompt(args):
         return 0
 
     schema = _load_schema_file(args.schema)
-    pair = _AdHocPair(args.sql1, args.sql2)
+    pair = _ad_hoc_pair(args)
     plans = None
     if args.with_plans:
         plans = (plan_or_placeholder(args.sql1, schema),
@@ -390,21 +388,16 @@ def cmd_oracle(args):
         raw_instances.extend(data if isinstance(data, list) else [data])
 
     refuted = consistent = inconclusive = 0
+    loaded = {}  # schema name -> (valid instances, load errors)
     for pair in dataset.pairs:
-        schema = dataset.schema_for(pair)
-        instances = []
-        load_errors = []
-        for i, raw in enumerate(raw_instances):
-            try:
-                instances.append(instance_from_dict(raw, schema))
-            except SqleqError as exc:
-                load_errors.append(f"instance {i}: {exc}")
+        if pair.schema_name not in loaded:
+            loaded[pair.schema_name] = _validated_instances(
+                raw_instances, dataset.schema_for(pair))
+        instances, load_errors = loaded[pair.schema_name]
         if instances:
             outcome = oracle_check(pair.sql1, pair.sql2, instances)
         else:
-            from .oracle import OracleOutcome
-            outcome = OracleOutcome("inconclusive",
-                                    errors=tuple(load_errors))
+            outcome = OracleOutcome("inconclusive", errors=load_errors)
         if outcome.status == "refuted":
             refuted += 1
         elif outcome.status == "consistent":
@@ -430,6 +423,17 @@ def cmd_oracle(args):
     print(f"refuted {refuted}, consistent {consistent}, "
           f"inconclusive {inconclusive}", file=sys.stderr)
     return 0
+
+
+def _validated_instances(raw_instances, schema):
+    instances = []
+    load_errors = []
+    for i, raw in enumerate(raw_instances):
+        try:
+            instances.append(instance_from_dict(raw, schema))
+        except SqleqError as exc:
+            load_errors.append(f"instance {i}: {exc}")
+    return instances, tuple(load_errors)
 
 
 def _fmt(value):

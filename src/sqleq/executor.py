@@ -6,6 +6,12 @@ scans, filters, all five join kinds, grouping with SUM/COUNT/AVG/MIN/MAX
 EXISTS subqueries (correlated), CASE, COALESCE, casts, arithmetic and
 string concatenation.
 
+Names bind first (`binder.bind`), so a name error -- UnresolvedName,
+AmbiguousColumn, a duplicate alias -- is raised before any row is read.
+Rows are flat tuples: a join concatenates its two sides (an outer join
+pads the missing side with NULLs) and a column reference reads
+`row[slot]` after stepping out `depth` enclosing row contexts.
+
 Semantics notes:
 - predicates use three-valued logic; only rows where the condition is
   True survive WHERE/ON/HAVING;
@@ -21,14 +27,15 @@ Recursive CTEs and window functions raise UnsupportedFeature.
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .ast_nodes import (
     ArrayLit, Between, Binary, Case, Cast, ColumnRef, Cte, DerivedTable,
     Exists, FuncCall, InList, InSubquery, IsNull, Join, Like, Literal,
-    Quantified, SelectStmt, SetOp, Star, Subquery, TableRef, Unary, walk,
-    _children as ast_children,
+    Quantified, SelectStmt, SetOp, Subquery, TableRef, Unary, walk,
 )
+from .binder import bind
 from .errors import InstanceError, RuntimeExecError, UnsupportedFeature
 
 
@@ -115,8 +122,9 @@ def _check_primary_keys(instance):
 def execute(ast, instance):
     """Run a statement against an instance; returns a ResultTable.
 
-    Raises UnsupportedFeature for recursive CTEs or window calls, and
-    RuntimeExecError for runtime violations.
+    Raises UnsupportedFeature for recursive CTEs or window calls, a
+    PlanError (UnresolvedName, AmbiguousColumn, duplicate alias) when a
+    name does not bind, and RuntimeExecError for runtime violations.
     """
     if ast.partial:
         raise RuntimeExecError("cannot execute a partial statement")
@@ -125,335 +133,201 @@ def execute(ast, instance):
             raise UnsupportedFeature("recursive CTE")
         if isinstance(node, FuncCall) and node.is_window:
             raise UnsupportedFeature("window function")
-    relation = _exec_stmt(ast, _Env(instance), None)
-    return ResultTable(column_count=len(relation.columns),
-                       rows=relation.rows,
+    env = _Env(instance, bind(ast, instance.schema))
+    width, rows = _exec_stmt(ast, env, None)
+    return ResultTable(column_count=width, rows=rows,
                        ordered=bool(ast.order_by))
 
 
 # --- internal machinery ---
 
-class _Relation:
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns, rows):
-        self.columns = columns
-        self.rows = rows
-
-
 class _Env:
-    """Instance plus the CTE relations visible at this statement level."""
-    __slots__ = ("instance", "ctes", "parent")
+    """Instance, the statement's binding, and CTE results by id(Cte)."""
+    __slots__ = ("instance", "binding", "ctes")
 
-    def __init__(self, instance, ctes=None, parent=None):
+    def __init__(self, instance, binding):
         self.instance = instance
-        self.ctes = ctes or {}
-        self.parent = parent
-
-    def child(self):
-        return _Env(self.instance, ctes={}, parent=self)
-
-    def lookup_cte(self, name):
-        env = self
-        while env is not None:
-            if name in env.ctes:
-                return env.ctes[name]
-            env = env.parent
-        return None
+        self.binding = binding
+        self.ctes = {}
 
 
 class _Ctx:
-    """One working row: frames of (alias, column index map, values)."""
-    __slots__ = ("frames", "outer", "group")
+    """One flat working row, the enclosing row context, and the member
+    contexts of the group when aggregating."""
+    __slots__ = ("row", "outer", "group")
 
-    def __init__(self, frames, outer=None, group=None):
-        self.frames = frames
+    def __init__(self, row, outer=None, group=None):
+        self.row = row
         self.outer = outer
-        self.group = group  # list of member _Ctx when aggregating
+        self.group = group
 
 
-class _Frame:
-    __slots__ = ("alias", "index", "values")
+class _NoRow:
+    """Row of an aggregate over no input rows: it has no column values."""
 
-    def __init__(self, alias, columns, values):
-        self.alias = alias
-        self.index = {c: i for i, c in enumerate(columns)}
-        self.values = values
-
-
-class _SortScope:
-    """Resolution scope for ORDER BY: output columns, then the row ctx."""
-    __slots__ = ("names", "values", "ctx")
-
-    def __init__(self, names, values, ctx):
-        self.names = names
-        self.values = values
-        self.ctx = ctx
+    def __getitem__(self, slot):
+        raise RuntimeExecError("column read in an aggregate over no rows")
 
 
 def _exec_stmt(stmt, env, outer_ctx):
-    env = env.child()
+    """Returns (width, rows)."""
     for cte in stmt.ctes:
-        relation = _exec_stmt(cte.query, env, None)
-        if cte.columns:
-            if len(cte.columns) != len(relation.columns):
-                raise RuntimeExecError(
-                    f"CTE {cte.name!r} column list arity mismatch")
-            relation = _Relation(list(cte.columns), relation.rows)
-        env.ctes[cte.name] = relation
+        width, rows = _exec_stmt(cte.query, env, None)
+        if cte.columns and len(cte.columns) != width:
+            raise RuntimeExecError(
+                f"CTE {cte.name!r} column list arity mismatch")
+        env.ctes[id(cte)] = (width, rows)
 
-    pairs, names = _exec_body(stmt.body, env, outer_ctx)
+    width, pairs = _exec_body(stmt.body, env, outer_ctx)
 
     if stmt.order_by:
-        pairs = _sort_rows(pairs, stmt.order_by, names, env)
-
-    rows = [out for out, _scope in pairs]
+        rows = _sort_rows(pairs, stmt, env)
+    else:
+        rows = [out for out, _ctx in pairs]
 
     if stmt.limit is not None:
         rows = _apply_limit(rows, stmt.limit, env)
 
-    return _Relation(names, rows)
+    return width, rows
 
 
 def _exec_body(body, env, outer_ctx):
-    """Returns ([(output row, sort scope)], output names)."""
+    """Returns (width, [(output row, row context or None)])."""
     if isinstance(body, SetOp):
         return _exec_setop(body, env, outer_ctx)
     if isinstance(body, SelectStmt):
-        relation = _exec_stmt(body, env, outer_ctx)
-        pairs = [(row, _SortScope(relation.columns, row, None))
-                 for row in relation.rows]
-        return pairs, relation.columns
+        width, rows = _exec_stmt(body, env, outer_ctx)
+        return width, [(row, None) for row in rows]
     return _exec_core(body, env, outer_ctx)
 
 
 def _exec_setop(op, env, outer_ctx):
-    left, names = _exec_body(op.left, env, outer_ctx)
-    right, right_names = _exec_body(op.right, env, outer_ctx)
-    if len(names) != len(right_names):
+    width, left = _exec_body(op.left, env, outer_ctx)
+    right_width, right = _exec_body(op.right, env, outer_ctx)
+    if width != right_width:
         raise RuntimeExecError(
             f"{op.kind.upper()} arms have different column counts")
     lrows = [row for row, _ in left]
     rrows = [row for row, _ in right]
 
     if op.kind == "union":
-        combined = lrows + rrows
-        rows = combined if op.all else _dedupe_rows(combined)
-    elif op.kind == "intersect":
-        rcounts = _multiset(rrows)
-        if op.all:
-            rows = []
-            for row in lrows:
-                key = _canon_row(row)
-                if rcounts.get(key, 0) > 0:
-                    rcounts[key] -= 1
-                    rows.append(row)
-        else:
-            rows = [row for row in _dedupe_rows(lrows)
-                    if _canon_row(row) in rcounts]
-    else:  # except
-        rcounts = _multiset(rrows)
-        if op.all:
-            rows = []
-            for row in lrows:
-                key = _canon_row(row)
-                if rcounts.get(key, 0) > 0:
-                    rcounts[key] -= 1
-                else:
-                    rows.append(row)
-        else:
-            rows = [row for row in _dedupe_rows(lrows)
-                    if _canon_row(row) not in rcounts]
+        rows = lrows + rrows if op.all else _dedupe_rows(lrows + rrows)
+    else:
+        # INTERSECT keeps left rows found on the right, EXCEPT the others;
+        # ALL consumes one right row per match, DISTINCT dedupes the left
+        rcounts = Counter(map(_canon_row, rrows))
+        keep_found = op.kind == "intersect"
+        rows = []
+        for row in (lrows if op.all else _dedupe_rows(lrows)):
+            key = _canon_row(row)
+            found = rcounts[key] > 0
+            if found and op.all:
+                rcounts[key] -= 1
+            if found == keep_found:
+                rows.append(row)
 
-    pairs = [(row, _SortScope(names, row, None)) for row in rows]
-    return pairs, names
+    return width, [(row, None) for row in rows]
 
 
 def _exec_core(core, env, outer_ctx):
-    if core.from_item is None:
-        ctxs = [_Ctx(frames=[], outer=outer_ctx)]
-        relations = []
-    else:
-        ctxs, relations = _exec_from(core.from_item, env, outer_ctx)
+    rows = [()] if core.from_item is None else \
+        _exec_from(core.from_item, env, outer_ctx)[0]
+    ctxs = [_Ctx(row, outer_ctx) for row in rows]
 
     if core.where is not None:
         ctxs = [c for c in ctxs if _eval(core.where, c, env) is True]
 
-    items = _expand_star_items(core.items, relations)
-    names = [item.output_name() or f"col{i}" for i, item in enumerate(items)]
-
-    has_aggregates = any(_find_aggregates(item.expr) for item in items)
+    if id(core) in env.binding.grouped:
+        ctxs = _group(ctxs, core.group_by, env, outer_ctx)
     if core.having is not None:
-        has_aggregates = has_aggregates or bool(_find_aggregates(core.having))
+        ctxs = [c for c in ctxs if _eval(core.having, c, env) is True]
 
-    if core.group_by or has_aggregates:
-        groups = _group(ctxs, core.group_by, env, outer_ctx)
-        if core.having is not None:
-            groups = [g for g in groups if _eval(core.having, g, env) is True]
-        pairs = []
-        for group_ctx in groups:
-            out = tuple(_eval(item.expr, group_ctx, env) for item in items)
-            pairs.append((out, _SortScope(names, out, group_ctx)))
-    else:
-        if core.having is not None:
-            ctxs = [c for c in ctxs if _eval(core.having, c, env) is True]
-        pairs = []
-        for ctx in ctxs:
-            out = tuple(_eval(item.expr, ctx, env) for item in items)
-            pairs.append((out, _SortScope(names, out, ctx)))
+    exprs = [item.expr for item in env.binding.items[id(core)]]
+    pairs = [(tuple(_eval(e, ctx, env) for e in exprs), ctx) for ctx in ctxs]
 
     if core.distinct:
-        deduped = []
-        seen = set()
-        for out, _scope in pairs:
-            key = _canon_row(out)
-            if key not in seen:
-                seen.add(key)
-                deduped.append((out, _SortScope(names, out, None)))
-        pairs = deduped
+        pairs = [(out, None) for out in _dedupe_rows(out for out, _ in pairs)]
 
-    return pairs, names
+    return len(exprs), pairs
 
 
 def _exec_from(item, env, outer_ctx):
-    """Returns (row contexts, [(alias, columns)] scope metadata)."""
+    """Returns (flat rows, row width) of a FROM item."""
     if isinstance(item, TableRef):
-        relation = env.lookup_cte(item.name)
-        if relation is not None:
-            columns, rows = relation.columns, relation.rows
-        else:
-            columns, rows = env.instance.table(item.name)
-        alias = (item.alias or item.name).lower()
-        lowered = [c.lower() for c in columns]
-        ctxs = [_Ctx([_Frame(alias, lowered, row)], outer=outer_ctx)
-                for row in rows]
-        return ctxs, [(alias, lowered)]
+        cte = env.binding.ctes.get(id(item))
+        if cte is not None:
+            width, rows = env.ctes[id(cte)]
+            return rows, width
+        columns, rows = env.instance.table(item.name)
+        return rows, len(columns)
 
     if isinstance(item, DerivedTable):
-        relation = _exec_stmt(item.query, env, outer_ctx)
-        alias = (item.alias or "subquery").lower()
-        lowered = [c.lower() for c in relation.columns]
-        ctxs = [_Ctx([_Frame(alias, lowered, row)], outer=outer_ctx)
-                for row in relation.rows]
-        return ctxs, [(alias, lowered)]
+        width, rows = _exec_stmt(item.query, env, outer_ctx)
+        return rows, width
 
     if isinstance(item, Join):
-        lctxs, lrels = _exec_from(item.left, env, outer_ctx)
-        rctxs, rrels = _exec_from(item.right, env, outer_ctx)
-        relations = lrels + rrels
-        seen = set()
-        for alias, _cols in relations:
-            if alias in seen:
-                raise RuntimeExecError(f"duplicate relation alias {alias!r}")
-            seen.add(alias)
-
-        def match(lc, rc):
-            merged = _Ctx(lc.frames + rc.frames, outer=outer_ctx)
-            if item.kind == "cross" or item.condition is None:
-                return merged
-            return merged if _eval(item.condition, merged, env) is True \
-                else None
-
-        null_right = [_Frame(alias, cols, tuple([None] * len(cols)))
-                      for alias, cols in rrels]
-        null_left = [_Frame(alias, cols, tuple([None] * len(cols)))
-                     for alias, cols in lrels]
-
+        left, left_width = _exec_from(item.left, env, outer_ctx)
+        right, right_width = _exec_from(item.right, env, outer_ctx)
+        condition = None if item.kind == "cross" else item.condition
+        ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
         out = []
-        matched_right = [False] * len(rctxs)
-        for lc in lctxs:
+        matched_right = [False] * len(right)
+        for lrow in left:
             any_match = False
-            for j, rc in enumerate(rctxs):
-                merged = match(lc, rc)
-                if merged is not None:
-                    any_match = True
-                    matched_right[j] = True
-                    out.append(merged)
+            for j, rrow in enumerate(right):
+                ctx.row = lrow + rrow
+                if condition is not None and \
+                        _eval(condition, ctx, env) is not True:
+                    continue
+                any_match = True
+                matched_right[j] = True
+                out.append(ctx.row)
             if not any_match and item.kind in ("left", "full"):
-                out.append(_Ctx(lc.frames + null_right, outer=outer_ctx))
+                out.append(lrow + (None,) * right_width)
         if item.kind in ("right", "full"):
-            for j, rc in enumerate(rctxs):
-                if not matched_right[j]:
-                    out.append(_Ctx(null_left + rc.frames, outer=outer_ctx))
-        return out, relations
+            null_left = (None,) * left_width
+            out.extend(null_left + rrow
+                       for rrow, matched in zip(right, matched_right)
+                       if not matched)
+        return out, left_width + right_width
 
     raise RuntimeExecError(f"cannot evaluate FROM item {item!r}")
-
-
-def _expand_star_items(items, relations):
-    from .ast_nodes import SelectItem
-    expanded = []
-    for item in items:
-        if not isinstance(item, Star):
-            expanded.append(item)
-            continue
-        targets = relations
-        if item.qualifier:
-            targets = [r for r in relations
-                       if r[0] == item.qualifier.lower()]
-            if not targets:
-                raise RuntimeExecError(
-                    f"unknown relation {item.qualifier!r} for star")
-        if not targets:
-            raise RuntimeExecError("star projection requires a FROM clause")
-        for alias, columns in targets:
-            for column in columns:
-                expanded.append(SelectItem(
-                    expr=ColumnRef(table=alias, column=column,
-                                   raw=f"{alias}.{column}")))
-    return expanded
 
 
 def _group(ctxs, group_by, env, outer_ctx):
     """Group contexts in first-occurrence order; NULL keys group together."""
     if not group_by:
-        rep_frames = ctxs[0].frames if ctxs else []
-        return [_Ctx(rep_frames, outer=outer_ctx, group=list(ctxs))]
+        rep = ctxs[0].row if ctxs else _NoRow()
+        return [_Ctx(rep, outer_ctx, group=ctxs)]
     buckets = {}
-    order = []
     for ctx in ctxs:
         key = tuple(_canon(_eval(e, ctx, env)) for e in group_by)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(ctx)
-    groups = []
-    for key in order:
-        members = buckets[key]
-        groups.append(_Ctx(members[0].frames, outer=outer_ctx, group=members))
-    return groups
+        buckets.setdefault(key, []).append(ctx)
+    return [_Ctx(members[0].row, outer_ctx, group=members)
+            for members in buckets.values()]
 
 
-def _sort_rows(pairs, order_items, names, env):
-    if not pairs:
-        return pairs
-    lowered = [n.lower() if n else n for n in names]
+def _sort_rows(pairs, stmt, env):
+    """Output rows in ORDER BY order; keys were bound to an output index,
+    or to None for an expression over the row context."""
+    indexes = env.binding.order[id(stmt)]
     keyed = []
-    for out, scope in pairs:
-        keys = [sort_key(_order_value(item, out, scope, lowered, env))
-                for item in order_items]
-        keyed.append((keys, out, scope))
-    for i in range(len(order_items) - 1, -1, -1):
+    for out, ctx in pairs:
+        keys = []
+        for index, item in zip(indexes, stmt.order_by):
+            if index is not None:
+                value = out[index]
+            elif ctx is None:
+                raise RuntimeExecError(
+                    "ORDER BY expression must name an output column here")
+            else:
+                value = _eval(item.expr, ctx, env)
+            keys.append(sort_key(value))
+        keyed.append((keys, out))
+    for i in range(len(indexes) - 1, -1, -1):
         keyed.sort(key=lambda entry: entry[0][i],
-                   reverse=order_items[i].descending)
-    return [(out, scope) for _keys, out, scope in keyed]
-
-
-def _order_value(item, out, scope, lowered_names, env):
-    expr = item.expr
-    if isinstance(expr, Literal) and isinstance(expr.value, int) and \
-            not isinstance(expr.value, bool):
-        if not 1 <= expr.value <= len(out):
-            raise RuntimeExecError(f"ORDER BY position {expr.value} "
-                                   f"out of range")
-        return out[expr.value - 1]
-    if isinstance(expr, ColumnRef) and expr.table is None and \
-            lowered_names.count(expr.column.lower()) == 1:
-        return out[lowered_names.index(expr.column.lower())]
-    if scope.ctx is None:
-        raise RuntimeExecError(
-            "ORDER BY expression must name an output column here")
-    return _eval(expr, scope.ctx, env)
+                   reverse=stmt.order_by[i].descending)
+    return [out for _keys, out in keyed]
 
 
 def _apply_limit(rows, limit, env):
@@ -467,7 +341,7 @@ def _apply_limit(rows, limit, env):
 
 
 def _limit_value(expr, env, what):
-    value = _eval(expr, _Ctx([], outer=None), env)
+    value = _eval(expr, _Ctx(()), env)
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise RuntimeExecError(f"{what} requires a non-negative integer")
     return value
@@ -480,7 +354,11 @@ def _eval(expr, ctx, env):
         return expr.value
 
     if isinstance(expr, ColumnRef):
-        return _resolve_value(expr, ctx)
+        depth, slot = env.binding.slots[id(expr)]
+        while depth:
+            ctx = ctx.outer
+            depth -= 1
+        return ctx.row[slot]
 
     if isinstance(expr, Unary):
         value = _eval(expr.operand, ctx, env)
@@ -507,10 +385,10 @@ def _eval(expr, ctx, env):
 
     if isinstance(expr, InSubquery):
         value = _eval(expr.operand, ctx, env)
-        relation = _exec_stmt(expr.query, env, ctx)
-        if len(relation.columns) != 1:
+        width, rows = _exec_stmt(expr.query, env, ctx)
+        if width != 1:
             raise RuntimeExecError("IN subquery must return one column")
-        result = _in_values(value, [row[0] for row in relation.rows])
+        result = _in_values(value, [row[0] for row in rows])
         return _negate3(result) if expr.negated else result
 
     if isinstance(expr, Between):
@@ -531,16 +409,15 @@ def _eval(expr, ctx, env):
         return (not result) if expr.negated else result
 
     if isinstance(expr, Exists):
-        relation = _exec_stmt(expr.query, env, ctx)
-        return bool(relation.rows)
+        return bool(_exec_stmt(expr.query, env, ctx)[1])
 
     if isinstance(expr, Subquery):
-        relation = _exec_stmt(expr.query, env, ctx)
-        if len(relation.columns) != 1:
+        width, rows = _exec_stmt(expr.query, env, ctx)
+        if width != 1:
             raise RuntimeExecError("scalar subquery must return one column")
-        if len(relation.rows) > 1:
+        if len(rows) > 1:
             raise RuntimeExecError("scalar subquery returned more than one row")
-        return relation.rows[0][0] if relation.rows else None
+        return rows[0][0] if rows else None
 
     if isinstance(expr, Quantified):
         return _eval_quantified(expr, ctx, env)
@@ -567,28 +444,6 @@ def _eval(expr, ctx, env):
         return tuple(_eval(i, ctx, env) for i in expr.items)
 
     raise RuntimeExecError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _resolve_value(ref, ctx):
-    name = ref.column.lower()
-    current = ctx
-    while current is not None:
-        if ref.table:
-            target = ref.table.lower()
-            for frame in current.frames:
-                if frame.alias == target:
-                    if name not in frame.index:
-                        raise RuntimeExecError(
-                            f"no column {ref.table}.{ref.column}")
-                    return frame.values[frame.index[name]]
-        else:
-            hits = [frame for frame in current.frames if name in frame.index]
-            if len(hits) > 1:
-                raise RuntimeExecError(f"ambiguous column {ref.column!r}")
-            if hits:
-                return hits[0].values[hits[0].index[name]]
-        current = current.outer
-    raise RuntimeExecError(f"cannot resolve column {ref.raw or ref.column!r}")
 
 
 def _eval_binary(expr, ctx, env):
@@ -639,10 +494,10 @@ def _eval_binary(expr, ctx, env):
 def _eval_quantified(expr, ctx, env):
     left = _eval(expr.left, ctx, env)
     if isinstance(expr.operand, Subquery):
-        relation = _exec_stmt(expr.operand.query, env, ctx)
-        if len(relation.columns) != 1:
+        width, rows = _exec_stmt(expr.operand.query, env, ctx)
+        if width != 1:
             raise RuntimeExecError("quantified subquery must return one column")
-        values = [row[0] for row in relation.rows]
+        values = [row[0] for row in rows]
     else:
         operand = _eval(expr.operand, ctx, env)
         if operand is None:
@@ -921,14 +776,6 @@ def _canon_row(row):
     return tuple(_canon(v) for v in row)
 
 
-def _multiset(rows):
-    counts = {}
-    for row in rows:
-        key = _canon_row(row)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _dedupe_rows(rows):
     seen = set()
     out = []
@@ -938,22 +785,6 @@ def _dedupe_rows(rows):
             seen.add(key)
             out.append(row)
     return out
-
-
-def _find_aggregates(expr):
-    calls = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Subquery, InSubquery, Exists)):
-            if isinstance(node, InSubquery):
-                stack.append(node.operand)
-            continue
-        if isinstance(node, FuncCall) and node.is_aggregate:
-            calls.append(node)
-            continue
-        stack.extend(ast_children(node))
-    return calls
 
 
 def _like_regex(pattern):

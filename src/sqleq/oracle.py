@@ -9,10 +9,13 @@ outer ORDER BY, in which case row order matters.
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
-from .executor import execute, sort_key
+from .executor import _is_number, execute
 from .errors import SqleqError
 from .parser import parse_sql
 
@@ -48,19 +51,15 @@ def compare_results(r1, r2):
         return Comparison(False,
                           f"row count differs ({len(r1.rows)} vs {len(r2.rows)})")
     if r1.ordered and r2.ordered:
-        rows1, rows2 = r1.rows, r2.rows
-        positional = "row order"
-    else:
-        if r1.ordered != r2.ordered:
-            warnings.warn("comparing an ordered result against an unordered "
-                          "one as multisets", stacklevel=2)
-        rows1 = sorted(r1.rows, key=_row_key)
-        rows2 = sorted(r2.rows, key=_row_key)
-        positional = "multiset contents"
-    for row1, row2 in zip(rows1, rows2):
-        if not _rows_equal(row1, row2):
-            return Comparison(False, f"{positional} differ")
-    return Comparison(True)
+        if all(map(_rows_equal, r1.rows, r2.rows)):
+            return Comparison(True)
+        return Comparison(False, "row order differ")
+    if r1.ordered != r2.ordered:
+        warnings.warn("comparing an ordered result against an unordered "
+                      "one as multisets", stacklevel=2)
+    if _same_multiset(r1.rows, r2.rows):
+        return Comparison(True)
+    return Comparison(False, "multiset contents differ")
 
 
 def oracle_check(sql1, sql2, instances):
@@ -126,9 +125,81 @@ def _both_real(a, b):
         (isinstance(a, float) or isinstance(b, float))
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _same_multiset(rows1, rows2):
+    """Bag equality under `_rows_equal` for two equally long row lists.
+
+    The tolerance is not transitive, so rows are not sorted and zipped.
+    Rows group on an exact key of the cells outside real columns (a
+    column holding a float in either result); within each group the
+    numbers of the real columns must pair off one to one.
+    """
+    width = len(rows1[0]) if rows1 else 0
+    real_at = [i for i in range(width)
+               if any(isinstance(row[i], float)
+                      for row in chain(rows1, rows2))]
+    groups = {}
+    for side, rows in enumerate((rows1, rows2)):
+        for row in rows:
+            key = [(type(value), value) for value in row]
+            numbers = []
+            for i in real_at:
+                if _is_number(row[i]):
+                    key[i] = "real"
+                    numbers.append(row[i])
+            groups.setdefault(tuple(key), ([], []))[side].append(
+                tuple(numbers))
+    return all(_pair_off(left, right) for left, right in groups.values())
 
 
-def _row_key(row):
-    return tuple(sort_key(v) for v in row)
+def _pair_off(left, right):
+    """Whether two lists of number vectors match one to one, each pair
+    within tolerance: a maximum flow from the distinct left vectors to
+    the close right vectors, one unit per augmenting path."""
+    if len(left) != len(right):
+        return False
+    if sorted(left) == sorted(right):
+        return True
+    supply, demand = Counter(left), Counter(right)
+    targets = sorted(demand)
+    firsts = [t[0] for t in targets]
+    close = {}
+    for v in supply:
+        # close values lie within this window of the first number
+        reach = max(REAL_ABS_TOL, 2 * REAL_REL_TOL * abs(v[0]))
+        window = targets[bisect_left(firsts, v[0] - reach):
+                         bisect_right(firsts, v[0] + reach)]
+        close[v] = [t for t in window if _rows_equal(v, t)]
+    sent = {t: Counter() for t in targets}  # target -> units per source
+    for start in supply.elements():
+        # breadth-first search for a target with demand left, passing
+        # back through sources that already send to a target
+        source_via = {start: None}  # source -> target it was reached from
+        target_via = {}             # target -> source it was reached from
+        queue = deque([start])
+        end = None
+        while queue and end is None:
+            source = queue.popleft()
+            for t in close[source]:
+                if t in target_via:
+                    continue
+                target_via[t] = source
+                if demand[t]:
+                    end = t
+                    break
+                for other in sent[t]:
+                    if other not in source_via:
+                        source_via[other] = t
+                        queue.append(other)
+        if end is None:
+            return False
+        demand[end] -= 1
+        t = end
+        while t is not None:
+            source = target_via[t]
+            sent[t][source] += 1
+            t = source_via[source]
+            if t is not None:
+                sent[t][source] -= 1
+                if not sent[t][source]:
+                    del sent[t][source]
+    return True

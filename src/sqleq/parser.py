@@ -8,16 +8,26 @@ window calls parsed as opaque function calls.
 `mode="strict"` requires the whole input to parse; `mode="lenient"`
 stashes unrecognized trailing clauses into `stmt.trailing_text` and marks
 the statement partial.
+
+Nesting is capped at MAX_DEPTH so that every recursive pass over a tree
+(render, bind, execute, `walk`, features) stays well inside Python's
+recursion limit. Two measures must each stay within it: the parser's
+own nesting (one level per statement, per expression -- so per
+parenthesis -- and per parenthesized join) and the height of the tree
+(the statement node is level 1). Deeper input is a SqlSyntaxError.
 """
 
 from .ast_nodes import (
     ArrayLit, Between, Binary, Case, Cast, ColumnRef, Cte, DerivedTable,
     Exists, FuncCall, InList, InSubquery, IsNull, Join, Like, LimitClause,
     Literal, OrderItem, Quantified, SelectCore, SelectItem, SelectStmt,
-    SetOp, Star, Subquery, TableRef, Unary,
+    SetOp, Star, Subquery, TableRef, Unary, _children,
 )
 from .errors import SqlSyntaxError, UnsupportedConstruct
 from .lexer import tokenize
+
+MAX_DEPTH = 64
+_TOO_DEEP = f"query nested deeper than {MAX_DEPTH} levels"
 
 
 def parse_sql(text, mode="strict"):
@@ -42,7 +52,21 @@ def parse_sql(text, mode="strict"):
         tokens = tokenize(text[:exc.offset])
         lex_cut = exc.offset
     parser = _Parser(text, tokens, lenient=lenient, lex_cut=lex_cut)
-    return parser.parse_statement()
+    stmt = parser.parse_statement()
+    if _height(stmt) > MAX_DEPTH:
+        raise SqlSyntaxError(_TOO_DEEP, 0)
+    return stmt
+
+
+def _height(root):
+    """Levels of the tree under `root` (iterative, so any height works)."""
+    height = 0
+    stack = [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return height
 
 
 class _Parser:
@@ -52,6 +76,7 @@ class _Parser:
         self.pos = 0
         self.lenient = lenient
         self.lex_cut = lex_cut  # offset where lenient lexing gave up
+        self.depth = 0          # nesting of the sub-parse in progress
 
     # --- token helpers ---
 
@@ -96,6 +121,16 @@ class _Parser:
         raise SqlSyntaxError(f"unexpected {tok.raw or 'end of input'!r}",
                              tok.offset, f"'{op}'")
 
+    def descend(self):
+        """Enter one nesting level; the caller leaves with `ascend`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise SqlSyntaxError(_TOO_DEEP, self.peek().offset)
+
+    def ascend(self, node):
+        self.depth -= 1
+        return node
+
     def error(self, expected):
         tok = self.peek()
         what = tok.raw if tok.kind != "EOF" else "end of input"
@@ -119,6 +154,7 @@ class _Parser:
         return stmt
 
     def parse_select_stmt(self):
+        self.descend()
         ctes = []
         if self.accept_kw("WITH"):
             recursive = bool(self.accept_kw("RECURSIVE"))
@@ -145,7 +181,8 @@ class _Parser:
             offset = self.parse_expr()
             limit = LimitClause(Literal(None), offset)
 
-        return SelectStmt(body=body, ctes=ctes, order_by=order_by, limit=limit)
+        return self.ascend(SelectStmt(body=body, ctes=ctes, order_by=order_by,
+                                      limit=limit))
 
     def parse_cte(self, recursive):
         name = self.parse_identifier("CTE name")[0]
@@ -305,9 +342,10 @@ class _Parser:
                 alias, _ = self.parse_optional_alias()
                 return DerivedTable(query=query, alias=alias)
             # parenthesized join tree
+            self.descend()
             item = self.parse_from_item()
             self.expect_op(")")
-            return item
+            return self.ascend(item)
         name, quoted = self.parse_identifier("table name")
         alias, _ = self.parse_optional_alias()
         return TableRef(name=name, alias=alias, quoted=quoted)
@@ -324,7 +362,8 @@ class _Parser:
     # --- expressions ---
 
     def parse_expr(self):
-        return self.parse_or()
+        self.descend()
+        return self.ascend(self.parse_or())
 
     def parse_or(self):
         left = self.parse_and()
@@ -339,9 +378,13 @@ class _Parser:
         return left
 
     def parse_not(self):
-        if self.accept_kw("NOT"):
-            return Unary("NOT", self.parse_not())
-        return self.parse_predicate()
+        nots = 0
+        while self.accept_kw("NOT"):
+            nots += 1
+        expr = self.parse_predicate()
+        for _ in range(nots):
+            expr = Unary("NOT", expr)
+        return expr
 
     def parse_predicate(self):
         left = self.parse_additive()
@@ -418,10 +461,13 @@ class _Parser:
         return left
 
     def parse_unary(self):
-        if self.at_op("-", "+"):
-            op = self.take().value
-            return Unary(op, self.parse_unary())
-        return self.parse_postfix()
+        signs = []
+        while self.at_op("-", "+"):
+            signs.append(self.take().value)
+        expr = self.parse_postfix()
+        for op in reversed(signs):
+            expr = Unary(op, expr)
+        return expr
 
     def parse_postfix(self):
         expr = self.parse_primary()

@@ -9,12 +9,9 @@ fixed placeholder string so prompt construction never fails.
 
 from dataclasses import dataclass, field
 
-from .ast_nodes import (
-    ColumnRef, DerivedTable, Exists, FuncCall, InSubquery, Join, Literal,
-    SelectItem, SelectStmt, SetOp, Star, Subquery, TableRef,
-    _children as ast_children,
-)
-from .errors import AmbiguousColumn, PlanError, UnresolvedName
+from .ast_nodes import DerivedTable, Literal, SelectStmt, SetOp, TableRef
+from .binder import aggregate_calls, bind
+from .errors import PlanError
 from .parser import parse_sql
 from .render import render_expression
 
@@ -41,13 +38,12 @@ class PlanNode:
 def build_plan(ast, schema):
     """Resolve names against `schema` and build the clause-order plan.
 
-    Column references get a (relation alias, ordinal) binding. Star
-    projections expand against the resolved scope.
+    Names resolve through `binder.bind`; star projections render as
+    their expansion against the resolved scope.
     """
     if ast.partial:
         raise PlanError("cannot plan a partial statement")
-    plan, _names, _rels = _build_statement(ast, _Env(schema))
-    return plan
+    return _plan_statement(ast, bind(ast, schema))
 
 
 def render_plan(plan):
@@ -70,121 +66,12 @@ def plan_or_placeholder(text, schema):
         return PLAN_ERROR_PLACEHOLDER
 
 
-# --- name resolution ---
-
-class _Env:
-    """Lexical scope: schema tables, visible CTEs, FROM relations.
-
-    `parent` links an expression subquery to its enclosing scope for
-    correlated references. CTE definitions see earlier CTEs but no
-    enclosing FROM relations.
-    """
-
-    def __init__(self, schema, ctes=None, relations=None, parent=None):
-        self.schema = schema
-        self.ctes = ctes or {}            # name -> output columns (or None)
-        self.relations = relations or []  # [(alias, [columns] or None)]
-        self.parent = parent
-
-    def with_relations(self, relations):
-        return _Env(self.schema, ctes=self.ctes, relations=relations,
-                    parent=self.parent)
-
-    def subscope(self):
-        """Scope for an expression subquery (correlated lookups allowed)."""
-        return _Env(self.schema, parent=self)
-
-    def cte_scope(self, ctes):
-        """Scope for a CTE definition or a body using bound CTEs."""
-        visible = self.visible_ctes()
-        visible.update(ctes)
-        return _Env(self.schema, ctes=visible)
-
-    def visible_ctes(self):
-        chain = []
-        env = self
-        while env is not None:
-            chain.append(env)
-            env = env.parent
-        merged = {}
-        for env in reversed(chain):
-            merged.update(env.ctes)
-        return merged
-
-    def lookup_cte(self, name):
-        env = self
-        while env is not None:
-            if name in env.ctes:
-                return True, env.ctes[name]
-            env = env.parent
-        return False, None
-
-    def resolve(self, ref):
-        """Bind a column reference to (relation alias, ordinal)."""
-        env = self
-        while env is not None:
-            hit = env._resolve_local(ref)
-            if hit is not None:
-                return hit
-            env = env.parent
-        target = f"{ref.table}.{ref.column}" if ref.table else ref.column
-        raise UnresolvedName(target)
-
-    def _resolve_local(self, ref):
-        name = ref.column.lower()
-        if ref.table:
-            for alias, columns in self.relations:
-                if alias == ref.table.lower():
-                    ordinal = _find_column(columns, name)
-                    if ordinal is None:
-                        raise UnresolvedName(f"{ref.table}.{ref.column}")
-                    return (alias, ordinal)
-            return None
-        matches = []
-        for alias, columns in self.relations:
-            ordinal = _find_column(columns, name)
-            if ordinal is not None:
-                matches.append((alias, ordinal))
-        if len(matches) > 1:
-            raise AmbiguousColumn(ref.column)
-        return matches[0] if matches else None
-
-
-def _find_column(columns, name):
-    if columns is None:
-        return 0  # recursive-CTE placeholder scope accepts any column
-    for i, column in enumerate(columns):
-        if column.lower() == name:
-            return i
-    return None
-
-
 # --- plan construction ---
 
-def _build_statement(stmt, env):
-    """Returns (plan, output column names, body relations env or None)."""
-    bound = {}
-    bind_plans = []
-    for cte in stmt.ctes:
-        def_env = env.cte_scope(bound)
-        if cte.recursive:
-            names = cte.columns or _peek_output_names(cte.query)
-            def_env = env.cte_scope({**bound, cte.name: names})
-        def_plan, def_names, _ = _build_statement(cte.query, def_env)
-        names = list(cte.columns) if cte.columns else def_names
-        bound[cte.name] = names
-        args = f"{cte.name}, recursive" if cte.recursive else cte.name
-        bind_plans.append((args, def_plan))
-
-    body_env = env.cte_scope(bound) if bound else env
-    if env.parent is not None and bound:
-        # keep correlation through CTE-introducing subqueries
-        body_env.parent = env.parent
-    plan, names, rels = _build_body(stmt.body, body_env)
+def _plan_statement(stmt, binding):
+    plan = _plan_body(stmt.body, binding)
 
     if stmt.order_by:
-        order_env = rels if rels is not None else body_env.with_relations([])
-        _resolve_order_keys(stmt.order_by, names, order_env)
         keys = ", ".join(
             render_expression(o.expr) + (" DESC" if o.descending else "")
             for o in stmt.order_by
@@ -199,77 +86,56 @@ def _build_statement(stmt, env):
             parts.append(f"offset={render_expression(stmt.limit.offset)}")
         plan = PlanNode("Limit", ", ".join(parts), [plan])
 
-    for args, def_plan in reversed(bind_plans):
-        plan = PlanNode("CteBind", args, [def_plan, plan])
+    for cte in reversed(stmt.ctes):
+        args = f"{cte.name}, recursive" if cte.recursive else cte.name
+        plan = PlanNode("CteBind", args,
+                        [_plan_statement(cte.query, binding), plan])
 
-    return plan, names, rels
-
-
-def _peek_output_names(stmt):
-    """Output names of a recursive CTE, taken from its non-recursive arm."""
-    body = stmt.body
-    while isinstance(body, SetOp):
-        body = body.left
-    if isinstance(body, SelectStmt):
-        return _peek_output_names(body)
-    names = []
-    for i, item in enumerate(body.items):
-        if isinstance(item, Star):
-            return None
-        names.append(item.output_name() or f"col{i}")
-    return names
+    return plan
 
 
-def _build_body(body, env):
+def _plan_body(body, binding):
     if isinstance(body, SetOp):
-        left, names, _ = _build_body(body.left, env)
-        right, _, _ = _build_body(body.right, env)
         args = "all" if body.all else "distinct"
-        node = PlanNode(_SETOP_OP[body.kind], args, [left, right])
-        return node, names, None
+        return PlanNode(_SETOP_OP[body.kind], args,
+                        [_plan_body(body.left, binding),
+                         _plan_body(body.right, binding)])
     if isinstance(body, SelectStmt):
-        plan, names, _ = _build_statement(body, env)
-        return plan, names, None
-    return _build_core(body, env)
+        return _plan_statement(body, binding)
+    return _plan_core(body, binding)
 
 
-def _build_core(core, env):
+def _plan_core(core, binding):
+    items = binding.items[id(core)]
     if core.from_item is None:
-        return _build_from_less(core, env)
+        # SELECT without FROM collapses to a single Values row
+        rendered = ", ".join(render_expression(item.expr) for item in items)
+        plan = PlanNode("Values", f"({rendered})")
+        if core.where is not None:
+            plan = PlanNode("Filter", render_expression(core.where), [plan])
+        return plan
 
-    plan, relations = _build_from(core.from_item, env)
-    scope = env.with_relations(relations)
+    plan = _plan_from(core.from_item, binding)
 
     if core.where is not None:
-        _resolve_expr(core.where, scope)
         plan = PlanNode("Filter", render_expression(core.where), [plan])
 
-    items = _expand_stars(core.items, relations)
     aggregates = []
     for item in items:
-        aggregates.extend(_aggregate_calls(item.expr))
+        aggregates.extend(aggregate_calls(item.expr))
     if core.having is not None:
-        aggregates.extend(_aggregate_calls(core.having))
+        aggregates.extend(aggregate_calls(core.having))
 
     if core.group_by or aggregates:
-        for key in core.group_by:
-            _resolve_expr(key, scope)
-        for call in aggregates:
-            for arg in call.args:
-                _resolve_expr(arg, scope)
         group = ", ".join(render_expression(e) for e in core.group_by)
         aggs = ", ".join(_dedupe(render_expression(a) for a in aggregates))
         plan = PlanNode("Aggregate", f"group=[{group}], aggs=[{aggs}]", [plan])
 
     if core.having is not None:
-        _resolve_expr(core.having, scope, skip_aggregates=True)
         plan = PlanNode("Filter", render_expression(core.having), [plan])
 
-    names = []
     rendered = []
-    for i, item in enumerate(items):
-        _resolve_expr(item.expr, scope, skip_aggregates=True)
-        names.append(item.output_name() or f"col{i}")
+    for item in items:
         text = render_expression(item.expr)
         if item.alias:
             text += f" AS {item.alias}"
@@ -277,153 +143,30 @@ def _build_core(core, env):
     plan = PlanNode("Project", ", ".join(rendered), [plan])
 
     if core.distinct:
+        names = [item.output_name() or f"col{i}"
+                 for i, item in enumerate(items)]
         plan = PlanNode("Aggregate",
                         f"group=[{', '.join(names)}], aggs=[]", [plan])
 
-    return plan, names, scope
+    return plan
 
 
-def _build_from_less(core, env):
-    """SELECT without FROM collapses to a single Values row."""
-    names = []
-    rendered = []
-    for i, item in enumerate(core.items):
-        if isinstance(item, Star):
-            raise PlanError("star projection requires a FROM clause")
-        _resolve_expr(item.expr, env)
-        names.append(item.output_name() or f"col{i}")
-        rendered.append(render_expression(item.expr))
-    plan = PlanNode("Values", f"({', '.join(rendered)})")
-    if core.where is not None:
-        _resolve_expr(core.where, env)
-        plan = PlanNode("Filter", render_expression(core.where), [plan])
-    return plan, names, env.with_relations([])
-
-
-def _build_from(item, env):
-    """Returns (plan, relations list) for a FROM item."""
+def _plan_from(item, binding):
     if isinstance(item, TableRef):
         alias = (item.alias or item.name).lower()
-        is_cte, cte_columns = env.lookup_cte(item.name)
-        if is_cte:
+        if id(item) in binding.ctes:
             args = item.name if alias == item.name else f"{item.name} AS {alias}"
-            return PlanNode("CteRef", args), [(alias, cte_columns)]
-        table = env.schema.find_table(item.name)
-        if table is None:
-            raise UnresolvedName(item.name)
+            return PlanNode("CteRef", args)
         args = item.name if alias == item.name.lower() else \
             f"{item.name} AS {alias}"
-        columns = [c.lower() for c in table.columns]
-        return PlanNode("Scan", args), [(alias, columns)]
+        return PlanNode("Scan", args)
     if isinstance(item, DerivedTable):
-        sub_env = env.subscope()
-        plan, names, _ = _build_statement(item.query, sub_env)
-        alias = (item.alias or "subquery").lower()
-        return plan, [(alias, names)]
-    if isinstance(item, Join):
-        left_plan, left_rels = _build_from(item.left, env)
-        right_plan, right_rels = _build_from(item.right, env)
-        relations = left_rels + right_rels
-        seen = set()
-        for alias, _cols in relations:
-            if alias in seen:
-                raise PlanError(f"duplicate relation alias {alias!r}")
-            seen.add(alias)
-        if item.condition is not None:
-            _resolve_expr(item.condition, env.with_relations(relations))
-            args = f"{item.kind}, {render_expression(item.condition)}"
-        else:
-            args = item.kind
-        return PlanNode("Join", args, [left_plan, right_plan]), relations
-    raise PlanError(f"cannot plan FROM item {item!r}")
-
-
-def _expand_stars(items, relations):
-    expanded = []
-    for item in items:
-        if not isinstance(item, Star):
-            expanded.append(item)
-            continue
-        targets = relations
-        if item.qualifier:
-            targets = [r for r in relations if r[0] == item.qualifier.lower()]
-            if not targets:
-                raise UnresolvedName(item.qualifier)
-        for alias, columns in targets:
-            if columns is None:
-                raise PlanError(
-                    f"cannot expand * against relation {alias!r}")
-            for column in columns:
-                ref = ColumnRef(table=alias, column=column,
-                                raw=f"{alias}.{column}")
-                expanded.append(_star_item(ref))
-    return expanded
-
-
-def _star_item(ref):
-    return SelectItem(expr=ref)
-
-
-def _aggregate_calls(expr):
-    """Aggregate calls at this select level (subqueries keep their own)."""
-    calls = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Subquery, InSubquery, Exists)):
-            if isinstance(node, InSubquery):
-                stack.append(node.operand)
-            continue
-        if isinstance(node, FuncCall) and node.is_aggregate:
-            calls.append(node)
-            continue
-        stack.extend(ast_children(node))
-    return calls
-
-
-def _resolve_expr(expr, env, skip_aggregates=False):
-    """Attach bindings to every column reference in the expression.
-
-    Expression subqueries are resolved in a child scope so correlated
-    references bind against the enclosing relations.
-    """
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ColumnRef):
-            node.binding = env.resolve(node)
-            continue
-        if isinstance(node, (Subquery, Exists)):
-            _build_statement(node.query, env.subscope())
-            continue
-        if isinstance(node, InSubquery):
-            _build_statement(node.query, env.subscope())
-            stack.append(node.operand)
-            continue
-        if skip_aggregates and isinstance(node, FuncCall) and node.is_aggregate:
-            continue  # arguments were resolved pre-aggregation
-        stack.extend(ast_children(node))
-    return expr
-
-
-def _resolve_order_keys(order_items, output_names, env):
-    """ORDER BY keys resolve against output names first, then relations."""
-    lowered = [n.lower() if n else n for n in output_names]
-    for item in order_items:
-        expr = item.expr
-        if isinstance(expr, Literal) and isinstance(expr.value, int) and \
-                not isinstance(expr.value, bool):
-            if not 1 <= expr.value <= len(output_names):
-                raise UnresolvedName(f"ORDER BY position {expr.value}")
-            continue
-        if isinstance(expr, ColumnRef) and expr.table is None and \
-                lowered.count(expr.column.lower()) == 1:
-            expr.binding = ("<output>", lowered.index(expr.column.lower()))
-            continue
-        for call in _aggregate_calls(expr):
-            for arg in call.args:
-                _resolve_expr(arg, env)
-        _resolve_expr(expr, env, skip_aggregates=True)
+        return _plan_statement(item.query, binding)
+    args = item.kind
+    if item.condition is not None:
+        args += f", {render_expression(item.condition)}"
+    return PlanNode("Join", args, [_plan_from(item.left, binding),
+                                   _plan_from(item.right, binding)])
 
 
 def _dedupe(texts):

@@ -1,6 +1,10 @@
+import sqlite3
+
 import pytest
 
 import corpusqueries as corpus
+from sqleq.ast_nodes import ColumnRef, walk
+from sqleq.binder import bind
 from sqleq.errors import InstanceError, RuntimeExecError, UnsupportedFeature
 from sqleq.executor import execute, instance_from_dict
 from sqleq.parser import parse_sql
@@ -266,6 +270,28 @@ class TestSubqueries:
                    "SELECT k FROM two", inst).rows
         assert rows == [(2,)]
 
+    def test_repeated_output_name_binds_the_first_like_sqlite(
+            self, pair_tables):
+        _, inst = pair_tables
+        sql = "SELECT x FROM (SELECT k AS x, v AS x FROM l) s"
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE l (k, v)")
+        conn.executemany("INSERT INTO l VALUES (?, ?)", inst.table("l")[1])
+        assert run(sql, inst).rows == conn.execute(sql).fetchall() == \
+            [(1,), (2,), (None,)]
+
+    def test_correlated_reference_two_levels_out(self, pair_tables):
+        schema, inst = pair_tables
+        # l.v sits two scopes out, at slot 1 of its row, while the middle
+        # scope's row (r) has a different column at that slot
+        ast = parse_sql("SELECT k FROM l WHERE EXISTS (SELECT 1 FROM r "
+                        "WHERE r.k = l.k AND EXISTS (SELECT 1 FROM r AS r2 "
+                        "WHERE r2.w = 'x' AND l.v = 'a'))")
+        ref = next(node for node in walk(ast)
+                   if isinstance(node, ColumnRef) and node.raw == "l.v")
+        assert bind(ast, schema).slots[id(ref)] == (2, 1)
+        assert execute(ast, inst).rows == [(1,)]
+
     def test_cte_shadows_table_name(self, pair_tables):
         _, inst = pair_tables
         rows = run("WITH l AS (SELECT 99 AS k) SELECT k FROM l", inst).rows
@@ -275,8 +301,11 @@ class TestSubqueries:
 class TestErrorsAndValidation:
     def test_recursive_cte_unsupported(self, nums):
         _, inst = nums
-        with pytest.raises(UnsupportedFeature, match="recursive"):
-            run("WITH RECURSIVE c AS (SELECT 1) SELECT * FROM c", inst)
+        for sql in ("WITH RECURSIVE c AS (SELECT 1) SELECT * FROM c",
+                    # checked before names bind: `zz` would not resolve
+                    "WITH RECURSIVE c AS (SELECT zz FROM t) SELECT * FROM c"):
+            with pytest.raises(UnsupportedFeature, match="recursive"):
+                run(sql, inst)
 
     def test_window_unsupported(self, nums):
         _, inst = nums

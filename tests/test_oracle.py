@@ -9,6 +9,12 @@ from sqleq.oracle import Comparison, compare_results, oracle_check
 from sqleq.schema import SchemaDef, TableDef
 
 
+# near-equal values, so that perturbed copies cross in sort order
+_REALS = st.one_of(
+    st.sampled_from([0.3, 0.1 + 0.2, 1.0, 1.0 + 6e-10, -2.5, 0.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
 def table(rows, ncols=None, ordered=False):
     ncols = ncols if ncols is not None else (len(rows[0]) if rows else 1)
     return ResultTable(column_count=ncols, rows=rows, ordered=ordered)
@@ -78,6 +84,27 @@ class TestCompareResults:
         # ResultTable carries no names at all: comparison is positional
         assert compare_results(table([(1, "a")]), table([(1, "a")])).identical
 
+    def test_reals_match_across_exact_columns(self):
+        # sorting first would pair 0.1 + 0.2 with 0.3 under different
+        # text values; each text value must find its own close real
+        r1 = table([(0.1 + 0.2, "b"), (0.3, "a")])
+        r2 = table([(0.3, "b"), (0.1 + 0.2, "a")])
+        assert compare_results(r1, r2).identical
+        assert not compare_results(r1, table([(0.3, "b"), (0.4, "a")])).identical
+
+    @given(st.lists(st.tuples(st.sampled_from(["x", "y", None]),
+                              _REALS, _REALS), max_size=8),
+           st.lists(st.floats(-4e-10, 4e-10), min_size=16, max_size=16),
+           st.randoms(use_true_random=False))
+    def test_permuted_perturbed_reals_never_refute(self, rows, deltas, rnd):
+        # within 4e-10 relative of the original is within REAL_REL_TOL
+        perturbed = [(text, x * (1 + deltas[2 * i]),
+                      y * (1 + deltas[2 * i + 1]))
+                     for i, (text, x, y) in enumerate(rows)]
+        rnd.shuffle(perturbed)
+        assert compare_results(table(rows, ncols=3),
+                               table(perturbed, ncols=3)).identical
+
     @given(st.lists(st.tuples(st.integers(-3, 3),
                               st.sampled_from(["x", "y"])), max_size=5),
            st.lists(st.tuples(st.integers(-3, 3),
@@ -130,6 +157,14 @@ class TestOracleCheck:
                                corpus.PATH_EXISTS_RECURSIVE, [instance])
         assert outcome.status == "inconclusive"
         assert any("UnsupportedFeature" in e for e in outcome.errors)
+
+    def test_name_error_inconclusive_even_on_empty_tables(
+            self, witness_schema):
+        empty = instance_from_dict({"tables": {}}, witness_schema)
+        outcome = oracle_check("SELECT zz FROM batting",
+                               "SELECT cs FROM batting", [empty])
+        assert outcome.status == "inconclusive"
+        assert any("UnresolvedName" in e for e in outcome.errors)
 
     def test_parse_failure_inconclusive(self, witness_schema):
         instance = baseball_instance(witness_schema, [["p1", 2000, 2]])

@@ -5,8 +5,13 @@ import corpusqueries as corpus
 from sqleq.ast_nodes import (
     ColumnRef, Cte, FuncCall, Join, Literal, SelectCore, SelectStmt, walk,
 )
+from sqleq.cli import main
 from sqleq.errors import SqlSyntaxError, UnsupportedConstruct
-from sqleq.parser import parse_sql
+from sqleq.executor import instance_from_dict
+from sqleq.features import extract_features
+from sqleq.oracle import oracle_check
+from sqleq.parser import MAX_DEPTH, parse_sql
+from sqleq.plan import PLAN_ERROR_PLACEHOLDER, plan_or_placeholder
 from sqleq.render import render_statement
 
 
@@ -61,6 +66,61 @@ class TestBasics:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             parse_sql("SELECT 1", mode="fast")
+
+
+def _nested_parens(levels):
+    return "SELECT " + "(" * levels + "a" + ")" * levels + " FROM t"
+
+
+def _plus_chain(terms):
+    return "SELECT " + " + ".join(["a"] * terms) + " FROM t"
+
+
+# The deepest input of each shape: parentheses nest inside the statement
+# and the select-item expression, which take two parser levels; a
+# left-deep chain of n additions sits under statement, core and item
+# nodes and over its leaf, a tree of height n + 4.
+DEEPEST = [(_nested_parens, MAX_DEPTH - 2), (_plus_chain, MAX_DEPTH - 3)]
+
+
+class TestDepthLimit:
+    @pytest.fixture
+    def instance(self, toy_schema):
+        return instance_from_dict(
+            {"tables": {"t": {"columns": ["a", "b"], "rows": [[1, 2]]}}},
+            toy_schema)
+
+    @pytest.mark.parametrize("shape, size", DEEPEST)
+    def test_deepest_input_runs_through_every_pass(self, shape, size,
+                                                  toy_schema, instance):
+        sql = shape(size)
+        ast = parse_sql(sql)
+        assert parse_sql(render_statement(ast)) == ast
+        assert len(list(walk(ast))) >= 4
+        assert extract_features(ast).nesting_depth == 1
+        assert plan_or_placeholder(sql, toy_schema) != PLAN_ERROR_PLACEHOLDER
+        assert oracle_check(sql, sql, [instance]).status == "consistent"
+
+    @pytest.mark.parametrize("shape, size", DEEPEST)
+    def test_one_level_deeper_is_a_syntax_error(self, shape, size,
+                                                toy_schema, instance):
+        sql = shape(size + 1)
+        with pytest.raises(SqlSyntaxError, match="nested deeper"):
+            parse_sql(sql)
+        outcome = oracle_check(sql, "SELECT a FROM t", [instance])
+        assert outcome.status == "inconclusive"
+        assert plan_or_placeholder(sql, toy_schema) == PLAN_ERROR_PLACEHOLDER
+        assert main(["features", "--sql", sql]) == 70
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t WHERE " + "NOT " * 500 + "a = 1",
+        "SELECT " + "- " * 500 + "a FROM t",
+        "SELECT a FROM " + "(" * 500 + "t" + ")" * 500,
+        "SELECT a FROM t WHERE a IN (" * 500 + "1" + ")" * 500,
+    ], ids=["not", "sign", "from-parens", "in-lists"])
+    def test_other_deep_shapes_are_syntax_errors(self, sql):
+        with pytest.raises(SqlSyntaxError, match="nested deeper"):
+            parse_sql(sql)
 
 
 class TestDialect:
