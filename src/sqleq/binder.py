@@ -23,6 +23,14 @@ Resolution rules:
 Scopes follow execution: an expression subquery sees the row it is
 evaluated on, a derived table sees only the rows around its FROM
 clause, a CTE definition and LIMIT/OFFSET see no enclosing row.
+
+Correlation: each scope has a level (its nesting depth), and the binder
+tracks the lowest level any column reference resolves to. A subquery
+statement or FROM item with a reference that resolves to a scope
+outside it reads an enclosing row; its id goes into
+`Binding.correlated`. The executor runs the other subqueries once and
+keeps the rows of the other FROM items, so a false "correlated" only
+costs time, while a false "uncorrelated" would return wrong rows.
 """
 
 from dataclasses import dataclass, field
@@ -43,6 +51,8 @@ class Binding:
     grouped: set = field(default_factory=set)   # SelectCores that aggregate
     order: dict = field(default_factory=dict)   # SelectStmt -> [int | None]
     ctes: dict = field(default_factory=dict)    # TableRef -> Cte it names
+    # subquery SelectStmts and FROM items that read an enclosing row
+    correlated: set = field(default_factory=set)
 
 
 def bind(stmt, schema):
@@ -74,9 +84,12 @@ def aggregate_calls(expr):
     return calls
 
 
+_UNREACHED = float("inf")  # level reached by no column reference
+
+
 class _Scope:
     """Relations of one flat row plus the scope of the enclosing row."""
-    __slots__ = ("relations", "parent")
+    __slots__ = ("relations", "parent", "level")
 
     def __init__(self, relations, parent):
         self.relations = []  # [(alias, columns or None, offset)]
@@ -86,6 +99,7 @@ class _Scope:
             # a recursive CTE's placeholder (None) never executes
             offset += len(columns or ())
         self.parent = parent
+        self.level = 0 if parent is None else parent.level + 1
 
     def resolve(self, ref):
         scope, depth = self, 0
@@ -130,6 +144,24 @@ class _Binder:
     def __init__(self, schema):
         self.schema = schema
         self.binding = Binding()
+        self.reach = _UNREACHED  # lowest scope level resolved to so far
+
+    def tracked(self, node, outer, bind, *args):
+        """Return `bind(*args)`; flag `node` correlated when a reference
+        in it resolves to scope `outer` or further out."""
+        saved, self.reach = self.reach, _UNREACHED
+        result = bind(*args)
+        if outer is not None and self.reach <= outer.level:
+            self.binding.correlated.add(id(node))
+        self.reach = min(saved, self.reach)
+        return result
+
+    def isolated(self, bind, *args):
+        """Return `bind(*args)` for a part that sees no enclosing row."""
+        saved = self.reach
+        result = bind(*args)
+        self.reach = saved
+        return result
 
     def statement(self, stmt, ctes, outer):
         """Bind a statement run inside `outer`; returns its output names.
@@ -143,7 +175,8 @@ class _Binder:
                 if cte.recursive:
                     placeholder = cte.columns or _peek_output_names(cte.query)
                     visible = {**ctes, cte.name: (cte, placeholder)}
-                names = self.statement(cte.query, visible, None)
+                names = self.isolated(self.statement, cte.query, visible,
+                                      None)
                 ctes[cte.name] = (cte, list(cte.columns) or names)
         names, scope = self.body(stmt.body, ctes, outer)
         if stmt.order_by:
@@ -152,7 +185,7 @@ class _Binder:
             no_row = _Scope([], None)
             for expr in (stmt.limit.count, stmt.limit.offset):
                 if expr is not None:
-                    self.expr(expr, no_row, ctes)
+                    self.isolated(self.expr, expr, no_row, ctes)
         return names
 
     def body(self, body, ctes, outer):
@@ -186,6 +219,9 @@ class _Binder:
 
     def from_item(self, item, ctes, outer):
         """Relations [(alias, columns)] of a FROM item, in row order."""
+        return self.tracked(item, outer, self._from_item, item, ctes, outer)
+
+    def _from_item(self, item, ctes, outer):
         if isinstance(item, TableRef):
             alias = (item.alias or item.name).lower()
             if item.name in ctes:
@@ -217,12 +253,14 @@ class _Binder:
         while stack:
             node = stack.pop()
             if isinstance(node, ColumnRef):
-                self.binding.slots[id(node)] = scope.resolve(node)
-            elif isinstance(node, (Subquery, Exists)):
-                self.statement(node.query, ctes, scope)
-            elif isinstance(node, InSubquery):
-                self.statement(node.query, ctes, scope)
-                stack.append(node.operand)
+                depth, slot = scope.resolve(node)
+                self.binding.slots[id(node)] = depth, slot
+                self.reach = min(self.reach, scope.level - depth)
+            elif isinstance(node, (Subquery, Exists, InSubquery)):
+                self.tracked(node.query, scope, self.statement, node.query,
+                             ctes, scope)
+                if isinstance(node, InSubquery):
+                    stack.append(node.operand)
             else:
                 stack.extend(ast_children(node))
 

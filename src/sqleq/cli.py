@@ -83,6 +83,10 @@ def main(argv=None):
     except SqleqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a defect: report it in the documented way
+        print(f"error: internal: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_ERROR
 
 
 def _build_parser():

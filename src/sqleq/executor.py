@@ -12,6 +12,22 @@ Rows are flat tuples: a join concatenates its two sides (an outer join
 pads the missing side with NULLs) and a column reference reads
 `row[slot]` after stepping out `depth` enclosing row contexts.
 
+Joins and subqueries probe hash indexes where a condition's top-level
+AND conjuncts include `x = y` with one side reading only a fixed row
+source and the other only the probing row or enclosing rows (`_Index`):
+- a join hashes its right side on the ON keys, probed by each left row;
+- a correlated subquery core whose FROM item reads no enclosing row
+  (`Binding.correlated`) builds its FROM rows and their index once per
+  execute, probed with the outer sides of its WHERE keys;
+- an uncorrelated expression subquery runs once per execute, on first
+  use; IN looks values up in a `_ValueSet`.
+The full condition still runs on every candidate and rows keep the
+nested loop's order, so results equal the nested loop's whenever it
+succeeds; key expressions are evaluated only where it would have
+evaluated the condition. Pairs of rows a key equality rules out are not
+evaluated further, so a residual conjunct that would raise only on such
+pairs no longer raises (PostgreSQL takes the same freedom).
+
 Semantics notes:
 - predicates use three-valued logic; only rows where the condition is
   True survive WHERE/ON/HAVING;
@@ -26,6 +42,7 @@ Recursive CTEs and window functions raise UnsupportedFeature.
 """
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -65,12 +82,30 @@ class DatabaseInstance:
 
 
 def instance_from_dict(data, schema):
-    """Build and validate an instance from {"tables": {name: {...}}} JSON."""
+    """Build and validate an instance from {"tables": {name: {...}}} JSON.
+
+    Each table spec needs "columns" (the schema's, in order) and "rows"
+    (lists of that arity). A cell is null, a boolean, an integer, a
+    finite float or text, so every cell has a `_canon` key. Anything else
+    raises InstanceError.
+    """
+    if not isinstance(data, dict):
+        raise InstanceError("instance must be a JSON object")
+    specs = data.get("tables", {})
+    if not isinstance(specs, dict):
+        raise InstanceError("instance 'tables' must be a JSON object")
     tables = {}
-    for name, spec in data.get("tables", {}).items():
+    for name, spec in specs.items():
         table = schema.find_table(name)
         if table is None:
             raise InstanceError(f"instance table {name!r} not in schema")
+        if not isinstance(spec, dict):
+            raise InstanceError(f"table {name!r} spec must be a JSON object")
+        for key in ("columns", "rows"):
+            if not isinstance(spec.get(key), list):
+                raise InstanceError(f"table {name!r} needs a {key!r} list")
+        if not all(isinstance(c, str) for c in spec["columns"]):
+            raise InstanceError(f"table {name!r} column names must be text")
         columns = [c.lower() for c in spec["columns"]]
         declared = [c.lower() for c in table.columns]
         if columns != declared:
@@ -79,9 +114,17 @@ def instance_from_dict(data, schema):
                 f"{declared}")
         rows = []
         for row in spec["rows"]:
+            if not isinstance(row, (list, tuple)):
+                raise InstanceError(
+                    f"table {name!r} row {row!r} is not a list")
             if len(row) != len(columns):
                 raise InstanceError(
                     f"table {name!r} row arity {len(row)} != {len(columns)}")
+            for cell in row:
+                if not _valid_cell(cell):
+                    raise InstanceError(
+                        f"table {name!r} cell {cell!r} is not null, a "
+                        f"boolean, a number, or text")
             rows.append(tuple(row))
         tables[name.lower()] = (columns, rows)
     instance = DatabaseInstance(schema=schema, tables=tables)
@@ -96,6 +139,12 @@ def load_instances(path, schema):
     if isinstance(data, list):
         return [instance_from_dict(d, schema) for d in data]
     return [instance_from_dict(data, schema)]
+
+
+def _valid_cell(cell):
+    if isinstance(cell, float):
+        return math.isfinite(cell)
+    return cell is None or isinstance(cell, (bool, int, str))
 
 
 def _check_primary_keys(instance):
@@ -142,13 +191,18 @@ def execute(ast, instance):
 # --- internal machinery ---
 
 class _Env:
-    """Instance, the statement's binding, and CTE results by id(Cte)."""
-    __slots__ = ("instance", "binding", "ctes")
+    """Instance, the statement's binding, CTE results by id(Cte), what
+    runs once per execute (`memo`: uncorrelated subquery results, IN
+    value sets, indexes of correlated cores) and the equality keys found
+    in each condition (`keys`)."""
+    __slots__ = ("instance", "binding", "ctes", "memo", "keys")
 
     def __init__(self, instance, binding):
         self.instance = instance
         self.binding = binding
         self.ctes = {}
+        self.memo = {}
+        self.keys = {}
 
 
 class _Ctx:
@@ -230,8 +284,12 @@ def _exec_setop(op, env, outer_ctx):
 
 
 def _exec_core(core, env, outer_ctx):
-    rows = [()] if core.from_item is None else \
-        _exec_from(core.from_item, env, outer_ctx)[0]
+    if core.from_item is None:
+        rows = [()]
+    elif core.where is None or id(core.from_item) in env.binding.correlated:
+        rows = _exec_from(core.from_item, env, outer_ctx)[0]
+    else:
+        rows = _probe_from(core, env, outer_ctx)
     ctxs = [_Ctx(row, outer_ctx) for row in rows]
 
     if core.where is not None:
@@ -270,11 +328,22 @@ def _exec_from(item, env, outer_ctx):
         right, right_width = _exec_from(item.right, env, outer_ctx)
         condition = None if item.kind == "cross" else item.condition
         ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
+        index = None
+        if condition is not None and left and right:
+            keys = _equi_keys(condition, env, lambda depth, slot:
+                              depth == 0 and slot >= left_width)
+            if keys is not None:
+                index = _Index(right, keys, env, ctx, (None,) * left_width)
+        candidates = range(len(right))
         out = []
         matched_right = [False] * len(right)
         for lrow in left:
             any_match = False
-            for j, rrow in enumerate(right):
+            if index is not None:
+                ctx.row = lrow
+                candidates = index.probe(ctx, env)
+            for j in candidates:
+                rrow = right[j]
                 ctx.row = lrow + rrow
                 if condition is not None and \
                         _eval(condition, ctx, env) is not True:
@@ -292,6 +361,27 @@ def _exec_from(item, env, outer_ctx):
         return out, left_width + right_width
 
     raise RuntimeExecError(f"cannot evaluate FROM item {item!r}")
+
+
+def _probe_from(core, env, outer_ctx):
+    """FROM rows of a core whose FROM item reads no enclosing row.
+
+    When WHERE has `inner = outer` conjuncts, the rows and their index
+    are built once per execute, and the enclosing row picks its
+    candidates by probing with the outer sides; WHERE still runs on
+    each candidate.
+    """
+    keys = _equi_keys(core.where, env, lambda depth, slot: depth == 0)
+    if keys is None:
+        return _exec_from(core.from_item, env, outer_ctx)[0]
+    index = env.memo.get(id(core))
+    if index is None:
+        rows = _exec_from(core.from_item, env, outer_ctx)[0]
+        index = env.memo[id(core)] = _Index(rows, keys, env,
+                                            _Ctx(None, outer_ctx))
+    if not index.rows:
+        return []
+    return [index.rows[i] for i in index.probe(_Ctx(None, outer_ctx), env)]
 
 
 def _group(ctxs, group_by, env, outer_ctx):
@@ -347,6 +437,115 @@ def _limit_value(expr, env, what):
     return value
 
 
+# --- hash probes on equality conjuncts ---
+
+class _Index:
+    """Fixed rows bucketed on the values of the fixed sides of equality
+    conjuncts; `probe` returns the positions of the rows whose key equals
+    the probing sides' values, in row order.
+
+    Keys are `_canon` values, so 1 and 1.0 meet and TRUE stays apart
+    from 1, as with `=`; a NULL key matches nothing. The buckets only
+    narrow the candidates: the caller still runs the whole condition on
+    each one.
+    """
+    __slots__ = ("rows", "probe_exprs", "buckets")
+
+    def __init__(self, rows, keys, env, ctx, pad=()):
+        fixed_exprs, self.probe_exprs = keys
+        self.rows = rows
+        self.buckets = {}
+        for i, row in enumerate(rows):
+            ctx.row = pad + row
+            key = _key([_eval(e, ctx, env) for e in fixed_exprs])
+            if key is not None:
+                self.buckets.setdefault(key, []).append(i)
+
+    def probe(self, ctx, env):
+        key = _key([_eval(e, ctx, env) for e in self.probe_exprs])
+        return () if key is None else self.buckets.get(key, ())
+
+
+def _key(values):
+    if any(value is None for value in values):
+        return None
+    return tuple(_canon(value) for value in values)
+
+
+def _equi_keys(condition, env, is_fixed):
+    """([fixed sides], [probing sides]) of the `x = y` conjuncts of
+    `condition` where one side reads only fixed slots and the other only
+    other ones, neither holding a subquery or an aggregate; None when no
+    conjunct qualifies. `is_fixed(depth, slot)` tells the slots apart,
+    and does so the same way on every call for a given condition.
+    """
+    if id(condition) not in env.keys:
+        fixed, probing = [], []
+        for conjunct in _conjuncts(condition):
+            if not (isinstance(conjunct, Binary) and conjunct.op == "="):
+                continue
+            sides = (conjunct.left, conjunct.right)
+            reads = [_reads(side, env.binding, is_fixed) for side in sides]
+            if reads[1] == {True} and reads[0] == {False}:
+                sides = sides[::-1]
+            elif not (reads[0] == {True} and reads[1] == {False}):
+                continue
+            fixed.append(sides[0])
+            probing.append(sides[1])
+        env.keys[id(condition)] = (fixed, probing) if fixed else None
+    return env.keys[id(condition)]
+
+
+def _conjuncts(condition):
+    """The operands of the top-level ANDs of `condition`, in order."""
+    out, stack = [], [condition]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary) and node.op == "AND":
+            stack += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
+def _reads(expr, binding, is_fixed):
+    """{is_fixed(depth, slot)} over the column references of `expr`; an
+    empty set for a subquery or an aggregate, which never make a key."""
+    reads = set()
+    for node in walk(expr):
+        if isinstance(node, (Subquery, Exists, InSubquery)) or \
+                isinstance(node, FuncCall) and node.is_aggregate:
+            return set()
+        if isinstance(node, ColumnRef):
+            reads.add(is_fixed(*binding.slots[id(node)]))
+    return reads
+
+
+class _ValueSet:
+    """The right side of `value IN (...)`, hashed on `_canon`; `contains`
+    answers under three-valued logic: NULL for a NULL value, else TRUE
+    when a member equals it, else NULL when a member is NULL, else
+    FALSE."""
+    __slots__ = ("values", "saw_null")
+
+    def __init__(self, values):
+        self.values = {}
+        self.saw_null = False
+        for value in values:
+            if value is None:
+                self.saw_null = True
+            else:
+                self.values.setdefault(_canon(value), value)
+
+    def contains(self, value):
+        if value is None:
+            return None
+        member = self.values.get(_canon(value))
+        if member is not None and _values_equal(value, member):
+            return True
+        return None if self.saw_null else False
+
+
 # --- expression evaluation ---
 
 def _eval(expr, ctx, env):
@@ -379,16 +578,20 @@ def _eval(expr, ctx, env):
 
     if isinstance(expr, InList):
         value = _eval(expr.operand, ctx, env)
-        result = _in_values(value,
-                            [_eval(i, ctx, env) for i in expr.items])
+        result = _ValueSet([_eval(i, ctx, env) for i in expr.items]) \
+            .contains(value)
         return _negate3(result) if expr.negated else result
 
     if isinstance(expr, InSubquery):
         value = _eval(expr.operand, ctx, env)
-        width, rows = _exec_stmt(expr.query, env, ctx)
-        if width != 1:
-            raise RuntimeExecError("IN subquery must return one column")
-        result = _in_values(value, [row[0] for row in rows])
+        if id(expr.query) in env.binding.correlated:
+            members = _ValueSet(_column(expr.query, env, ctx, "IN"))
+        else:
+            members = env.memo.get(id(expr))
+            if members is None:
+                members = env.memo[id(expr)] = _ValueSet(
+                    _column(expr.query, env, ctx, "IN"))
+        result = members.contains(value)
         return _negate3(result) if expr.negated else result
 
     if isinstance(expr, Between):
@@ -409,15 +612,13 @@ def _eval(expr, ctx, env):
         return (not result) if expr.negated else result
 
     if isinstance(expr, Exists):
-        return bool(_exec_stmt(expr.query, env, ctx)[1])
+        return bool(_subquery_rows(expr.query, env, ctx)[1])
 
     if isinstance(expr, Subquery):
-        width, rows = _exec_stmt(expr.query, env, ctx)
-        if width != 1:
-            raise RuntimeExecError("scalar subquery must return one column")
+        rows = _column(expr.query, env, ctx, "scalar")
         if len(rows) > 1:
             raise RuntimeExecError("scalar subquery returned more than one row")
-        return rows[0][0] if rows else None
+        return rows[0] if rows else None
 
     if isinstance(expr, Quantified):
         return _eval_quantified(expr, ctx, env)
@@ -494,10 +695,7 @@ def _eval_binary(expr, ctx, env):
 def _eval_quantified(expr, ctx, env):
     left = _eval(expr.left, ctx, env)
     if isinstance(expr.operand, Subquery):
-        width, rows = _exec_stmt(expr.operand.query, env, ctx)
-        if width != 1:
-            raise RuntimeExecError("quantified subquery must return one column")
-        values = [row[0] for row in rows]
+        values = _column(expr.operand.query, env, ctx, "quantified")
     else:
         operand = _eval(expr.operand, ctx, env)
         if operand is None:
@@ -514,6 +712,25 @@ def _eval_quantified(expr, ctx, env):
     if any(r is False for r in results):
         return False
     return None if any(r is None for r in results) else True
+
+
+def _subquery_rows(query, env, ctx):
+    """(width, rows) of an expression subquery run for the row of `ctx`;
+    an uncorrelated one runs once per execute, on first use."""
+    if id(query) in env.binding.correlated:
+        return _exec_stmt(query, env, ctx)
+    result = env.memo.get(id(query))
+    if result is None:
+        result = env.memo[id(query)] = _exec_stmt(query, env, ctx)
+    return result
+
+
+def _column(query, env, ctx, what):
+    """Values of a subquery that must return one column."""
+    width, rows = _subquery_rows(query, env, ctx)
+    if width != 1:
+        raise RuntimeExecError(f"{what} subquery must return one column")
+    return [row[0] for row in rows]
 
 
 def _eval_call(call, ctx, env):
@@ -730,18 +947,6 @@ def _values_equal(left, right):
     return False
 
 
-def _in_values(value, candidates):
-    """`value IN candidates` under three-valued logic."""
-    saw_null = value is None
-    for candidate in candidates:
-        if candidate is None:
-            saw_null = True
-            continue
-        if value is not None and _values_equal(value, candidate):
-            return True
-    return None if saw_null else False
-
-
 def sort_key(value):
     """Total order over cells: null < booleans < numbers < text < arrays."""
     if value is None:
@@ -758,13 +963,14 @@ def sort_key(value):
 
 
 def _canon(value):
-    """Canonical key for grouping/dedup: NULLs equal, 1 == 1.0."""
+    """Canonical key for grouping, dedup and hash probes: NULLs equal,
+    1 == 1.0 (Python hashes equal numbers alike), TRUE apart from 1."""
     if value is None:
         return ("null",)
     if isinstance(value, bool):
         return ("bool", value)
     if isinstance(value, (int, float)):
-        return ("num", float(value))
+        return ("num", value)
     if isinstance(value, str):
         return ("txt", value)
     if isinstance(value, tuple):

@@ -174,6 +174,46 @@ class TestOracleCommand:
         assert outcome["witness_index"] == 0
 
 
+    @pytest.mark.parametrize("instance", [
+        {"tables": {"t": {"rows": [[1]]}}},
+        {"tables": {"t": {"columns": ["a"], "rows": [5]}}},
+        {"tables": {"t": {"columns": ["a"], "rows": [[[1]]]}}},
+        {"tables": {"t": {"columns": ["a"], "rows": [[1.5], [float("nan")]]}}},
+        [7],
+    ])
+    def test_malformed_instance_is_inconclusive(self, tmp_path, capsys,
+                                                instance):
+        data = write_jsonl(tmp_path / "pairs.jsonl", [{
+            "id": "p1", "sql1": "SELECT a FROM t",
+            "sql2": "SELECT a * 1 FROM t", "schema": "s", "label": "EQ"}])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps({"s": {
+            "tables": [{"name": "t", "columns": ["a"]}],
+            "foreign_keys": [], "primary_keys": []}}))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))  # writes NaN as a bare NaN
+        code = main(["oracle", "--dataset", str(data),
+                     "--schemas", str(schemas),
+                     "--instances", str(path), "--format", "json"])
+        assert code == 0
+        outcome = json.loads(capsys.readouterr().out.strip())
+        assert outcome["status"] == "inconclusive"
+        assert outcome["errors"][0].startswith("instance 0: ")
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_70_without_traceback(
+            self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("sqleq.cli.cmd_features", broken)
+        assert main(["features", "--sql", "SELECT 1"]) == 70
+        err = capsys.readouterr().err
+        assert err.strip() == "error: internal: RuntimeError: boom"
+        assert "Traceback" not in err
+
+
 class TestConfigResolution:
     class Args:
         def __init__(self, **kwargs):

@@ -340,6 +340,36 @@ class TestErrorsAndValidation:
                 {"tables": {"t": {"columns": ["a"], "rows": [[None]]}}},
                 schema)
 
+    @pytest.mark.parametrize("data,match", [
+        ([], "JSON object"),
+        ({"tables": [["t"]]}, "JSON object"),
+        ({"tables": {"t": [1]}}, "JSON object"),
+        ({"tables": {"t": {"rows": [[1, 2]]}}}, "'columns'"),
+        ({"tables": {"t": {"columns": ["a", "b"]}}}, "'rows'"),
+        ({"tables": {"t": {"columns": [1, 2], "rows": []}}}, "text"),
+        ({"tables": {"t": {"columns": ["a", "b"], "rows": [5]}}},
+         "not a list"),
+        ({"tables": {"t": {"columns": ["a", "b"], "rows": [[1, [2]]]}}},
+         "cell"),
+        ({"tables": {"t": {"columns": ["a", "b"], "rows": [[1, {}]]}}},
+         "cell"),
+        ({"tables": {"t": {"columns": ["a", "b"],
+                           "rows": [[1, float("nan")]]}}}, "cell"),
+        ({"tables": {"t": {"columns": ["a", "b"],
+                           "rows": [[float("-inf"), 1]]}}}, "cell"),
+    ])
+    def test_malformed_instance_rejected(self, data, match):
+        schema = SchemaDef(tables=(TableDef("t", ("a", "b")),))
+        with pytest.raises(InstanceError, match=match):
+            instance_from_dict(data, schema)
+
+    def test_every_cell_kind_accepted(self):
+        schema = SchemaDef(tables=(TableDef("t", ("a",)),))
+        cells = [None, True, 0, 10 ** 30, -2.5, "x"]
+        inst = instance_from_dict({"tables": {"t": {
+            "columns": ["a"], "rows": [[c] for c in cells]}}}, schema)
+        assert run("SELECT a FROM t", inst).rows == [(c,) for c in cells]
+
     def test_missing_instance_table_treated_empty(self):
         schema = SchemaDef(tables=(TableDef("t", ("a",)),
                                    TableDef("s", ("b",))))
