@@ -168,16 +168,13 @@ def compute_metrics(predictions, pairs, unknown_policy="as_neq",
         predicted = predictions[pair.id]
         if predicted == LABEL_UNKNOWN:
             unknown += 1
+        correct = _prediction_correct(predicted, pair.label, unknown_policy)
         if pair.label == "EQ":
             eq_total += 1
-            eq_correct += predicted == LABEL_EQUIVALENT
+            eq_correct += correct
         elif pair.label == "NEQ":
             neq_total += 1
-            if unknown_policy == "as_neq":
-                neq_correct += predicted in (LABEL_NON_EQUIVALENT,
-                                             LABEL_UNKNOWN)
-            else:
-                neq_correct += predicted == LABEL_NON_EQUIVALENT
+            neq_correct += correct
     eq_accuracy = eq_correct / eq_total if eq_total else None
     neq_accuracy = neq_correct / neq_total if neq_total else None
     gm = None
@@ -208,12 +205,6 @@ class RunReport:
 
     def predictions(self):
         return {v.pair_id: v.label for v in self.verdicts}
-
-    def pair_by_id(self, pair_id):
-        for pair in self.pairs:
-            if pair.id == pair_id:
-                return pair
-        return None
 
 
 def run_benchmark(dataset, strategy, plans_enabled, backends, cfg,
@@ -389,8 +380,6 @@ def coverage_compare(report, tool_results_path):
 
 
 def _prediction_correct(predicted, label, unknown_policy):
-    if predicted is None:
-        return False
     if label == "EQ":
         return predicted == LABEL_EQUIVALENT
     if label == "NEQ":
@@ -425,9 +414,10 @@ def write_report(report, fmt, path):
 
 
 def _pair_rows(report):
+    pairs = {pair.id: pair for pair in report.pairs}
     rows = []
     for verdict in report.verdicts:
-        pair = report.pair_by_id(verdict.pair_id)
+        pair = pairs.get(verdict.pair_id)
         row = verdict_to_dict(verdict)
         row["ground_truth"] = pair.label if pair else None
         row["difficulty"] = pair.difficulty if pair else None
@@ -472,7 +462,7 @@ def _emit_csv(report):
     writer.writerow([])
     writer.writerow(["# metric", "value"])
     for key, value in metrics.as_dict().items():
-        writer.writerow([f"# {key}", _fmt_metric(value)])
+        writer.writerow([f"# {key}", fmt_metric(value)])
     return buffer.getvalue()
 
 
@@ -509,12 +499,12 @@ def _emit_markdown(report):
 
 def _markdown_metrics_row(metrics):
     return (f"| {metrics.eq_total} | {metrics.neq_total} "
-            f"| {_fmt_metric(metrics.eq_accuracy)} "
-            f"| {_fmt_metric(metrics.neq_accuracy)} "
-            f"| {_fmt_metric(metrics.gm)} |")
+            f"| {fmt_metric(metrics.eq_accuracy)} "
+            f"| {fmt_metric(metrics.neq_accuracy)} "
+            f"| {fmt_metric(metrics.gm)} |")
 
 
-def _fmt_metric(value):
+def fmt_metric(value):
     if value is None:
         return "n/a"
     if isinstance(value, float):

@@ -16,22 +16,24 @@ import os
 import sys
 
 from .backend import GenConfig, HttpBackend, MockBackend
-from .bench import QueryPair, load_dataset, run_benchmark, write_report
+from .bench import (
+    QueryPair, fmt_metric, load_dataset, run_benchmark, write_report,
+)
 from .errors import SqleqError
 from .executor import instance_from_dict
 from .features import extract_features
 from .oracle import OracleOutcome, oracle_check
 from .parser import parse_sql
 from .pipeline import (
-    Backends, LABEL_EQUIVALENT, LABEL_NON_EQUIVALENT, PipelineConfig,
-    check_pair, verdict_to_dict,
+    Backends, LABEL_EQUIVALENT, LABEL_NON_EQUIVALENT, ONE_PROMPT_STRATEGIES,
+    PipelineConfig, STRATEGIES, check_pair, verdict_to_dict,
 )
-from .plan import plan_or_placeholder
+from .plan import pair_plans, plan_or_placeholder
 from .prompts import (
-    build_basic, build_classify, build_cot, build_decide, build_explain,
-    build_fewshot, exemplar_set_from_file, select_exemplars,
+    build_classify, build_decide, build_explain, build_strategy,
+    exemplar_set_from_file, select_exemplars,
 )
-from .schema import load_schema
+from .schema import load_schema, load_schemas
 
 EXIT_EQUIVALENT = 0
 EXIT_NON_EQUIVALENT = 1
@@ -101,8 +103,7 @@ def _build_parser():
     p.add_argument("--sql1", required=True)
     p.add_argument("--sql2", required=True)
     p.add_argument("--schema", required=True, help="schema JSON file")
-    p.add_argument("--strategy", default="basic",
-                   choices=["basic", "cot", "fewshot", "multistage"])
+    p.add_argument("--strategy", default="basic", choices=STRATEGIES)
     p.add_argument("--with-plans", action="store_true")
     _backend_flags(p)
     p.add_argument("--no-shortcut", action="store_true",
@@ -112,8 +113,7 @@ def _build_parser():
     p = sub.add_parser("bench", help="run a dataset benchmark")
     p.add_argument("--dataset", required=True, help="pairs JSONL file")
     p.add_argument("--schemas", required=True, help="schemas JSON file")
-    p.add_argument("--strategy", default="basic",
-                   choices=["basic", "cot", "fewshot", "multistage"])
+    p.add_argument("--strategy", default="basic", choices=STRATEGIES)
     p.add_argument("--with-plans", action="store_true")
     p.add_argument("--out", required=True, help="report output path")
     p.add_argument("--format", default="json",
@@ -135,8 +135,8 @@ def _build_parser():
 
     p = sub.add_parser("prompt", help="print exact prompt bytes")
     p.add_argument("--strategy", required=True,
-                   choices=["basic", "cot", "fewshot", "explain", "decide",
-                            "classify"])
+                   choices=ONE_PROMPT_STRATEGIES + ("explain", "decide",
+                                                    "classify"))
     p.add_argument("--sql1")
     p.add_argument("--sql2")
     p.add_argument("--schema", help="schema JSON file")
@@ -177,7 +177,7 @@ def resolve_config(args):
     merged = dict(_DEFAULTS)
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
-        merged.update(_read_config_file(path))
+        merged.update(_read_file(path, "config", _load_config))
     if os.environ.get(API_KEY_ENV):
         merged["api_key"] = os.environ[API_KEY_ENV]
     for key in ("backend", "endpoint", "model", "classifier_model",
@@ -191,9 +191,7 @@ def resolve_config(args):
     return merged
 
 
-def _read_config_file(path):
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+def _load_config(path):
     if path.endswith(".toml"):
         try:
             import tomllib
@@ -205,15 +203,19 @@ def _read_config_file(path):
                     "TOML config requires Python 3.11+ or tomli") from exc
         with open(path, "rb") as f:
             return tomllib.load(f)
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    config = _load_json(path)
+    if not isinstance(config, dict):
+        raise TypeError("expected a JSON object of settings")
+    return config
 
 
 def _make_backends(conf):
     if conf["backend"] == "mock":
         if conf["mock_script"]:
-            backend = MockBackend.from_file(conf["mock_script"],
-                                            default=conf["mock_default"])
+            backend = _read_file(
+                conf["mock_script"], "mock script",
+                lambda path: MockBackend.from_file(
+                    path, default=conf["mock_default"]))
         else:
             backend = MockBackend(default=conf["mock_default"])
         return Backends(strategy=backend)
@@ -236,7 +238,8 @@ def _pipeline_config(conf, dataset=None):
     classifier_model = conf["classifier_model"] or conf["model"]
     exemplars = None
     if conf["exemplars"]:
-        exemplars = exemplar_set_from_file(conf["exemplars"])
+        exemplars = _read_file(conf["exemplars"], "exemplars",
+                               exemplar_set_from_file)
     elif dataset is not None:
         try:
             exemplars = select_exemplars(dataset, conf["seed"])
@@ -251,13 +254,25 @@ def _pipeline_config(conf, dataset=None):
     )
 
 
-def _load_schema_file(path):
-    if not os.path.exists(path):
-        raise UsageError(f"schema file not found: {path}")
+def _read_file(path, what, load):
+    """`load(path)`, with a missing or malformed file a usage error."""
+    if not os.path.isfile(path):
+        raise UsageError(f"{what} file not found: {path}")
     try:
-        return load_schema(path)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise UsageError(f"malformed schema file {path}: {exc}") from exc
+        return load(path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"malformed {what} file {path}: {exc}") from exc
+
+
+def _load_json(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _read_dataset(args):
+    schemas = _read_file(args.schemas, "schemas", load_schemas)
+    return _read_file(args.dataset, "dataset",
+                      lambda path: load_dataset(path, schemas))
 
 
 def _ad_hoc_pair(args):
@@ -269,7 +284,7 @@ def _ad_hoc_pair(args):
 
 def cmd_check(args):
     conf = resolve_config(args)
-    schema = _load_schema_file(args.schema)
+    schema = _read_file(args.schema, "schema", load_schema)
     backends = _make_backends(conf)
     cfg = _pipeline_config(conf)
     if args.strategy == "fewshot" and cfg.exemplars is None:
@@ -288,11 +303,7 @@ def cmd_check(args):
 
 def cmd_bench(args):
     conf = resolve_config(args)
-    if not os.path.exists(args.dataset):
-        raise UsageError(f"dataset file not found: {args.dataset}")
-    if not os.path.exists(args.schemas):
-        raise UsageError(f"schemas file not found: {args.schemas}")
-    dataset = load_dataset(args.dataset, args.schemas)
+    dataset = _read_dataset(args)
     backends = _make_backends(conf)
     cfg = _pipeline_config(
         conf, dataset=dataset if args.strategy == "fewshot" else None)
@@ -313,16 +324,16 @@ def cmd_bench(args):
                          sort_keys=True))
     else:
         print(f"wrote {args.out}")
-        print(f"EQ {_fmt(metrics['eq_accuracy'])} "
+        print(f"EQ {fmt_metric(metrics['eq_accuracy'])} "
               f"({metrics['eq_correct']}/{metrics['eq_total']}), "
-              f"NEQ {_fmt(metrics['neq_accuracy'])} "
+              f"NEQ {fmt_metric(metrics['neq_accuracy'])} "
               f"({metrics['neq_correct']}/{metrics['neq_total']}), "
-              f"GM {_fmt(metrics['gm'])}")
+              f"GM {fmt_metric(metrics['gm'])}")
     return 0
 
 
 def cmd_plan(args):
-    schema = _load_schema_file(args.schema)
+    schema = _read_file(args.schema, "schema", load_schema)
     print(plan_or_placeholder(args.sql, schema))
     return 0
 
@@ -334,61 +345,43 @@ def cmd_features(args):
 
 
 def cmd_prompt(args):
-    need_pair = args.strategy in ("basic", "cot", "fewshot", "decide")
-    if need_pair and not (args.sql1 and args.sql2 and args.schema):
-        raise UsageError(f"{args.strategy} prompt needs --sql1 --sql2 "
-                         "--schema")
-    if args.strategy == "explain" and not (args.sql1 and args.sql2 and
-                                           args.schema):
-        raise UsageError("explain prompt needs --sql1 --sql2 --schema")
     if args.strategy == "classify":
         if not args.text:
             raise UsageError("classify prompt needs --text")
         sys.stdout.write(build_classify(args.text).body)
         return 0
+    if not (args.sql1 and args.sql2 and args.schema):
+        raise UsageError(f"{args.strategy} prompt needs --sql1 --sql2 "
+                         "--schema")
 
-    schema = _load_schema_file(args.schema)
+    schema = _read_file(args.schema, "schema", load_schema)
     pair = _ad_hoc_pair(args)
-    plans = None
-    if args.with_plans:
-        plans = (plan_or_placeholder(args.sql1, schema),
-                 plan_or_placeholder(args.sql2, schema))
-
-    if args.strategy == "basic":
-        bundle = build_basic(pair, schema, plans)
-    elif args.strategy == "cot":
-        bundle = build_cot(pair, schema, plans)
-    elif args.strategy == "fewshot":
-        if not args.exemplars:
-            raise UsageError("fewshot prompt needs --exemplars-file")
-        bundle = build_fewshot(pair, schema, plans,
-                               exemplars=exemplar_set_from_file(args.exemplars))
-    elif args.strategy == "explain":
+    plans = pair_plans(pair, schema) if args.with_plans else None
+    if args.strategy == "explain":
         bundle = build_explain(args.slot, pair, schema, plans)
-    else:  # decide
+    elif args.strategy == "decide":
         if not (args.expl1 and args.expl2):
             raise UsageError("decide prompt needs --expl1 --expl2")
         bundle = build_decide(pair, schema, plans, expl1=args.expl1,
                               expl2=args.expl2)
+    else:
+        exemplars = None
+        if args.strategy == "fewshot":
+            if not args.exemplars:
+                raise UsageError("fewshot prompt needs --exemplars")
+            exemplars = _read_file(args.exemplars, "exemplars",
+                                   exemplar_set_from_file)
+        bundle = build_strategy(args.strategy, pair, schema, plans,
+                                exemplars)
     sys.stdout.write(bundle.body)
     return 0
 
 
 def cmd_oracle(args):
-    if not os.path.exists(args.dataset):
-        raise UsageError(f"dataset file not found: {args.dataset}")
-    if not os.path.exists(args.schemas):
-        raise UsageError(f"schemas file not found: {args.schemas}")
-    dataset = load_dataset(args.dataset, args.schemas)
+    dataset = _read_dataset(args)
     raw_instances = []
     for path in args.instances:
-        if not os.path.exists(path):
-            raise UsageError(f"instance file not found: {path}")
-        try:
-            with open(path, encoding="utf-8") as f:
-                data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed instance file {path}: {exc}") from exc
+        data = _read_file(path, "instance", _load_json)
         raw_instances.extend(data if isinstance(data, list) else [data])
 
     refuted = consistent = inconclusive = 0
@@ -438,10 +431,6 @@ def _validated_instances(raw_instances, schema):
         except SqleqError as exc:
             load_errors.append(f"instance {i}: {exc}")
     return instances, tuple(load_errors)
-
-
-def _fmt(value):
-    return "n/a" if value is None else f"{value:.4f}"
 
 
 if __name__ == "__main__":

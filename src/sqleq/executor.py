@@ -523,9 +523,9 @@ def _reads(expr, binding, is_fixed):
 
 class _ValueSet:
     """The right side of `value IN (...)`, hashed on `_canon`; `contains`
-    answers under three-valued logic: NULL for a NULL value, else TRUE
-    when a member equals it, else NULL when a member is NULL, else
-    FALSE."""
+    answers under three-valued logic: FALSE for an empty set, else NULL
+    for a NULL value, else TRUE when a member equals it, else NULL when
+    a member is NULL, else FALSE."""
     __slots__ = ("values", "saw_null")
 
     def __init__(self, values):
@@ -538,6 +538,8 @@ class _ValueSet:
                 self.values.setdefault(_canon(value), value)
 
     def contains(self, value):
+        if not self.values and not self.saw_null:
+            return False
         if value is None:
             return None
         member = self.values.get(_canon(value))

@@ -14,10 +14,9 @@ from typing import Optional
 
 from .errors import AuthError, BackendError, BadExemplarSet, EmptyExplanation
 from .normalize import exact_match
-from .plan import plan_or_placeholder
+from .plan import pair_plans
 from .prompts import (
-    build_basic, build_classify, build_cot, build_decide, build_explain,
-    build_fewshot,
+    build_classify, build_decide, build_explain, build_strategy,
 )
 
 LABEL_EQUIVALENT = "Equivalent"
@@ -25,6 +24,8 @@ LABEL_NON_EQUIVALENT = "NonEquivalent"
 LABEL_UNKNOWN = "Unknown"
 
 STRATEGIES = ("basic", "cot", "fewshot", "multistage")
+# multistage sends stage prompts; the others one prompt (build_strategy)
+ONE_PROMPT_STRATEGIES = tuple(s for s in STRATEGIES if s != "multistage")
 
 _NON_EQUIVALENT_RE = re.compile(r"non[\s_-]*equivalent")
 
@@ -93,10 +94,7 @@ def check_pair(pair, schema, strategy, plans_enabled, backends, cfg):
         return Verdict(label=LABEL_EQUIVALENT, pair_id=pair_id,
                        strategy=strategy, plans=plans_enabled, shortcut=True)
 
-    plans = None
-    if plans_enabled:
-        plans = (plan_or_placeholder(pair.sql1, schema),
-                 plan_or_placeholder(pair.sql2, schema))
+    plans = pair_plans(pair, schema) if plans_enabled else None
 
     try:
         return _run_strategy(pair, schema, strategy, plans, plans_enabled,
@@ -128,13 +126,9 @@ def _run_strategy(pair, schema, strategy, plans, plans_enabled, backends, cfg):
         raw = decide.text
         classify_stage = 3
     else:
-        builders = {"basic": build_basic, "cot": build_cot}
-        if strategy == "fewshot":
-            bundle = build_fewshot(pair, schema, plans,
-                                   exemplars=cfg.exemplars)
-        else:
-            bundle = builders[strategy](pair, schema, plans)
-        completion = backends.strategy.complete(bundle, cfg.strategy_cfg)
+        completion = backends.strategy.complete(
+            build_strategy(strategy, pair, schema, plans, cfg.exemplars),
+            cfg.strategy_cfg)
         completions.append(completion)
         raw = completion.text
 

@@ -66,6 +66,12 @@ def plan_or_placeholder(text, schema):
         return PLAN_ERROR_PLACEHOLDER
 
 
+def pair_plans(pair, schema):
+    """The (sql1, sql2) plan texts a prompt shows for a query pair."""
+    return (plan_or_placeholder(pair.sql1, schema),
+            plan_or_placeholder(pair.sql2, schema))
+
+
 # --- plan construction ---
 
 def _plan_statement(stmt, binding):

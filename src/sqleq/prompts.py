@@ -7,6 +7,7 @@ with exactly one blank line between sections, end with the Answer header
 plus a newline -- except the classifier prompt, which ends at the header.
 """
 
+import functools
 import json
 import random
 import re
@@ -108,20 +109,23 @@ def select_exemplars(dataset, seed, explanations=None):
 
 # --- builders ---
 
+def build_strategy(strategy, pair, schema, plans=None, exemplars=None):
+    """The one prompt of a one-prompt strategy: basic, cot or fewshot."""
+    if strategy == "fewshot":
+        return build_fewshot(pair, schema, plans, exemplars=exemplars)
+    if strategy == "basic":
+        return build_basic(pair, schema, plans)
+    if strategy == "cot":
+        return build_cot(pair, schema, plans)
+    raise ValueError(f"not a one-prompt strategy: {strategy!r}")
+
+
 def build_basic(pair, schema, plans=None):
-    body = _fill(_template("basic"), {
-        "SCHEMA": _schema_text(schema),
-        "SQL_BLOCK": _pair_sql_block(pair, plans),
-    })
-    return PromptBundle("basic", 1, body, meta=_meta(pair))
+    return _build_plain("basic", pair, schema, plans)
 
 
 def build_cot(pair, schema, plans=None):
-    body = _fill(_template("cot"), {
-        "SCHEMA": _schema_text(schema),
-        "SQL_BLOCK": _pair_sql_block(pair, plans),
-    })
-    return PromptBundle("cot", 1, body, meta=_meta(pair))
+    return _build_plain("cot", pair, schema, plans)
 
 
 def build_fewshot(pair, schema, plans=None, exemplars=None):
@@ -134,14 +138,14 @@ def build_fewshot(pair, schema, plans=None, exemplars=None):
         blocks.append(_fill(_template("fewshot_example"), {
             "NUMBER": str(i),
             "SCHEMA": exemplar.schema_text,
-            "SQL_BLOCK": _sql_block(exemplar.sql1, exemplar.sql2, None),
+            "SQL_BLOCK": _sql_block(exemplar, None),
             "LABEL": label_text,
             "EXPLANATION": exemplar.explanation,
         }).rstrip("\n"))
     body = _fill(_template("fewshot"), {
         "EXAMPLES": "\n\n".join(blocks),
         "SCHEMA": _schema_text(schema),
-        "SQL_BLOCK": _pair_sql_block(pair, plans),
+        "SQL_BLOCK": _sql_block(pair, plans),
     })
     return PromptBundle("fewshot", 1, body, meta=_meta(pair))
 
@@ -173,7 +177,7 @@ def build_decide(pair, schema, plans=None, expl1="", expl2=""):
         raise EmptyExplanation("both stage-1 explanations are required")
     body = _fill(_template("decide"), {
         "SCHEMA": _schema_text(schema),
-        "SQL_BLOCK": _pair_sql_block(pair, plans),
+        "SQL_BLOCK": _sql_block(pair, plans),
         "EXPLANATION_1": expl1,
         "EXPLANATION_2": expl2,
     })
@@ -190,6 +194,15 @@ def build_classify(raw, stage=2, meta=None):
 
 # --- internals ---
 
+def _build_plain(strategy, pair, schema, plans):
+    body = _fill(_template(strategy), {
+        "SCHEMA": _schema_text(schema),
+        "SQL_BLOCK": _sql_block(pair, plans),
+    })
+    return PromptBundle(strategy, 1, body, meta=_meta(pair))
+
+
+@functools.cache
 def _template(name):
     return resources.files("sqleq").joinpath("templates", f"{name}.txt") \
         .read_text(encoding="utf-8")
@@ -212,16 +225,12 @@ def _check_plans(plans):
         raise ValueError("plans must be provided for both queries or neither")
 
 
-def _pair_sql_block(pair, plans):
-    return _sql_block(pair.sql1, pair.sql2, plans)
-
-
-def _sql_block(sql1, sql2, plans):
+def _sql_block(pair, plans):
     if plans is None:
-        return f"[SQL_1] {sql1}\n\n[SQL_2] {sql2}"
+        return f"[SQL_1] {pair.sql1}\n\n[SQL_2] {pair.sql2}"
     _check_plans(plans)
-    return (f"[SQL_1] {sql1}\n{plans[0]}"
-            f"\n\n[SQL_2] {sql2}\n{plans[1]}")
+    return (f"[SQL_1] {pair.sql1}\n{plans[0]}"
+            f"\n\n[SQL_2] {pair.sql2}\n{plans[1]}")
 
 
 def _meta(pair, **extra):

@@ -4,7 +4,11 @@ import pytest
 
 import datafix
 from conftest import GOLDEN, FIXTURES, write_jsonl
-from sqleq.cli import main, resolve_config
+from sqleq.cli import _build_parser, main, resolve_config
+from sqleq.pipeline import STRATEGIES
+
+GOLDEN_PAIR_ARGS = ["--sql1", "SELECT playerid FROM people",
+                    "--sql2", "SELECT playerid FROM batting"]
 
 
 @pytest.fixture
@@ -115,6 +119,39 @@ class TestPlanFeaturesPrompt:
     def test_prompt_missing_args_usage_error(self, capsys):
         assert main(["prompt", "--strategy", "basic"]) == 64
 
+    @pytest.mark.parametrize("extra,golden_name", [
+        (["--strategy", "cot"], "cot.txt"),
+        (["--strategy", "basic", "--with-plans"], "basic_with_plans.txt"),
+        (["--strategy", "explain", "--slot", "2"], "explain_2.txt"),
+        (["--strategy", "decide",
+          "--expl1", "SQL_1 lists every player id from the people table.",
+          "--expl2", "SQL_2 lists the player id of every batting record."],
+         "decide.txt"),
+    ])
+    def test_prompt_stage_matches_golden(self, schema_file, capsys, extra,
+                                         golden_name):
+        code = main(["prompt", *extra, *GOLDEN_PAIR_ARGS,
+                     "--schema", schema_file])
+        assert code == 0
+        golden = (GOLDEN / golden_name).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
+    def test_prompt_fewshot_without_exemplars_names_the_flag(
+            self, schema_file, capsys):
+        code = main(["prompt", "--strategy", "fewshot", *GOLDEN_PAIR_ARGS,
+                     "--schema", schema_file])
+        assert code == 64
+        assert capsys.readouterr().err.strip() == \
+            "error: fewshot prompt needs --exemplars"
+
+    @pytest.mark.parametrize("command", ["check", "bench"])
+    def test_strategy_choices_are_the_pipeline_strategies(self, command):
+        subcommands = next(a for a in _build_parser()._actions
+                           if a.dest == "command")
+        strategy = next(a for a in subcommands.choices[command]._actions
+                        if a.dest == "strategy")
+        assert tuple(strategy.choices) == STRATEGIES
+
 
 class TestBench:
     def test_end_to_end_with_mock(self, tmp_path, capsys):
@@ -199,6 +236,79 @@ class TestOracleCommand:
         outcome = json.loads(capsys.readouterr().out.strip())
         assert outcome["status"] == "inconclusive"
         assert outcome["errors"][0].startswith("instance 0: ")
+
+
+class TestMalformedFiles:
+    """A malformed input file is a usage error (exit 64) naming the file,
+    never an internal error."""
+
+    def write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def assert_malformed(self, capsys, code, what, path):
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed {what} file {path}: "), err
+        assert "internal" not in err
+
+    def check_args(self, schema_file):
+        return ["check", *GOLDEN_PAIR_ARGS, "--schema", schema_file]
+
+    @pytest.mark.parametrize("text", [
+        "[{\"schema\": \"s\", \"sql2\": \"SELECT 1\", \"label\": \"EQ\", "
+        "\"explanation\": \"e\"}]",
+        "[{\"schema\": ",
+    ])
+    def test_exemplars_file(self, tmp_path, schema_file, capsys, text):
+        path = self.write(tmp_path, "exemplars.json", text)
+        code = main(["prompt", "--strategy", "fewshot", *GOLDEN_PAIR_ARGS,
+                     "--schema", schema_file, "--exemplars", path])
+        self.assert_malformed(capsys, code, "exemplars", path)
+        code = main([*self.check_args(schema_file), "--strategy", "fewshot",
+                     "--exemplars-file", path])
+        self.assert_malformed(capsys, code, "exemplars", path)
+
+    def test_mock_script_file(self, tmp_path, schema_file, capsys):
+        path = self.write(tmp_path, "mock.json", "[{\"response\": ")
+        code = main([*self.check_args(schema_file), "--mock-script", path])
+        self.assert_malformed(capsys, code, "mock script", path)
+
+    @pytest.mark.parametrize("name,text", [
+        ("conf.json", "{\"model\": "),
+        ("conf.json", "[1, 2]"),
+        ("conf.toml", "model = "),
+    ])
+    def test_config_file(self, tmp_path, schema_file, capsys, name, text):
+        path = self.write(tmp_path, name, text)
+        code = main(["--config", path, *self.check_args(schema_file)])
+        self.assert_malformed(capsys, code, "config", path)
+
+    def test_schemas_file_of_a_dataset(self, tmp_path, capsys):
+        data = write_jsonl(tmp_path / "pairs.jsonl",
+                           datafix.question_records()[:1])
+        path = self.write(tmp_path, "schemas.json", "{\"baseball\": ")
+        code = main(["oracle", "--dataset", str(data), "--schemas", path,
+                     "--instances", path])
+        self.assert_malformed(capsys, code, "schemas", path)
+
+    def test_directory_is_not_a_schema_file(self, tmp_path, capsys):
+        code = main(["check", *GOLDEN_PAIR_ARGS, "--schema", str(tmp_path)])
+        assert code == 64
+        assert capsys.readouterr().err.strip() == \
+            f"error: schema file not found: {tmp_path}"
+
+    def test_missing_instance_file(self, tmp_path, capsys):
+        data = write_jsonl(tmp_path / "pairs.jsonl",
+                           datafix.question_records()[:1])
+        schemas = self.write(tmp_path, "schemas.json",
+                             json.dumps(datafix.QUESTION_SCHEMAS))
+        code = main(["oracle", "--dataset", str(data), "--schemas", schemas,
+                     "--instances", "/nowhere/instance.json"])
+        assert code == 64
+        assert capsys.readouterr().err.strip() == \
+            "error: instance file not found: /nowhere/instance.json"
 
 
 class TestInternalErrors:

@@ -226,11 +226,9 @@ def canon_row(row):
                  ("txt", v) for v in row)
 
 
-@pytest.mark.parametrize("n_emp,n_dept", [(1000, 1000), (40, 12)])
-def test_hashed_paths_match_sqlite(n_emp, n_dept):
-    emp, dept = seeded_emp_dept(n_emp * 7 + n_dept, n_emp, n_dept)
-    assert any(isinstance(row[1], float) for row in emp)
-    assert any(row[0] is None for row in dept)
+def empty_results_matching_sqlite(emp, dept):
+    """Run SQLITE_QUERIES on both engines, assert equal multisets and
+    return how many results were empty."""
     inst = emp_dept_instance(emp, dept)
     conn = sqlite3.connect(":memory:")
     conn.execute("CREATE TABLE emp (eid, dept, grade, salary)")
@@ -244,8 +242,30 @@ def test_hashed_paths_match_sqlite(n_emp, n_dept):
         assert Counter(map(canon_row, ours)) == \
             Counter(map(canon_row, theirs)), sql
         empty += not ours
+    return empty
+
+
+@pytest.mark.parametrize("n_emp,n_dept", [(1000, 1000), (40, 12)])
+def test_hashed_paths_match_sqlite(n_emp, n_dept):
+    emp, dept = seeded_emp_dept(n_emp * 7 + n_dept, n_emp, n_dept)
+    assert any(isinstance(row[1], float) for row in emp)
+    assert any(row[0] is None for row in dept)
+    empty = empty_results_matching_sqlite(emp, dept)
     if n_emp == 1000:
         assert empty == 1  # only NOT IN over a NULL did
+
+
+def test_empty_dept_matches_sqlite():
+    """`x IN (empty)` is FALSE and `x NOT IN (empty)` TRUE for every x,
+    a NULL x included."""
+    emp, _ = seeded_emp_dept(11, 40, 12)
+    assert any(row[1] is None for row in emp)
+    empty_results_matching_sqlite(emp, [])
+    inst = emp_dept_instance(emp, [])
+    not_in = execute(parse_sql("SELECT e.eid FROM emp e WHERE e.dept NOT IN "
+                               "(SELECT d.did FROM dept d)"), inst).rows
+    assert len(not_in) == len(emp)
+
 
 def test_queryfam_joins_at_200_rows_match_reference():
     schema = schema_from_dict(queryfam.schema_dict())

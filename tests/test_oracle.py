@@ -166,6 +166,22 @@ class TestOracleCheck:
         assert outcome.status == "inconclusive"
         assert any("UnresolvedName" in e for e in outcome.errors)
 
+    def test_not_in_empty_subquery_keeps_null_operand(self):
+        """`NULL NOT IN (empty)` is TRUE, as in sqlite3, so NOT IN and
+        NOT EXISTS agree when `dept` is empty."""
+        schema = SchemaDef(tables=(TableDef("emp", ("eid", "dept")),
+                                   TableDef("dept", ("did",))))
+        instance = instance_from_dict({"tables": {
+            "emp": {"columns": ["eid", "dept"], "rows": [[1, None], [2, 5]]},
+            "dept": {"columns": ["did"], "rows": []},
+        }}, schema)
+        outcome = oracle_check(
+            "SELECT e.eid FROM emp e WHERE e.dept NOT IN "
+            "(SELECT d.did FROM dept d)",
+            "SELECT e.eid FROM emp e WHERE NOT EXISTS "
+            "(SELECT 1 FROM dept d WHERE d.did = e.dept)", [instance])
+        assert outcome.status == "consistent", outcome.reason
+
     def test_parse_failure_inconclusive(self, witness_schema):
         instance = baseball_instance(witness_schema, [["p1", 2000, 2]])
         outcome = oracle_check("SELECT FROM", "SELECT 1", [instance])
