@@ -17,9 +17,10 @@ import sys
 
 from .backend import GenConfig, HttpBackend, MockBackend
 from .bench import (
-    QueryPair, fmt_metric, load_dataset, run_benchmark, write_report,
+    UNKNOWN_POLICIES, QueryPair, fmt_metric, load_dataset, run_benchmark,
+    write_report,
 )
-from .errors import SqleqError
+from .errors import BadExemplarSet, DatasetError, SqleqError
 from .executor import instance_from_dict
 from .features import extract_features
 from .oracle import OracleOutcome, oracle_check
@@ -44,24 +45,40 @@ EXIT_ERROR = 70
 CONFIG_ENV = "SQLEQ_CONFIG"
 API_KEY_ENV = "SQLEQ_API_KEY"
 
-_DEFAULTS = {
-    "backend": "mock",
-    "endpoint": None,
-    "api_key": None,
-    "model": "mock-model",
-    "classifier_model": None,
-    "temperature": 0.2,
-    "max_tokens": 1000,
-    "timeout": 30.0,
-    "retries": 3,
-    "parallelism": 4,
-    "seed": 0,
-    "exemplars": None,
-    "mock_script": None,
-    "mock_default": "Unknown",
-    "shortcut": True,
-    "unknown_policy": "as_neq",
+# a config-file value a setting accepts: (description, test)
+_TEXT = ("text", lambda v: isinstance(v, str))
+_TEXT_OR_NULL = ("text or null", lambda v: v is None or isinstance(v, str))
+_INTEGER = ("an integer",
+            lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUMBER = ("a number",
+           lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+
+
+def _one_of(*choices):
+    return " or ".join(map(repr, choices)), lambda v: v in choices
+
+
+# setting -> (default, what a config file may set it to)
+_SETTINGS = {
+    "backend": ("mock", _one_of("mock", "http")),
+    "endpoint": (None, _TEXT_OR_NULL),
+    "api_key": (None, _TEXT_OR_NULL),
+    "model": ("mock-model", _TEXT),
+    "classifier_model": (None, _TEXT_OR_NULL),
+    "temperature": (0.2, _NUMBER),
+    "max_tokens": (1000, _INTEGER),
+    "timeout": (30.0, _NUMBER),
+    "retries": (3, _INTEGER),
+    "parallelism": (4, _INTEGER),
+    "seed": (0, _INTEGER),
+    "exemplars": (None, _TEXT_OR_NULL),
+    "mock_script": (None, _TEXT_OR_NULL),
+    "mock_default": ("Unknown", _TEXT),
+    "shortcut": (True, _BOOLEAN),
+    "unknown_policy": ("as_neq", _one_of(*UNKNOWN_POLICIES)),
 }
+_DEFAULTS = {name: default for name, (default, _kind) in _SETTINGS.items()}
 
 
 class UsageError(Exception):
@@ -202,10 +219,17 @@ def _load_config(path):
                 raise UsageError(
                     "TOML config requires Python 3.11+ or tomli") from exc
         with open(path, "rb") as f:
-            return tomllib.load(f)
-    config = _load_json(path)
-    if not isinstance(config, dict):
-        raise TypeError("expected a JSON object of settings")
+            config = tomllib.load(f)
+    else:
+        config = _load_json(path)
+        if not isinstance(config, dict):
+            raise TypeError("expected a JSON object of settings")
+    for name, value in config.items():
+        if name in _SETTINGS:
+            what, accepts = _SETTINGS[name][1]
+            if not accepts(value):
+                raise TypeError(
+                    f"setting {name!r} must be {what}, got {value!r}")
     return config
 
 
@@ -260,7 +284,8 @@ def _read_file(path, what, load):
         raise UsageError(f"{what} file not found: {path}")
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, DatasetError,
+            BadExemplarSet) as exc:
         raise UsageError(f"malformed {what} file {path}: {exc}") from exc
 
 

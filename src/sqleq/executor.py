@@ -12,6 +12,13 @@ Rows are flat tuples: a join concatenates its two sides (an outer join
 pads the missing side with NULLs) and a column reference reads
 `row[slot]` after stepping out `depth` enclosing row contexts.
 
+Each expression compiles once per execute, on first use, to a closure
+over the row context (`_compile`): column slots, operators, function,
+aggregate and cast names, literal LIKE patterns and literal IN lists are
+resolved while compiling, and the closures run on every row. Compiling
+raises nothing; each error is raised by the row that reaches it, so an
+expression that no row reaches raises nothing, over an empty table too.
+
 Joins and subqueries probe hash indexes where a condition's top-level
 AND conjuncts include `x = y` with one side reading only a fixed row
 source and the other only the probing row or enclosing rows (`_Index`):
@@ -36,13 +43,17 @@ Semantics notes:
 - ORDER BY uses a stable sort over the documented total order
   null < booleans < numbers < text, applied in reverse for DESC;
 - aggregates skip NULLs (except COUNT(*)); SUM/AVG/MIN/MAX of no values
-  is NULL, COUNT is 0.
+  is NULL, COUNT is 0;
+- no result of arithmetic, SUM, AVG or a cast to a real type is an
+  infinity or NaN: those raise RuntimeExecError instead, since a NaN
+  never equals itself and would make a query differ from itself.
 
 Recursive CTEs and window functions raise UnsupportedFeature.
 """
 
 import json
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -193,9 +204,10 @@ def execute(ast, instance):
 class _Env:
     """Instance, the statement's binding, CTE results by id(Cte), what
     runs once per execute (`memo`: uncorrelated subquery results, IN
-    value sets, indexes of correlated cores) and the equality keys found
-    in each condition (`keys`)."""
-    __slots__ = ("instance", "binding", "ctes", "memo", "keys")
+    value sets, indexes of correlated cores), the equality keys found
+    in each condition (`keys`) and the closure of each expression
+    compiled so far (`fns`), all keyed by id() of AST nodes."""
+    __slots__ = ("instance", "binding", "ctes", "memo", "keys", "fns")
 
     def __init__(self, instance, binding):
         self.instance = instance
@@ -203,11 +215,12 @@ class _Env:
         self.ctes = {}
         self.memo = {}
         self.keys = {}
+        self.fns = {}
 
 
 class _Ctx:
     """One flat working row, the enclosing row context, and the member
-    contexts of the group when aggregating."""
+    rows of the group when aggregating."""
     __slots__ = ("row", "outer", "group")
 
     def __init__(self, row, outer=None, group=None):
@@ -232,7 +245,8 @@ def _exec_stmt(stmt, env, outer_ctx):
                 f"CTE {cte.name!r} column list arity mismatch")
         env.ctes[id(cte)] = (width, rows)
 
-    width, pairs = _exec_body(stmt.body, env, outer_ctx)
+    by_expression = None in env.binding.order.get(id(stmt), ())
+    width, pairs = _exec_body(stmt.body, env, outer_ctx, by_expression)
 
     if stmt.order_by:
         rows = _sort_rows(pairs, stmt, env)
@@ -245,14 +259,15 @@ def _exec_stmt(stmt, env, outer_ctx):
     return width, rows
 
 
-def _exec_body(body, env, outer_ctx):
-    """Returns (width, [(output row, row context or None)])."""
+def _exec_body(body, env, outer_ctx, keep_ctx=False):
+    """Returns (width, [(output row, row context or None)]); a select
+    core keeps the row contexts when `keep_ctx` or it groups."""
     if isinstance(body, SetOp):
         return _exec_setop(body, env, outer_ctx)
     if isinstance(body, SelectStmt):
         width, rows = _exec_stmt(body, env, outer_ctx)
         return width, [(row, None) for row in rows]
-    return _exec_core(body, env, outer_ctx)
+    return _exec_core(body, env, outer_ctx, keep_ctx)
 
 
 def _exec_setop(op, env, outer_ctx):
@@ -265,14 +280,14 @@ def _exec_setop(op, env, outer_ctx):
     rrows = [row for row, _ in right]
 
     if op.kind == "union":
-        rows = lrows + rrows if op.all else _dedupe_rows(lrows + rrows)
+        rows = lrows + rrows if op.all else _dedupe(lrows + rrows)
     else:
         # INTERSECT keeps left rows found on the right, EXCEPT the others;
         # ALL consumes one right row per match, DISTINCT dedupes the left
         rcounts = Counter(map(_canon_row, rrows))
         keep_found = op.kind == "intersect"
         rows = []
-        for row in (lrows if op.all else _dedupe_rows(lrows)):
+        for row in (lrows if op.all else _dedupe(lrows)):
             key = _canon_row(row)
             found = rcounts[key] > 0
             if found and op.all:
@@ -283,28 +298,45 @@ def _exec_setop(op, env, outer_ctx):
     return width, [(row, None) for row in rows]
 
 
-def _exec_core(core, env, outer_ctx):
+def _exec_core(core, env, outer_ctx, keep_ctx):
     if core.from_item is None:
         rows = [()]
     elif core.where is None or id(core.from_item) in env.binding.correlated:
         rows = _exec_from(core.from_item, env, outer_ctx)[0]
     else:
         rows = _probe_from(core, env, outer_ctx)
-    ctxs = [_Ctx(row, outer_ctx) for row in rows]
-
     if core.where is not None:
-        ctxs = [c for c in ctxs if _eval(core.where, c, env) is True]
-
-    if id(core) in env.binding.grouped:
-        ctxs = _group(ctxs, core.group_by, env, outer_ctx)
-    if core.having is not None:
-        ctxs = [c for c in ctxs if _eval(core.having, c, env) is True]
+        where = _compile(core.where, env)
+        ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
+        kept = []
+        for row in rows:
+            ctx.row = row
+            if where(ctx) is True:
+                kept.append(row)
+        rows = kept
 
     exprs = [item.expr for item in env.binding.items[id(core)]]
-    pairs = [(tuple(_eval(e, ctx, env) for e in exprs), ctx) for ctx in ctxs]
+    project = _row_fn([_compile(e, env) for e in exprs])
+    if id(core) in env.binding.grouped:
+        ctxs = _group(rows, core.group_by, env, outer_ctx)
+    elif core.having is not None or keep_ctx:
+        ctxs = [_Ctx(row, outer_ctx) for row in rows]
+    else:
+        ctxs = None
+    if core.having is not None:
+        having = _compile(core.having, env)
+        ctxs = [c for c in ctxs if having(c) is True]
+    if ctxs is not None:
+        pairs = [(project(ctx), ctx) for ctx in ctxs]
+    else:
+        ctx = _Ctx(None, outer_ctx)  # reused: no later clause reads it
+        pairs = []
+        for row in rows:
+            ctx.row = row
+            pairs.append((project(ctx), None))
 
     if core.distinct:
-        pairs = [(out, None) for out in _dedupe_rows(out for out, _ in pairs)]
+        pairs = [(out, None) for out in _dedupe(out for out, _ in pairs)]
 
     return len(exprs), pairs
 
@@ -329,11 +361,13 @@ def _exec_from(item, env, outer_ctx):
         condition = None if item.kind == "cross" else item.condition
         ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
         index = None
-        if condition is not None and left and right:
-            keys = _equi_keys(condition, env, lambda depth, slot:
-                              depth == 0 and slot >= left_width)
-            if keys is not None:
-                index = _Index(right, keys, env, ctx, (None,) * left_width)
+        if condition is not None:
+            keep = _compile(condition, env)
+            if left and right:
+                keys = _equi_keys(condition, env, lambda depth, slot:
+                                  depth == 0 and slot >= left_width)
+                if keys is not None:
+                    index = _Index(right, keys, ctx, (None,) * left_width)
         candidates = range(len(right))
         out = []
         matched_right = [False] * len(right)
@@ -341,12 +375,11 @@ def _exec_from(item, env, outer_ctx):
             any_match = False
             if index is not None:
                 ctx.row = lrow
-                candidates = index.probe(ctx, env)
+                candidates = index.probe(ctx)
             for j in candidates:
                 rrow = right[j]
                 ctx.row = lrow + rrow
-                if condition is not None and \
-                        _eval(condition, ctx, env) is not True:
+                if condition is not None and keep(ctx) is not True:
                     continue
                 any_match = True
                 matched_right[j] = True
@@ -377,47 +410,55 @@ def _probe_from(core, env, outer_ctx):
     index = env.memo.get(id(core))
     if index is None:
         rows = _exec_from(core.from_item, env, outer_ctx)[0]
-        index = env.memo[id(core)] = _Index(rows, keys, env,
+        index = env.memo[id(core)] = _Index(rows, keys,
                                             _Ctx(None, outer_ctx))
     if not index.rows:
         return []
-    return [index.rows[i] for i in index.probe(_Ctx(None, outer_ctx), env)]
+    return [index.rows[i] for i in index.probe(_Ctx(None, outer_ctx))]
 
 
-def _group(ctxs, group_by, env, outer_ctx):
-    """Group contexts in first-occurrence order; NULL keys group together."""
+def _group(rows, group_by, env, outer_ctx):
+    """Contexts of the groups of `rows` in first-occurrence order, each
+    reading its first row; NULL keys group together."""
     if not group_by:
-        rep = ctxs[0].row if ctxs else _NoRow()
-        return [_Ctx(rep, outer_ctx, group=ctxs)]
+        rep = rows[0] if rows else _NoRow()
+        return [_Ctx(rep, outer_ctx, group=rows)]
+    keys = [_compile(e, env) for e in group_by]
+    ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
     buckets = {}
-    for ctx in ctxs:
-        key = tuple(_canon(_eval(e, ctx, env)) for e in group_by)
-        buckets.setdefault(key, []).append(ctx)
-    return [_Ctx(members[0].row, outer_ctx, group=members)
+    for row in rows:
+        ctx.row = row
+        key = tuple([_canon(f(ctx)) for f in keys])
+        buckets.setdefault(key, []).append(row)
+    return [_Ctx(members[0], outer_ctx, group=members)
             for members in buckets.values()]
 
 
 def _sort_rows(pairs, stmt, env):
     """Output rows in ORDER BY order; keys were bound to an output index,
     or to None for an expression over the row context."""
-    indexes = env.binding.order[id(stmt)]
-    keyed = []
-    for out, ctx in pairs:
-        keys = []
-        for index, item in zip(indexes, stmt.order_by):
-            if index is not None:
-                value = out[index]
-            elif ctx is None:
-                raise RuntimeExecError(
-                    "ORDER BY expression must name an output column here")
-            else:
-                value = _eval(item.expr, ctx, env)
-            keys.append(sort_key(value))
-        keyed.append((keys, out))
-    for i in range(len(indexes) - 1, -1, -1):
+    keys = [_order_key(index, item.expr, env) for index, item
+            in zip(env.binding.order[id(stmt)], stmt.order_by)]
+    keyed = [([key(out, ctx) for key in keys], out) for out, ctx in pairs]
+    for i in range(len(keys) - 1, -1, -1):
         keyed.sort(key=lambda entry: entry[0][i],
                    reverse=stmt.order_by[i].descending)
     return [out for _keys, out in keyed]
+
+
+def _order_key(index, expr, env):
+    """Closure giving the sort key of one ORDER BY item for an output
+    row and its row context."""
+    if index is not None:
+        return lambda out, ctx: sort_key(out[index])
+    fn = _compile(expr, env)
+
+    def by_expression(out, ctx):
+        if ctx is None:
+            raise RuntimeExecError(
+                "ORDER BY expression must name an output column here")
+        return sort_key(fn(ctx))
+    return by_expression
 
 
 def _apply_limit(rows, limit, env):
@@ -431,7 +472,7 @@ def _apply_limit(rows, limit, env):
 
 
 def _limit_value(expr, env, what):
-    value = _eval(expr, _Ctx(()), env)
+    value = _compile(expr, env)(_Ctx(()))
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise RuntimeExecError(f"{what} requires a non-negative integer")
     return value
@@ -449,20 +490,20 @@ class _Index:
     narrow the candidates: the caller still runs the whole condition on
     each one.
     """
-    __slots__ = ("rows", "probe_exprs", "buckets")
+    __slots__ = ("rows", "probe_fns", "buckets")
 
-    def __init__(self, rows, keys, env, ctx, pad=()):
-        fixed_exprs, self.probe_exprs = keys
+    def __init__(self, rows, keys, ctx, pad=()):
+        fixed_fns, self.probe_fns = keys
         self.rows = rows
         self.buckets = {}
         for i, row in enumerate(rows):
             ctx.row = pad + row
-            key = _key([_eval(e, ctx, env) for e in fixed_exprs])
+            key = _key([f(ctx) for f in fixed_fns])
             if key is not None:
                 self.buckets.setdefault(key, []).append(i)
 
-    def probe(self, ctx, env):
-        key = _key([_eval(e, ctx, env) for e in self.probe_exprs])
+    def probe(self, ctx):
+        key = _key([f(ctx) for f in self.probe_fns])
         return () if key is None else self.buckets.get(key, ())
 
 
@@ -473,10 +514,10 @@ def _key(values):
 
 
 def _equi_keys(condition, env, is_fixed):
-    """([fixed sides], [probing sides]) of the `x = y` conjuncts of
-    `condition` where one side reads only fixed slots and the other only
-    other ones, neither holding a subquery or an aggregate; None when no
-    conjunct qualifies. `is_fixed(depth, slot)` tells the slots apart,
+    """Closures of ([fixed sides], [probing sides]) of the `x = y`
+    conjuncts of `condition` where one side reads only fixed slots and
+    the other only other ones, neither holding a subquery or an
+    aggregate; None when no conjunct qualifies. `is_fixed(depth, slot)` tells the slots apart,
     and does so the same way on every call for a given condition.
     """
     if id(condition) not in env.keys:
@@ -490,8 +531,8 @@ def _equi_keys(condition, env, is_fixed):
                 sides = sides[::-1]
             elif not (reads[0] == {True} and reads[1] == {False}):
                 continue
-            fixed.append(sides[0])
-            probing.append(sides[1])
+            fixed.append(_compile(sides[0], env))
+            probing.append(_compile(sides[1], env))
         env.keys[id(condition)] = (fixed, probing) if fixed else None
     return env.keys[id(condition)]
 
@@ -548,331 +589,21 @@ class _ValueSet:
         return None if self.saw_null else False
 
 
-# --- expression evaluation ---
-
-def _eval(expr, ctx, env):
-    if isinstance(expr, Literal):
-        return expr.value
-
-    if isinstance(expr, ColumnRef):
-        depth, slot = env.binding.slots[id(expr)]
-        while depth:
-            ctx = ctx.outer
-            depth -= 1
-        return ctx.row[slot]
-
-    if isinstance(expr, Unary):
-        value = _eval(expr.operand, ctx, env)
-        if expr.op == "NOT":
-            return None if value is None else (not _truthy(value))
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise RuntimeExecError(f"unary {expr.op} needs a number")
-        return -value if expr.op == "-" else value
-
-    if isinstance(expr, Binary):
-        return _eval_binary(expr, ctx, env)
-
-    if isinstance(expr, IsNull):
-        is_null = _eval(expr.operand, ctx, env) is None
-        return (not is_null) if expr.negated else is_null
-
-    if isinstance(expr, InList):
-        value = _eval(expr.operand, ctx, env)
-        result = _ValueSet([_eval(i, ctx, env) for i in expr.items]) \
-            .contains(value)
-        return _negate3(result) if expr.negated else result
-
-    if isinstance(expr, InSubquery):
-        value = _eval(expr.operand, ctx, env)
-        if id(expr.query) in env.binding.correlated:
-            members = _ValueSet(_column(expr.query, env, ctx, "IN"))
-        else:
-            members = env.memo.get(id(expr))
-            if members is None:
-                members = env.memo[id(expr)] = _ValueSet(
-                    _column(expr.query, env, ctx, "IN"))
-        result = members.contains(value)
-        return _negate3(result) if expr.negated else result
-
-    if isinstance(expr, Between):
-        value = _eval(expr.operand, ctx, env)
-        low = _eval(expr.low, ctx, env)
-        high = _eval(expr.high, ctx, env)
-        result = _and3(_compare("<=", low, value), _compare("<=", value, high))
-        return _negate3(result) if expr.negated else result
-
-    if isinstance(expr, Like):
-        value = _eval(expr.operand, ctx, env)
-        pattern = _eval(expr.pattern, ctx, env)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise RuntimeExecError("LIKE needs text operands")
-        result = bool(re.fullmatch(_like_regex(pattern), value))
-        return (not result) if expr.negated else result
-
-    if isinstance(expr, Exists):
-        return bool(_subquery_rows(expr.query, env, ctx)[1])
-
-    if isinstance(expr, Subquery):
-        rows = _column(expr.query, env, ctx, "scalar")
-        if len(rows) > 1:
-            raise RuntimeExecError("scalar subquery returned more than one row")
-        return rows[0] if rows else None
-
-    if isinstance(expr, Quantified):
-        return _eval_quantified(expr, ctx, env)
-
-    if isinstance(expr, Case):
-        if expr.operand is not None:
-            subject = _eval(expr.operand, ctx, env)
-            for cond, result in expr.whens:
-                if _compare("=", subject, _eval(cond, ctx, env)) is True:
-                    return _eval(result, ctx, env)
-        else:
-            for cond, result in expr.whens:
-                if _eval(cond, ctx, env) is True:
-                    return _eval(result, ctx, env)
-        return _eval(expr.else_, ctx, env) if expr.else_ is not None else None
-
-    if isinstance(expr, FuncCall):
-        return _eval_call(expr, ctx, env)
-
-    if isinstance(expr, Cast):
-        return _eval_cast(_eval(expr.operand, ctx, env), expr.type_name)
-
-    if isinstance(expr, ArrayLit):
-        return tuple(_eval(i, ctx, env) for i in expr.items)
-
-    raise RuntimeExecError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _eval_binary(expr, ctx, env):
-    op = expr.op
-    if op == "AND":
-        return _and3(_bool3(_eval(expr.left, ctx, env)),
-                     _bool3(_eval(expr.right, ctx, env)))
-    if op == "OR":
-        return _or3(_bool3(_eval(expr.left, ctx, env)),
-                    _bool3(_eval(expr.right, ctx, env)))
-
-    left = _eval(expr.left, ctx, env)
-    right = _eval(expr.right, ctx, env)
-
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return _compare(op, left, right)
-
-    if op == "||":
-        if isinstance(left, tuple) or isinstance(right, tuple):
-            lpart = left if isinstance(left, tuple) else (left,)
-            rpart = right if isinstance(right, tuple) else (right,)
-            return lpart + rpart
-        if left is None or right is None:
-            return None
-        return _text(left) + _text(right)
-
-    if left is None or right is None:
-        return None
-    if not _is_number(left) or not _is_number(right):
-        raise RuntimeExecError(f"operator {op} needs numeric operands")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise RuntimeExecError("division by zero")
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise RuntimeExecError("modulo by zero")
-        return left % right
-    raise RuntimeExecError(f"unknown operator {op}")
-
-
-def _eval_quantified(expr, ctx, env):
-    left = _eval(expr.left, ctx, env)
-    if isinstance(expr.operand, Subquery):
-        values = _column(expr.operand.query, env, ctx, "quantified")
-    else:
-        operand = _eval(expr.operand, ctx, env)
-        if operand is None:
-            return None
-        if not isinstance(operand, tuple):
-            raise RuntimeExecError("ANY/ALL needs a subquery or array")
-        values = list(operand)
-
-    results = [_compare(expr.op, left, v) for v in values]
-    if expr.quantifier == "ANY":
-        if any(r is True for r in results):
-            return True
-        return None if any(r is None for r in results) else False
-    if any(r is False for r in results):
-        return False
-    return None if any(r is None for r in results) else True
-
-
-def _subquery_rows(query, env, ctx):
-    """(width, rows) of an expression subquery run for the row of `ctx`;
-    an uncorrelated one runs once per execute, on first use."""
-    if id(query) in env.binding.correlated:
-        return _exec_stmt(query, env, ctx)
-    result = env.memo.get(id(query))
-    if result is None:
-        result = env.memo[id(query)] = _exec_stmt(query, env, ctx)
-    return result
-
-
-def _column(query, env, ctx, what):
-    """Values of a subquery that must return one column."""
-    width, rows = _subquery_rows(query, env, ctx)
-    if width != 1:
-        raise RuntimeExecError(f"{what} subquery must return one column")
-    return [row[0] for row in rows]
-
-
-def _eval_call(call, ctx, env):
-    name = call.name
-
-    if call.is_aggregate:
-        if ctx.group is None:
-            raise RuntimeExecError(
-                f"aggregate {name.upper()} outside a grouped context")
-        return _eval_aggregate(call, ctx.group, env)
-
-    args = [_eval(a, ctx, env) for a in call.args]
-
-    if name == "coalesce":
-        for value in args:
-            if value is not None:
-                return value
-        return None
-    if name == "nullif":
-        if len(args) != 2:
-            raise RuntimeExecError("NULLIF takes two arguments")
-        return None if _compare("=", args[0], args[1]) is True else args[0]
-    if name in ("upper", "lower", "length", "abs", "round", "lpad"):
-        return _eval_scalar_builtin(name, args)
-    raise RuntimeExecError(f"unknown function {name!r}")
-
-
-def _eval_scalar_builtin(name, args):
-    if any(a is None for a in args):
-        return None
-    if name == "upper":
-        return str(args[0]).upper()
-    if name == "lower":
-        return str(args[0]).lower()
-    if name == "length":
-        return len(str(args[0]))
-    if name == "abs":
-        if not _is_number(args[0]):
-            raise RuntimeExecError("ABS needs a number")
-        return abs(args[0])
-    if name == "round":
-        if not _is_number(args[0]):
-            raise RuntimeExecError("ROUND needs a number")
-        digits = args[1] if len(args) > 1 else 0
-        return round(args[0], digits) if digits else float(round(args[0]))
-    if name == "lpad":
-        if len(args) < 2:
-            raise RuntimeExecError("LPAD needs a value and a width")
-        text = _text(args[0])
-        width = args[1]
-        fill = _text(args[2]) if len(args) > 2 else " "
-        if not isinstance(width, int) or isinstance(width, bool) or width < 0:
-            raise RuntimeExecError("LPAD width must be a non-negative integer")
-        if len(text) >= width:
-            return text[:width]
-        pad = (fill * width)[: width - len(text)]
-        return pad + text
-    raise RuntimeExecError(f"unknown function {name!r}")
-
-
-def _eval_aggregate(call, members, env):
-    if call.star:
-        return len(members)
-
-    if len(call.args) != 1:
-        raise RuntimeExecError(
-            f"{call.name.upper()} takes exactly one argument")
-    values = [_eval(call.args[0], member, env) for member in members]
-    values = [v for v in values if v is not None]
-    if call.distinct:
-        deduped = []
-        seen = set()
-        for v in values:
-            key = _canon(v)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(v)
-        values = deduped
-
-    name = call.name
-    if name == "count":
-        return len(values)
-    if not values:
-        return None
-    if name == "sum":
-        _require_numbers(values, "SUM")
-        return sum(values)
-    if name == "avg":
-        _require_numbers(values, "AVG")
-        return sum(values) / len(values)
-    if name == "min":
-        return min(values, key=sort_key)
-    if name == "max":
-        return max(values, key=sort_key)
-    raise RuntimeExecError(f"unknown aggregate {name!r}")
-
-
-def _require_numbers(values, what):
-    for v in values:
-        if not _is_number(v):
-            raise RuntimeExecError(f"{what} needs numeric values")
-
-
-def _eval_cast(value, type_name):
-    base = type_name.split("(")[0].strip().lower()
-    if value is None:
-        return None
-    try:
-        if base in ("int", "integer", "bigint", "smallint"):
-            if isinstance(value, bool):
-                return int(value)
-            if isinstance(value, float):
-                return int(value)
-            return int(str(value).strip())
-        if base in ("real", "float", "double precision", "numeric", "decimal"):
-            if isinstance(value, bool):
-                return float(value)
-            return float(value)
-        if base in ("text", "varchar", "char", "character"):
-            return _text(value)
-        if base in ("boolean", "bool"):
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, (int, float)):
-                return value != 0
-            lowered = str(value).strip().lower()
-            if lowered in ("t", "true", "1", "yes"):
-                return True
-            if lowered in ("f", "false", "0", "no"):
-                return False
-            raise ValueError(value)
-    except (TypeError, ValueError) as exc:
-        raise RuntimeExecError(f"cannot cast {value!r} to {base}") from exc
-    raise RuntimeExecError(f"unsupported cast target {type_name!r}")
-
-
 # --- value helpers ---
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, what):
+    """`value`, unless it is an infinite or NaN float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _non_finite(what)
+    return value
+
+
+def _non_finite(what):
+    return RuntimeExecError(f"{what} gives a non-finite number")
 
 
 def _text(value):
@@ -903,14 +634,6 @@ def _and3(a, b):
     return True
 
 
-def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
-
-
 def _negate3(value):
     return None if value is None else (not value)
 
@@ -923,19 +646,24 @@ def _compare(op, left, right):
         return _values_equal(left, right)
     if op == "<>":
         return not _values_equal(left, right)
-    lk, rk = sort_key(left), sort_key(right)
-    if op == "<":
-        return lk < rk
-    if op == "<=":
-        return lk <= rk
-    if op == ">":
-        return lk > rk
-    if op == ">=":
-        return lk >= rk
-    raise RuntimeExecError(f"unknown comparison {op}")
+    order = _ORDERINGS.get(op)
+    if order is None:
+        raise RuntimeExecError(f"unknown comparison {op}")
+    if type(left) in _NUMBER_TYPES and type(right) in _NUMBER_TYPES:
+        return order(left, right)
+    return order(sort_key(left), sort_key(right))
+
+
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "%": operator.mod}
+_NUMBER_TYPES = (int, float)
 
 
 def _values_equal(left, right):
+    if type(left) is type(right) and type(left) is not tuple:
+        return left == right
     if isinstance(left, bool) or isinstance(right, bool):
         return isinstance(left, bool) and isinstance(right, bool) and \
             left == right
@@ -951,6 +679,9 @@ def _values_equal(left, right):
 
 def sort_key(value):
     """Total order over cells: null < booleans < numbers < text < arrays."""
+    rank = _SORT_RANKS.get(type(value))
+    if rank is not None:
+        return (rank, value)
     if value is None:
         return (0, False)
     if isinstance(value, bool):
@@ -964,9 +695,15 @@ def sort_key(value):
     raise RuntimeExecError(f"cannot order value {value!r}")
 
 
+_SORT_RANKS = {bool: 1, int: 2, float: 2, str: 3}
+
+
 def _canon(value):
     """Canonical key for grouping, dedup and hash probes: NULLs equal,
     1 == 1.0 (Python hashes equal numbers alike), TRUE apart from 1."""
+    tag = _CANON_TAGS.get(type(value))
+    if tag is not None:
+        return (tag, value)
     if value is None:
         return ("null",)
     if isinstance(value, bool):
@@ -980,18 +717,22 @@ def _canon(value):
     raise RuntimeExecError(f"cannot hash value {value!r}")
 
 
+_CANON_TAGS = {bool: "bool", int: "num", float: "num", str: "txt"}
+
+
 def _canon_row(row):
-    return tuple(_canon(v) for v in row)
+    return tuple([_canon(v) for v in row])
 
 
-def _dedupe_rows(rows):
+def _dedupe(items, canon=_canon_row):
+    """`items` without the later ones whose `canon` key was seen."""
     seen = set()
     out = []
-    for row in rows:
-        key = _canon_row(row)
+    for item in items:
+        key = canon(item)
         if key not in seen:
             seen.add(key)
-            out.append(row)
+            out.append(item)
     return out
 
 
@@ -1005,3 +746,592 @@ def _like_regex(pattern):
         else:
             out.append(re.escape(ch))
     return "".join(out)
+
+
+# --- expression compilation ---
+#
+# Each expression becomes a closure `fn(ctx)` the first time a clause
+# needs it in an execute. What depends only on the tree is decided here:
+# column slots, operators, function and aggregate names, cast targets,
+# literal LIKE patterns and literal IN lists. Errors are raised by the
+# closures, on the row that meets them, never while compiling, so an
+# expression no row reaches raises nothing.
+
+def _compile(expr, env):
+    """The closure of `expr` in this execute, built on first use."""
+    fn = env.fns.get(id(expr))
+    if fn is None:
+        build = _BUILDERS.get(type(expr), _build_unknown)
+        fn = env.fns[id(expr)] = build(expr, env)
+    return fn
+
+
+def _row_fn(fns):
+    """Closure building the output tuple of a row from column closures."""
+    if len(fns) == 1:
+        (only,) = fns
+        return lambda ctx: (only(ctx),)
+    if len(fns) == 2:
+        first, second = fns
+        return lambda ctx: (first(ctx), second(ctx))
+    return lambda ctx: tuple([fn(ctx) for fn in fns])
+
+
+def _build_unknown(expr, env):
+    name = type(expr).__name__
+
+    def unknown(ctx):
+        raise RuntimeExecError(f"cannot evaluate {name}")
+    return unknown
+
+
+def _build_literal(expr, env):
+    value = expr.value
+    return lambda ctx: value
+
+
+def _build_column(expr, env):
+    depth, slot = env.binding.slots[id(expr)]
+    if depth == 0:
+        return lambda ctx: ctx.row[slot]
+    if depth == 1:
+        return lambda ctx: ctx.outer.row[slot]
+
+    def column(ctx):
+        for _ in range(depth):
+            ctx = ctx.outer
+        return ctx.row[slot]
+    return column
+
+
+def _build_unary(expr, env):
+    operand = _compile(expr.operand, env)
+    op = expr.op
+    if op == "NOT":
+        def not_(ctx):
+            value = operand(ctx)
+            return None if value is None else (not _truthy(value))
+        return not_
+    negate = op == "-"
+
+    def sign(ctx):
+        value = operand(ctx)
+        if value is None:
+            return None
+        if not _is_number(value):
+            raise RuntimeExecError(f"unary {op} needs a number")
+        return -value if negate else value
+    return sign
+
+
+def _build_binary(expr, env):
+    op = expr.op
+    left = _compile(expr.left, env)
+    right = _compile(expr.right, env)
+    if op == "AND":
+        def and_(ctx):
+            a = _bool3(left(ctx))
+            b = _bool3(right(ctx))
+            if a is False or b is False:
+                return False
+            return None if a is None or b is None else True
+        return and_
+    if op == "OR":
+        def or_(ctx):
+            a = _bool3(left(ctx))
+            b = _bool3(right(ctx))
+            if a is True or b is True:
+                return True
+            return None if a is None or b is None else False
+        return or_
+    if op in ("=", "<>"):
+        return _build_equality(op == "<>", left, right)
+    if op in _ORDERINGS:
+        if isinstance(expr.right, Literal) and \
+                type(expr.right.value) in _NUMBER_TYPES:
+            return _build_number_ordering(_ORDERINGS[op], left,
+                                          expr.right.value)
+        return _build_ordering(_ORDERINGS[op], left, right)
+    if op == "||":
+        def concat(ctx):
+            a = left(ctx)
+            b = right(ctx)
+            if isinstance(a, tuple) or isinstance(b, tuple):
+                return (a if isinstance(a, tuple) else (a,)) + \
+                    (b if isinstance(b, tuple) else (b,))
+            if a is None or b is None:
+                return None
+            return _text(a) + _text(b)
+        return concat
+    return _build_arithmetic(op, left, right)
+
+
+def _build_equality(negated, left, right):
+    def equality(ctx):
+        a = left(ctx)
+        b = right(ctx)
+        if a is None or b is None:
+            return None
+        return _values_equal(a, b) is not negated
+    return equality
+
+
+def _build_ordering(order, left, right):
+    def ordering(ctx):
+        a = left(ctx)
+        b = right(ctx)
+        if a is None or b is None:
+            return None
+        if type(a) in _NUMBER_TYPES and type(b) in _NUMBER_TYPES:
+            return order(a, b)
+        return order(sort_key(a), sort_key(b))
+    return ordering
+
+
+def _build_number_ordering(order, left, number):
+    """`_build_ordering` against a numeric literal, read once here."""
+    number_key = sort_key(number)
+
+    def number_ordering(ctx):
+        a = left(ctx)
+        if type(a) in _NUMBER_TYPES:
+            return order(a, number)
+        return None if a is None else order(sort_key(a), number_key)
+    return number_ordering
+
+
+def _build_arithmetic(op, left, right):
+    apply = _ARITHMETIC.get(op)
+    by_zero = {"/": "division by zero", "%": "modulo by zero"}.get(op)
+
+    def arithmetic(ctx):
+        a = left(ctx)
+        b = right(ctx)
+        if a is None or b is None:
+            return None
+        if not _is_number(a) or not _is_number(b):
+            raise RuntimeExecError(f"operator {op} needs numeric operands")
+        if apply is None:
+            raise RuntimeExecError(f"unknown operator {op}")
+        if by_zero is not None and b == 0:
+            raise RuntimeExecError(by_zero)
+        try:
+            return _finite(apply(a, b), f"operator {op}")
+        except OverflowError as exc:
+            raise _non_finite(f"operator {op}") from exc
+    return arithmetic
+
+
+def _build_is_null(expr, env):
+    operand = _compile(expr.operand, env)
+    negated = expr.negated
+    return lambda ctx: (operand(ctx) is None) is not negated
+
+
+def _build_in_list(expr, env):
+    operand = _compile(expr.operand, env)
+    negated = expr.negated
+    if all(isinstance(item, Literal) for item in expr.items):
+        members = _ValueSet([item.value for item in expr.items])
+
+        def in_literals(ctx):
+            result = members.contains(operand(ctx))
+            return _negate3(result) if negated else result
+        return in_literals
+    items = [_compile(item, env) for item in expr.items]
+
+    def in_list(ctx):
+        value = operand(ctx)
+        result = _ValueSet([item(ctx) for item in items]).contains(value)
+        return _negate3(result) if negated else result
+    return in_list
+
+
+def _build_in_subquery(expr, env):
+    operand = _compile(expr.operand, env)
+    query = expr.query
+    negated = expr.negated
+    correlated = id(query) in env.binding.correlated
+
+    def in_subquery(ctx):
+        value = operand(ctx)
+        if correlated:
+            members = _ValueSet(_column(query, env, ctx, "IN"))
+        else:
+            members = env.memo.get(id(expr))
+            if members is None:
+                members = env.memo[id(expr)] = _ValueSet(
+                    _column(query, env, ctx, "IN"))
+        result = members.contains(value)
+        return _negate3(result) if negated else result
+    return in_subquery
+
+
+def _build_between(expr, env):
+    operand = _compile(expr.operand, env)
+    low = _compile(expr.low, env)
+    high = _compile(expr.high, env)
+    negated = expr.negated
+
+    def between(ctx):
+        value = operand(ctx)
+        lo = low(ctx)
+        hi = high(ctx)
+        if type(value) in _NUMBER_TYPES and type(lo) in _NUMBER_TYPES and \
+                type(hi) in _NUMBER_TYPES:
+            result = lo <= value <= hi
+        else:
+            result = _and3(_compare("<=", lo, value),
+                           _compare("<=", value, hi))
+        return _negate3(result) if negated else result
+    return between
+
+
+def _build_like(expr, env):
+    operand = _compile(expr.operand, env)
+    negated = expr.negated
+    if isinstance(expr.pattern, Literal) and \
+            isinstance(expr.pattern.value, str):
+        match = re.compile(_like_regex(expr.pattern.value)).fullmatch
+
+        def like_literal(ctx):
+            value = operand(ctx)
+            if value is None:
+                return None
+            if not isinstance(value, str):
+                raise RuntimeExecError("LIKE needs text operands")
+            return (match(value) is not None) is not negated
+        return like_literal
+    pattern_of = _compile(expr.pattern, env)
+
+    def like(ctx):
+        value = operand(ctx)
+        pattern = pattern_of(ctx)
+        if value is None or pattern is None:
+            return None
+        if not isinstance(value, str) or not isinstance(pattern, str):
+            raise RuntimeExecError("LIKE needs text operands")
+        return (re.fullmatch(_like_regex(pattern), value) is not None) \
+            is not negated
+    return like
+
+
+def _build_exists(expr, env):
+    query = expr.query
+    return lambda ctx: bool(_subquery_rows(query, env, ctx)[1])
+
+
+def _build_subquery(expr, env):
+    query = expr.query
+
+    def scalar(ctx):
+        rows = _column(query, env, ctx, "scalar")
+        if len(rows) > 1:
+            raise RuntimeExecError(
+                "scalar subquery returned more than one row")
+        return rows[0] if rows else None
+    return scalar
+
+
+def _build_quantified(expr, env):
+    left = _compile(expr.left, env)
+    op = expr.op
+    any_ = expr.quantifier == "ANY"
+    if isinstance(expr.operand, Subquery):
+        query = expr.operand.query
+        operand = None
+    else:
+        operand = _compile(expr.operand, env)
+
+    def quantified(ctx):
+        value = left(ctx)
+        if operand is None:
+            values = _column(query, env, ctx, "quantified")
+        else:
+            array = operand(ctx)
+            if array is None:
+                return None
+            if not isinstance(array, tuple):
+                raise RuntimeExecError("ANY/ALL needs a subquery or array")
+            values = array
+        results = [_compare(op, value, v) for v in values]
+        if any_:
+            if any(r is True for r in results):
+                return True
+            return None if any(r is None for r in results) else False
+        if any(r is False for r in results):
+            return False
+        return None if any(r is None for r in results) else True
+    return quantified
+
+
+def _build_case(expr, env):
+    whens = [(_compile(cond, env), _compile(result, env))
+             for cond, result in expr.whens]
+    else_ = None if expr.else_ is None else _compile(expr.else_, env)
+    if expr.operand is None:
+        def searched(ctx):
+            for cond, result in whens:
+                if cond(ctx) is True:
+                    return result(ctx)
+            return None if else_ is None else else_(ctx)
+        return searched
+    subject_of = _compile(expr.operand, env)
+
+    def simple(ctx):
+        subject = subject_of(ctx)
+        for cond, result in whens:
+            if _compare("=", subject, cond(ctx)) is True:
+                return result(ctx)
+        return None if else_ is None else else_(ctx)
+    return simple
+
+
+def _build_call(call, env):
+    if call.is_aggregate:
+        return _build_aggregate(call, env)
+    name = call.name
+    args = [_compile(arg, env) for arg in call.args]
+    if name == "coalesce":
+        def coalesce(ctx):
+            for value in [arg(ctx) for arg in args]:
+                if value is not None:
+                    return value
+            return None
+        return coalesce
+    if name == "nullif":
+        def nullif(ctx):
+            values = [arg(ctx) for arg in args]
+            if len(values) != 2:
+                raise RuntimeExecError("NULLIF takes two arguments")
+            return None if _compare("=", *values) is True else values[0]
+        return nullif
+    builtin = _SCALAR_BUILTINS.get(name)
+
+    def scalar_call(ctx):
+        values = [arg(ctx) for arg in args]
+        if builtin is None:
+            raise RuntimeExecError(f"unknown function {name!r}")
+        if any(value is None for value in values):
+            return None
+        return builtin(values)
+    return scalar_call
+
+
+def _first(args, name):
+    if not args:
+        raise RuntimeExecError(f"{name} needs an argument")
+    return args[0]
+
+
+def _upper(args):
+    return str(_first(args, "UPPER")).upper()
+
+
+def _lower(args):
+    return str(_first(args, "LOWER")).lower()
+
+
+def _length(args):
+    return len(str(_first(args, "LENGTH")))
+
+
+def _abs(args):
+    value = _first(args, "ABS")
+    if not _is_number(value):
+        raise RuntimeExecError("ABS needs a number")
+    return abs(value)
+
+
+def _round(args):
+    value = _first(args, "ROUND")
+    if not _is_number(value):
+        raise RuntimeExecError("ROUND needs a number")
+    digits = args[1] if len(args) > 1 else 0
+    try:
+        return round(value, digits) if digits else float(round(value))
+    except TypeError as exc:
+        raise RuntimeExecError("ROUND digits must be an integer") from exc
+    except OverflowError as exc:
+        raise _non_finite("ROUND") from exc
+
+
+def _lpad(args):
+    if len(args) < 2:
+        raise RuntimeExecError("LPAD needs a value and a width")
+    text = _text(args[0])
+    width = args[1]
+    fill = _text(args[2]) if len(args) > 2 else " "
+    if not isinstance(width, int) or isinstance(width, bool) or width < 0:
+        raise RuntimeExecError("LPAD width must be a non-negative integer")
+    if len(text) >= width:
+        return text[:width]
+    pad = (fill * width)[: width - len(text)]
+    return pad + text
+
+
+_SCALAR_BUILTINS = {
+    "upper": _upper, "lower": _lower, "length": _length, "abs": _abs,
+    "round": _round, "lpad": _lpad,
+}
+
+
+def _build_aggregate(call, env):
+    name = call.name.upper()
+    outside = f"aggregate {name} outside a grouped context"
+    if call.star:
+        def count_star(ctx):
+            if ctx.group is None:
+                raise RuntimeExecError(outside)
+            return len(ctx.group)
+        return count_star
+    if len(call.args) != 1:
+        def wrong_arity(ctx):
+            if ctx.group is None:
+                raise RuntimeExecError(outside)
+            raise RuntimeExecError(f"{name} takes exactly one argument")
+        return wrong_arity
+    arg = _compile(call.args[0], env)
+    finish = _AGGREGATES[call.name]
+    distinct = call.distinct
+
+    def aggregate(ctx):
+        members = ctx.group
+        if members is None:
+            raise RuntimeExecError(outside)
+        member = _Ctx(None, ctx.outer)
+        values = []
+        for row in members:
+            member.row = row
+            value = arg(member)
+            if value is not None:
+                values.append(value)
+        if distinct:
+            values = _dedupe(values, _canon)
+        return finish(values)
+    return aggregate
+
+
+def _sum(values):
+    if not values:
+        return None
+    _require_numbers(values, "SUM")
+    try:
+        return _finite(sum(values), "SUM")
+    except OverflowError as exc:
+        raise _non_finite("SUM") from exc
+
+
+def _avg(values):
+    if not values:
+        return None
+    _require_numbers(values, "AVG")
+    try:
+        return _finite(sum(values) / len(values), "AVG")
+    except OverflowError as exc:
+        raise _non_finite("AVG") from exc
+
+
+def _require_numbers(values, what):
+    for v in values:
+        if not _is_number(v):
+            raise RuntimeExecError(f"{what} needs numeric values")
+
+
+_AGGREGATES = {
+    "count": len,
+    "sum": _sum,
+    "avg": _avg,
+    "min": lambda values: min(values, key=sort_key) if values else None,
+    "max": lambda values: max(values, key=sort_key) if values else None,
+}
+
+
+def _build_cast(expr, env):
+    operand = _compile(expr.operand, env)
+    type_name = expr.type_name
+    base = type_name.split("(")[0].strip().lower()
+    convert = _CASTS.get(base)
+
+    def cast(ctx):
+        value = operand(ctx)
+        if value is None:
+            return None
+        if convert is None:
+            raise RuntimeExecError(
+                f"unsupported cast target {type_name!r}")
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RuntimeExecError(f"cannot cast {value!r} to {base}") \
+                from exc
+    return cast
+
+
+def _to_int(value):
+    if isinstance(value, (bool, float)):
+        return int(value)
+    return int(str(value).strip())
+
+
+def _to_real(value):
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(value)
+    return result
+
+
+def _to_bool(value):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return value != 0
+    lowered = str(value).strip().lower()
+    if lowered in ("t", "true", "1", "yes"):
+        return True
+    if lowered in ("f", "false", "0", "no"):
+        return False
+    raise ValueError(value)
+
+
+_CASTS = {
+    **dict.fromkeys(("int", "integer", "bigint", "smallint"), _to_int),
+    **dict.fromkeys(("real", "float", "double precision", "numeric",
+                     "decimal"), _to_real),
+    **dict.fromkeys(("text", "varchar", "char", "character"), _text),
+    **dict.fromkeys(("boolean", "bool"), _to_bool),
+}
+
+
+def _build_array(expr, env):
+    items = [_compile(item, env) for item in expr.items]
+    return lambda ctx: tuple([item(ctx) for item in items])
+
+
+def _subquery_rows(query, env, ctx):
+    """(width, rows) of an expression subquery run for the row of `ctx`;
+    an uncorrelated one runs once per execute, on first use."""
+    if id(query) in env.binding.correlated:
+        return _exec_stmt(query, env, ctx)
+    result = env.memo.get(id(query))
+    if result is None:
+        result = env.memo[id(query)] = _exec_stmt(query, env, ctx)
+    return result
+
+
+def _column(query, env, ctx, what):
+    """Values of a subquery that must return one column."""
+    width, rows = _subquery_rows(query, env, ctx)
+    if width != 1:
+        raise RuntimeExecError(f"{what} subquery must return one column")
+    return [row[0] for row in rows]
+
+
+_BUILDERS = {
+    Literal: _build_literal, ColumnRef: _build_column, Unary: _build_unary,
+    Binary: _build_binary, IsNull: _build_is_null, InList: _build_in_list,
+    InSubquery: _build_in_subquery, Between: _build_between,
+    Like: _build_like, Exists: _build_exists, Subquery: _build_subquery,
+    Quantified: _build_quantified, Case: _build_case, FuncCall: _build_call,
+    Cast: _build_cast, ArrayLit: _build_array,
+}

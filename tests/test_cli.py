@@ -238,6 +238,39 @@ class TestOracleCommand:
         assert outcome["errors"][0].startswith("instance 0: ")
 
 
+    def test_pair_that_cannot_evaluate_is_inconclusive_and_run_goes_on(
+            self, tmp_path, capsys):
+        pairs = [("round-text", "SELECT ROUND(a, 'x') FROM t",
+                  "SELECT ROUND(a, 1.5) FROM t"),
+                 ("cast-overflow", "SELECT CAST(a * 1e308 AS INT) FROM t",
+                  "SELECT a FROM t"),
+                 ("nan", "SELECT a * 1e308 * 10 - a * 1e308 * 10 FROM t",
+                  "SELECT a * 1e308 * 10 - a * 1e308 * 10 FROM t"),
+                 ("after", "SELECT a FROM t", "SELECT a + 1 FROM t")]
+        data = write_jsonl(tmp_path / "pairs.jsonl", [
+            {"id": pid, "sql1": s1, "sql2": s2, "schema": "s",
+             "label": "NEQ"} for pid, s1, s2 in pairs])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps({"s": {
+            "tables": [{"name": "t", "columns": ["a"]}],
+            "foreign_keys": [], "primary_keys": []}}))
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(
+            {"tables": {"t": {"columns": ["a"], "rows": [[1.5], [20]]}}}))
+        code = main(["oracle", "--dataset", str(data),
+                     "--schemas", str(schemas),
+                     "--instances", str(instance), "--format", "json"])
+        assert code == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        statuses = {json.loads(line)["pair_id"]: json.loads(line)
+                    for line in out}
+        for pid in ("round-text", "cast-overflow", "nan"):
+            assert statuses[pid]["status"] == "inconclusive", pid
+            assert statuses[pid]["errors"][0].startswith(
+                "instance 0: RuntimeExecError: "), statuses[pid]
+        assert statuses["after"]["status"] == "refuted"
+
+
 class TestMalformedFiles:
     """A malformed input file is a usage error (exit 64) naming the file,
     never an internal error."""
@@ -309,6 +342,89 @@ class TestMalformedFiles:
         assert code == 64
         assert capsys.readouterr().err.strip() == \
             "error: instance file not found: /nowhere/instance.json"
+
+
+class TestBadSettingsAndRecords:
+    """A config setting of the wrong type and a dataset or exemplar file
+    that breaks the toolkit's rules are usage errors (exit 64)."""
+
+    def dataset_args(self, tmp_path, records):
+        data = write_jsonl(tmp_path / "pairs.jsonl", records)
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+        return str(data), ["bench", "--dataset", str(data), "--schemas",
+                           str(schemas), "--out", str(tmp_path / "r.json")]
+
+    def test_wrong_typed_parallelism_in_bench(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"parallelism": "x"}))
+        _, args = self.dataset_args(tmp_path,
+                                    datafix.question_records()[:2])
+        assert main(["--config", str(config), *args]) == 64
+        err = capsys.readouterr().err
+        assert err.strip() == (f"error: malformed config file {config}: "
+                               "setting 'parallelism' must be an integer, "
+                               "got 'x'")
+
+    @pytest.mark.parametrize("name,text,setting", [
+        ("cfg.json", '{"parallelism": true}', "parallelism"),
+        ("cfg.json", '{"temperature": "hot"}', "temperature"),
+        ("cfg.json", '{"shortcut": 1}', "shortcut"),
+        ("cfg.json", '{"model": null}', "model"),
+        ("cfg.json", '{"backend": "grpc"}', "backend"),
+        ("cfg.json", '{"unknown_policy": "as_eq"}', "unknown_policy"),
+        ("cfg.toml", 'retries = "3"\n', "retries"),
+    ])
+    def test_wrong_typed_setting(self, tmp_path, schema_file, capsys, name,
+                                 text, setting):
+        config = tmp_path / name
+        config.write_text(text)
+        code = main(["--config", str(config), "check", *GOLDEN_PAIR_ARGS,
+                     "--schema", schema_file])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed config file {config}: "
+                              f"setting {setting!r} must be "), err
+
+    def test_well_typed_settings_pass(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        settings = {"temperature": 1, "timeout": 2.5, "endpoint": None,
+                    "shortcut": False, "unknown_policy": "always_wrong",
+                    "backend": "mock", "other": ["ignored"]}
+        config.write_text(json.dumps(settings))
+        merged = resolve_config(TestConfigResolution.Args(
+            config=str(config)))
+        assert {k: merged[k] for k in settings if k != "other"} == \
+            {k: v for k, v in settings.items() if k != "other"}
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda rs: [{k: v for k, v in rs[0].items() if k != "label"}],
+         "line 1: missing field 'label'"),
+        (lambda rs: [rs[0], {**rs[1], "schema": "nowhere"}],
+         "line 2: schema 'nowhere'"),
+        (lambda rs: [rs[0], {**rs[1], "id": rs[0]["id"]}],
+         "duplicate pair id"),
+    ])
+    def test_dataset_breaking_rules(self, tmp_path, capsys, mutate, message):
+        records = mutate(datafix.question_records()[:2])
+        path, args = self.dataset_args(tmp_path, records)
+        assert main(args) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed dataset file {path}: "
+                              f"{message}"), err
+
+    def test_exemplar_set_breaking_rules(self, tmp_path, schema_file,
+                                         capsys):
+        entry = {"schema": "s", "sql1": "SELECT 1", "sql2": "SELECT 2",
+                 "label": "EQ", "explanation": "e"}
+        path = tmp_path / "exemplars.json"
+        path.write_text(json.dumps([entry] * 4))
+        code = main(["check", *GOLDEN_PAIR_ARGS, "--schema", schema_file,
+                     "--strategy", "fewshot", "--exemplars-file", str(path)])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed exemplars file {path}: "
+                              "exemplars must be two equivalent"), err
 
 
 class TestInternalErrors:

@@ -1,4 +1,6 @@
+import random
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -7,6 +9,7 @@ from sqleq.ast_nodes import ColumnRef, walk
 from sqleq.binder import bind
 from sqleq.errors import InstanceError, RuntimeExecError, UnsupportedFeature
 from sqleq.executor import execute, instance_from_dict
+from sqleq.oracle import oracle_check
 from sqleq.parser import parse_sql
 from sqleq.schema import SchemaDef, TableDef
 
@@ -472,3 +475,181 @@ class TestScalarExpressions:
         _, inst = nums
         rows = run("SELECT x FROM t WHERE x BETWEEN 1 AND 1", inst).rows
         assert rows == [(1,)]
+
+
+# --- compiled expressions against stdlib sqlite3 ---
+
+WORDS = ("apple", "apricot", "banana", "berry", "cherry", "ap", "")
+
+
+def seeded_m_rows(seed, n):
+    """Rows of m(id, k, x, r, s): a tenth of each non-key cell NULL, `x`
+    mixing integers, integral reals (3.0) and halves, lower-case text
+    (sqlite's LIKE folds case)."""
+    rng = random.Random(seed)
+
+    def cell(make):
+        return None if rng.random() < 0.1 else make()
+
+    def mixed():
+        value = rng.randrange(21)
+        return rng.choice([value, float(value), value + 0.5])
+
+    return [[i, cell(lambda: rng.randrange(10)), cell(mixed),
+             cell(lambda: round(rng.uniform(0, 500), 2)),
+             cell(lambda: rng.choice(WORDS))] for i in range(n)]
+
+
+SQLITE_EXPRESSION_QUERIES = [
+    "SELECT id, s FROM m WHERE s LIKE 'ap%'",
+    "SELECT id FROM m WHERE s NOT LIKE '%rr_'",
+    "SELECT id, s FROM m WHERE s LIKE 'ap' OR s LIKE '_e%y'",
+    "SELECT id, x FROM m WHERE x BETWEEN 3 AND 7.5",
+    "SELECT id FROM m WHERE x NOT BETWEEN k AND 10",
+    "SELECT id, k FROM m WHERE k IN (1, 3, NULL)",
+    "SELECT id FROM m WHERE k NOT IN (1, 3, NULL)",
+    "SELECT id, k NOT IN (1, 3), x IN (2, 2.5, 4.0) FROM m",
+    "SELECT id, CASE k WHEN 1 THEN 'one' WHEN 2.0 THEN 'two' "
+    "ELSE 'many' END FROM m",
+    "SELECT id, CASE WHEN x > 10 THEN 'big' WHEN x > 5 THEN 'mid' "
+    "WHEN x IS NULL THEN 'none' END FROM m",
+    "SELECT id, COALESCE(x, r, -1), NULLIF(k, 3), NULLIF(s, 'ap') FROM m",
+    "SELECT id, x + r, x * 2, k - x, -r FROM m WHERE x + r > 50 OR k = 0",
+    "SELECT id FROM m WHERE NOT (k > 4 AND s <> 'berry') OR r IS NULL",
+    "SELECT k, COUNT(*), COUNT(x), SUM(x), AVG(r), MIN(x), MAX(s) "
+    "FROM m GROUP BY k HAVING COUNT(*) > 5",
+    "SELECT s, SUM(k), MIN(r), MAX(x) FROM m GROUP BY s "
+    "HAVING SUM(k) > 20 OR s IS NULL",
+    "SELECT COUNT(DISTINCT x), SUM(DISTINCT k), AVG(x) FROM m",
+    "SELECT DISTINCT k, s FROM m",
+    "SELECT DISTINCT x FROM m",
+    "SELECT k FROM m WHERE x > 5 UNION SELECT k FROM m WHERE r < 100",
+    "SELECT k, s FROM m WHERE x > 5 INTERSECT "
+    "SELECT k, s FROM m WHERE r < 300",
+    "SELECT x FROM m EXCEPT SELECT x FROM m WHERE k < 5",
+    "SELECT k FROM m WHERE s LIKE 'b%' UNION ALL "
+    "SELECT x FROM m WHERE x BETWEEN 1 AND 2",
+]
+SQLITE_ORDERED_QUERIES = [
+    "SELECT id, x, s FROM m ORDER BY x DESC, s, id LIMIT 25",
+    "SELECT id, r FROM m WHERE s IS NOT NULL ORDER BY r, id "
+    "LIMIT 10 OFFSET 5",
+    "SELECT k, COUNT(*) FROM m GROUP BY k ORDER BY COUNT(*) DESC, k "
+    "LIMIT 3",
+    "SELECT id, COALESCE(s, 'zzz') AS t FROM m ORDER BY t DESC, id LIMIT 40",
+]
+
+
+def sqlite_canon(row):
+    """1, 1.0 and TRUE alike (sqlite has no booleans); reals to nine
+    significant digits, since sqlite may sum a group in another order."""
+    return tuple(("null",) if v is None else
+                 ("num", float(f"{float(v):.9g}"))
+                 if isinstance(v, (int, float)) else ("txt", v) for v in row)
+
+
+def test_expressions_match_sqlite_at_1000_rows():
+    rows = seeded_m_rows(5, 1000)
+    assert any(isinstance(row[2], int) for row in rows)
+    assert any(isinstance(row[2], float) and row[2].is_integer()
+               for row in rows)
+    schema = SchemaDef(tables=(TableDef("m", ("id", "k", "x", "r", "s")),))
+    inst = make_instance(schema, m=rows)
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE m (id, k, x, r, s)")
+    conn.executemany("INSERT INTO m VALUES (?, ?, ?, ?, ?)", rows)
+    for sql in SQLITE_EXPRESSION_QUERIES:
+        ours = run(sql, inst).rows
+        theirs = conn.execute(sql).fetchall()
+        assert Counter(map(sqlite_canon, ours)) == \
+            Counter(map(sqlite_canon, theirs)), sql
+    for sql in SQLITE_ORDERED_QUERIES:
+        ours = run(sql, inst).rows
+        theirs = conn.execute(sql).fetchall()
+        assert ours and list(map(sqlite_canon, ours)) == \
+            list(map(sqlite_canon, theirs)), sql
+
+
+def test_group_reads_its_first_row():
+    """A group's non-aggregate values come from its first row, so 1.0
+    and 1 in one group give 1.0 when 1.0 comes first."""
+    schema = SchemaDef(tables=(TableDef("t", ("x", "y")),))
+    inst = make_instance(schema, t=[[1.0, "a"], [1, "b"], [2, "c"],
+                                    [2.0, "d"]])
+    rows = run("SELECT x, COUNT(*) FROM t GROUP BY x", inst).rows
+    assert repr(rows) == "[(1.0, 2), (2, 2)]"
+    rows = run("SELECT x, COUNT(*) FROM t GROUP BY x HAVING MIN(y) < 'z'",
+               inst).rows
+    assert repr(rows) == "[(1.0, 2), (2, 2)]"
+
+
+def test_aggregate_argument_reads_the_enclosing_row(pair_tables):
+    _, inst = pair_tables
+    rows = run("SELECT l.k, (SELECT SUM(r.k * l.k) FROM r) FROM l",
+               inst).rows
+    assert rows == [(1, 5), (2, 10), (None, None)]
+
+
+def test_arrays_compare_element_by_element(nums):
+    """TRUE stays apart from 1 inside arrays too; 1 equals 1.0."""
+    _, inst = nums
+    rows = run("SELECT ARRAY[TRUE] = ARRAY[1], "
+               "ARRAY[1, 'a'] = ARRAY[1.0, 'a'], ARRAY[2] < ARRAY[TRUE] "
+               "FROM t WHERE x = 1", inst).rows
+    assert rows == [(False, True, False)]
+
+
+class TestErrorsRaiseOnlyWhereEvaluated:
+    """Expressions compile once per execute, but each error is raised by
+    the row that reaches it: never over an empty table, and with the
+    same message as before over a non-empty one."""
+
+    QUERIES = [
+        ("SELECT FOO(x) FROM t", "unknown function 'foo'"),
+        ("SELECT CAST(x AS BLOB) FROM t", "unsupported cast target 'blob'"),
+        ("SELECT NULLIF(x) FROM t", "NULLIF takes two arguments"),
+        ("SELECT LPAD(y) FROM t WHERE y IS NOT NULL",
+         "LPAD needs a value and a width"),
+        ("SELECT x, SUM(x, x) FROM t GROUP BY x",
+         "SUM takes exactly one argument"),
+        ("SELECT x FROM t WHERE COUNT(x) > 1",
+         "aggregate COUNT outside a grouped context"),
+        ("SELECT x FROM t WHERE x > 1 AND y / 0 = 1", "needs numeric"),
+        ("SELECT CASE WHEN x IS NULL THEN FOO(x) END FROM t",
+         "unknown function 'foo'"),
+    ]
+
+    @pytest.mark.parametrize("sql,message", QUERIES)
+    def test_raised_on_rows_only(self, nums, sql, message):
+        schema, inst = nums
+        empty = make_instance(schema)
+        assert run(sql, empty).rows == []
+        assert oracle_check(sql, sql, [empty]).status == "consistent"
+        with pytest.raises(RuntimeExecError) as info:
+            run(sql, inst)
+        assert message in str(info.value)
+
+    def test_unsupported_cast_target_spares_null(self, nums):
+        _, inst = nums
+        rows = run("SELECT CAST(x AS BLOB) FROM t WHERE x IS NULL",
+                   inst).rows
+        assert rows == [(None,)]
+
+    def test_branch_no_row_takes_never_raises(self, nums):
+        _, inst = nums
+        rows = run("SELECT CASE WHEN x = 99 THEN FOO(x) ELSE 1 END, "
+                   "COALESCE(x, 0) FROM t", inst).rows
+        assert rows == [(1, 1), (1, 2), (1, 0), (1, 2)]
+
+    @pytest.mark.parametrize("sql,message", [
+        ("SELECT ROUND(x, 'x') FROM t", "ROUND digits must be an integer"),
+        ("SELECT ROUND(x, 1.5) FROM t", "ROUND digits must be an integer"),
+        ("SELECT CAST(x * 1e308 AS INT) FROM t", "non-finite"),
+        ("SELECT CAST(1e999 AS INT) FROM t", "cannot cast inf to int"),
+        ("SELECT ROUND(1e999) FROM t", "ROUND gives a non-finite number"),
+        ("SELECT UPPER() FROM t", "UPPER needs an argument"),
+    ])
+    def test_python_errors_become_runtime_errors(self, nums, sql, message):
+        _, inst = nums
+        with pytest.raises(RuntimeExecError, match=message):
+            run(sql, inst)

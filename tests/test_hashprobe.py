@@ -176,6 +176,27 @@ class TestRunOnce:
         assert built == [3]
 
 
+    @pytest.mark.parametrize("op", ["AND", "OR"])
+    def test_non_boolean_left_operand_raises_before_right_runs(
+            self, monkeypatch, op):
+        ast = parse_sql(f"SELECT k FROM l WHERE k {op} EXISTS "
+                        "(SELECT 1 FROM r WHERE r.k = l.k)")
+        (sub,) = subqueries(ast)
+        runs = count_runs(monkeypatch, sub)
+        with pytest.raises(RuntimeExecError, match="AND/OR need boolean"):
+            execute(ast, lr_instance(*self.INST))
+        assert runs() == 0
+
+    @pytest.mark.parametrize("op", ["AND", "OR"])
+    def test_right_operand_runs_whatever_the_left_answers(
+            self, monkeypatch, op):
+        ast = parse_sql(f"SELECT k FROM l WHERE k = 1 {op} EXISTS "
+                        "(SELECT 1 FROM r WHERE r.k = l.k)")
+        (sub,) = subqueries(ast)
+        runs = count_runs(monkeypatch, sub)
+        assert execute(ast, lr_instance(*self.INST)).rows == [(1,)]
+        assert runs() == 3
+
 # --- hashed path against stdlib sqlite3 ---
 
 def seeded_emp_dept(seed, n_emp, n_dept):

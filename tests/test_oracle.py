@@ -182,6 +182,33 @@ class TestOracleCheck:
             "(SELECT 1 FROM dept d WHERE d.did = e.dept)", [instance])
         assert outcome.status == "consistent", outcome.reason
 
+    @pytest.mark.parametrize("sql,message", [
+        ("SELECT a * 1e308 * 10 - a * 1e308 * 10 FROM t",
+         "operator * gives a non-finite number"),
+        ("SELECT a * 1e308 * 10 FROM t WHERE a > 1",
+         "operator * gives a non-finite number"),
+        ("SELECT a + 1e308 + 1e308 FROM t", "operator + gives a non-finite"),
+        ("SELECT a / 1e-308 / 1e-308 FROM t", "operator / gives a non-finite"),
+        ("SELECT SUM(a + 1e308) FROM t", "SUM gives a non-finite number"),
+        ("SELECT AVG(a + 1e308) FROM t", "AVG gives a non-finite number"),
+        ("SELECT CAST('1e999' AS REAL) FROM t", "cannot cast '1e999' to real"),
+        ("SELECT CAST('nan' AS REAL) FROM t", "cannot cast 'nan' to real"),
+        ("SELECT CAST('-inf' AS DOUBLE PRECISION) FROM t",
+         "cannot cast '-inf' to double precision"),
+    ])
+    def test_non_finite_float_makes_self_comparison_inconclusive(
+            self, sql, message):
+        """NaN never equals itself, so a query compared with itself would
+        be refuted if a NaN reached the result; no float the executor
+        computes is infinite or NaN."""
+        schema = SchemaDef(tables=(TableDef("t", ("a",)),))
+        instance = instance_from_dict({"tables": {"t": {
+            "columns": ["a"], "rows": [[1], [2.5], [None], [40]]}}}, schema)
+        outcome = oracle_check(sql, sql, [instance])
+        assert outcome.status == "inconclusive", outcome
+        assert outcome.errors[0].startswith(
+            f"instance 0: RuntimeExecError: {message}"), outcome
+
     def test_parse_failure_inconclusive(self, witness_schema):
         instance = baseball_instance(witness_schema, [["p1", 2000, 2]])
         outcome = oracle_check("SELECT FROM", "SELECT 1", [instance])
