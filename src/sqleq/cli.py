@@ -42,6 +42,8 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_ERROR = 70
 
+BACKENDS = ("mock", "http")
+
 CONFIG_ENV = "SQLEQ_CONFIG"
 API_KEY_ENV = "SQLEQ_API_KEY"
 
@@ -61,7 +63,7 @@ def _one_of(*choices):
 
 # setting -> (default, what a config file may set it to)
 _SETTINGS = {
-    "backend": ("mock", _one_of("mock", "http")),
+    "backend": ("mock", _one_of(*BACKENDS)),
     "endpoint": (None, _TEXT_OR_NULL),
     "api_key": (None, _TEXT_OR_NULL),
     "model": ("mock-model", _TEXT),
@@ -136,7 +138,7 @@ def _build_parser():
     p.add_argument("--format", default="json",
                    choices=["json", "csv", "markdown"])
     p.add_argument("--parallelism", type=int)
-    p.add_argument("--unknown-policy", choices=["as_neq", "always_wrong"])
+    p.add_argument("--unknown-policy", choices=UNKNOWN_POLICIES)
     p.add_argument("--score-exact-matches", action="store_true")
     _backend_flags(p)
     p.set_defaults(func=cmd_bench)
@@ -178,7 +180,7 @@ def _build_parser():
 
 
 def _backend_flags(p):
-    p.add_argument("--backend", choices=["mock", "http"])
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--endpoint")
     p.add_argument("--model")
     p.add_argument("--classifier-model")

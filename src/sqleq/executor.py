@@ -153,9 +153,9 @@ def load_instances(path, schema):
 
 
 def _valid_cell(cell):
-    if isinstance(cell, float):
+    if type(cell) is float:
         return math.isfinite(cell)
-    return cell is None or isinstance(cell, (bool, int, str))
+    return cell is None or type(cell) in _CANON_TAGS
 
 
 def _check_primary_keys(instance):
@@ -517,8 +517,9 @@ def _equi_keys(condition, env, is_fixed):
     """Closures of ([fixed sides], [probing sides]) of the `x = y`
     conjuncts of `condition` where one side reads only fixed slots and
     the other only other ones, neither holding a subquery or an
-    aggregate; None when no conjunct qualifies. `is_fixed(depth, slot)` tells the slots apart,
-    and does so the same way on every call for a given condition.
+    aggregate; None when no conjunct qualifies. `is_fixed(depth, slot)`
+    tells the slots apart, and does so the same way on every call for a
+    given condition.
     """
     if id(condition) not in env.keys:
         fixed, probing = [], []
@@ -592,7 +593,7 @@ class _ValueSet:
 # --- value helpers ---
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) in _NUMBER_TYPES
 
 
 def _finite(value, what):
@@ -662,19 +663,14 @@ _NUMBER_TYPES = (int, float)
 
 
 def _values_equal(left, right):
-    if type(left) is type(right) and type(left) is not tuple:
-        return left == right
-    if isinstance(left, bool) or isinstance(right, bool):
-        return isinstance(left, bool) and isinstance(right, bool) and \
-            left == right
-    if _is_number(left) and _is_number(right):
-        return left == right
-    if isinstance(left, tuple) and isinstance(right, tuple):
+    """Equality of two non-NULL values: TRUE apart from 1, 1 == 1.0."""
+    if type(left) is tuple and type(right) is tuple:
         return len(left) == len(right) and all(
             _values_equal(a, b) for a, b in zip(left, right))
     if type(left) is type(right):
         return left == right
-    return False
+    return type(left) in _NUMBER_TYPES and type(right) in _NUMBER_TYPES \
+        and left == right
 
 
 def sort_key(value):
@@ -684,13 +680,7 @@ def sort_key(value):
         return (rank, value)
     if value is None:
         return (0, False)
-    if isinstance(value, bool):
-        return (1, value)
-    if isinstance(value, (int, float)):
-        return (2, value)
-    if isinstance(value, str):
-        return (3, value)
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return (4, tuple(sort_key(v) for v in value))
     raise RuntimeExecError(f"cannot order value {value!r}")
 
@@ -706,13 +696,7 @@ def _canon(value):
         return (tag, value)
     if value is None:
         return ("null",)
-    if isinstance(value, bool):
-        return ("bool", value)
-    if isinstance(value, (int, float)):
-        return ("num", value)
-    if isinstance(value, str):
-        return ("txt", value)
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return ("arr", tuple(_canon(v) for v in value))
     raise RuntimeExecError(f"cannot hash value {value!r}")
 
@@ -768,12 +752,6 @@ def _compile(expr, env):
 
 def _row_fn(fns):
     """Closure building the output tuple of a row from column closures."""
-    if len(fns) == 1:
-        (only,) = fns
-        return lambda ctx: (only(ctx),)
-    if len(fns) == 2:
-        first, second = fns
-        return lambda ctx: (first(ctx), second(ctx))
     return lambda ctx: tuple([fn(ctx) for fn in fns])
 
 
@@ -792,10 +770,6 @@ def _build_literal(expr, env):
 
 def _build_column(expr, env):
     depth, slot = env.binding.slots[id(expr)]
-    if depth == 0:
-        return lambda ctx: ctx.row[slot]
-    if depth == 1:
-        return lambda ctx: ctx.outer.row[slot]
 
     def column(ctx):
         for _ in range(depth):
@@ -847,10 +821,6 @@ def _build_binary(expr, env):
     if op in ("=", "<>"):
         return _build_equality(op == "<>", left, right)
     if op in _ORDERINGS:
-        if isinstance(expr.right, Literal) and \
-                type(expr.right.value) in _NUMBER_TYPES:
-            return _build_number_ordering(_ORDERINGS[op], left,
-                                          expr.right.value)
         return _build_ordering(_ORDERINGS[op], left, right)
     if op == "||":
         def concat(ctx):
@@ -886,18 +856,6 @@ def _build_ordering(order, left, right):
             return order(a, b)
         return order(sort_key(a), sort_key(b))
     return ordering
-
-
-def _build_number_ordering(order, left, number):
-    """`_build_ordering` against a numeric literal, read once here."""
-    number_key = sort_key(number)
-
-    def number_ordering(ctx):
-        a = left(ctx)
-        if type(a) in _NUMBER_TYPES:
-            return order(a, number)
-        return None if a is None else order(sort_key(a), number_key)
-    return number_ordering
 
 
 def _build_arithmetic(op, left, right):
@@ -977,12 +935,7 @@ def _build_between(expr, env):
         value = operand(ctx)
         lo = low(ctx)
         hi = high(ctx)
-        if type(value) in _NUMBER_TYPES and type(lo) in _NUMBER_TYPES and \
-                type(hi) in _NUMBER_TYPES:
-            result = lo <= value <= hi
-        else:
-            result = _and3(_compare("<=", lo, value),
-                           _compare("<=", value, hi))
+        result = _and3(_compare("<=", lo, value), _compare("<=", value, hi))
         return _negate3(result) if negated else result
     return between
 

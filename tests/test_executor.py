@@ -1,3 +1,4 @@
+import enum
 import random
 import sqlite3
 from collections import Counter
@@ -365,6 +366,19 @@ class TestErrorsAndValidation:
         schema = SchemaDef(tables=(TableDef("t", ("a", "b")),))
         with pytest.raises(InstanceError, match=match):
             instance_from_dict(data, schema)
+
+    @pytest.mark.parametrize("cell", [
+        enum.IntEnum("Level", "LOW")(1),
+        type("Name", (str,), {})("x"),
+        type("Ratio", (float,), {})(0.5),
+    ])
+    def test_cell_of_a_subclass_rejected(self, cell):
+        # the executor orders, compares and hashes cells by exact type
+        schema = SchemaDef(tables=(TableDef("t", ("a",)),))
+        with pytest.raises(InstanceError, match="cell"):
+            instance_from_dict(
+                {"tables": {"t": {"columns": ["a"], "rows": [[cell]]}}},
+                schema)
 
     def test_every_cell_kind_accepted(self):
         schema = SchemaDef(tables=(TableDef("t", ("a",)),))
