@@ -233,10 +233,6 @@ class SelectStmt:
     partial: bool = False
     trailing_text: str = field(default="", compare=False, repr=False)
 
-    @property
-    def has_outer_order_by(self):
-        return bool(self.order_by)
-
 
 def walk(node):
     """Yield `node` and every AST node reachable from it, depth-first."""

@@ -36,12 +36,12 @@ evaluated further, so a residual conjunct that would raise only on such
 pairs no longer raises (PostgreSQL takes the same freedom).
 
 Semantics notes:
+- values compare, group and sort by the value model of `values.py`,
+  which the oracle shares: GROUP BY, DISTINCT, set operations, IN and
+  hash probes match `canon` keys, and ORDER BY is a stable sort on
+  `sort_key`, applied in reverse for DESC;
 - predicates use three-valued logic; only rows where the condition is
   True survive WHERE/ON/HAVING;
-- GROUP BY, DISTINCT and set-operation deduplication treat NULLs as
-  equal and compare numbers by value (1 == 1.0);
-- ORDER BY uses a stable sort over the documented total order
-  null < booleans < numbers < text, applied in reverse for DESC;
 - aggregates skip NULLs (except COUNT(*)); SUM/AVG/MIN/MAX of no values
   is NULL, COUNT is 0;
 - no result of arithmetic, SUM, AVG or a cast to a real type is an
@@ -51,7 +51,6 @@ Semantics notes:
 Recursive CTEs and window functions raise UnsupportedFeature.
 """
 
-import json
 import math
 import operator
 import re
@@ -65,6 +64,9 @@ from .ast_nodes import (
 )
 from .binder import bind
 from .errors import InstanceError, RuntimeExecError, UnsupportedFeature
+from .values import (
+    canon, canon_row, is_number, is_scalar, sort_key, values_equal,
+)
 
 
 # --- data containers ---
@@ -97,7 +99,7 @@ def instance_from_dict(data, schema):
 
     Each table spec needs "columns" (the schema's, in order) and "rows"
     (lists of that arity). A cell is null or of type bool, int, str or
-    float (finite), not a subclass of one, so every cell has a `_canon`
+    float (finite), not a subclass of one, so every cell has a `canon`
     key. Anything else raises InstanceError.
     """
     if not isinstance(data, dict):
@@ -143,19 +145,10 @@ def instance_from_dict(data, schema):
     return instance
 
 
-def load_instances(path, schema):
-    """Load one instance or a list of instances from a JSON file."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    if isinstance(data, list):
-        return [instance_from_dict(d, schema) for d in data]
-    return [instance_from_dict(data, schema)]
-
-
 def _valid_cell(cell):
     if type(cell) is float:
         return math.isfinite(cell)
-    return cell is None or type(cell) in _CANON_TAGS
+    return cell is None or is_scalar(cell)
 
 
 def _check_primary_keys(instance):
@@ -171,7 +164,7 @@ def _check_primary_keys(instance):
             value = row[idx]
             if value is None:
                 raise InstanceError(f"NULL in primary key column {ref}")
-            key = _canon(value)
+            key = canon(value)
             if key in seen:
                 raise InstanceError(f"duplicate primary key value in {ref}")
             seen.add(key)
@@ -284,11 +277,11 @@ def _exec_setop(op, env, outer_ctx):
     else:
         # INTERSECT keeps left rows found on the right, EXCEPT the others;
         # ALL consumes one right row per match, DISTINCT dedupes the left
-        rcounts = Counter(map(_canon_row, rrows))
+        rcounts = Counter(map(canon_row, rrows))
         keep_found = op.kind == "intersect"
         rows = []
         for row in (lrows if op.all else _dedupe(lrows)):
-            key = _canon_row(row)
+            key = canon_row(row)
             found = rcounts[key] > 0
             if found and op.all:
                 rcounts[key] -= 1
@@ -428,7 +421,7 @@ def _group(rows, group_by, env, outer_ctx):
     buckets = {}
     for row in rows:
         ctx.row = row
-        key = tuple([_canon(f(ctx)) for f in keys])
+        key = tuple([canon(f(ctx)) for f in keys])
         buckets.setdefault(key, []).append(row)
     return [_Ctx(members[0], outer_ctx, group=members)
             for members in buckets.values()]
@@ -485,7 +478,7 @@ class _Index:
     conjuncts; `probe` returns the positions of the rows whose key equals
     the probing sides' values, in row order.
 
-    Keys are `_canon` values, so 1 and 1.0 meet and TRUE stays apart
+    Keys are `canon` values, so 1 and 1.0 meet and TRUE stays apart
     from 1, as with `=`; a NULL key matches nothing. The buckets only
     narrow the candidates: the caller still runs the whole condition on
     each one.
@@ -510,7 +503,7 @@ class _Index:
 def _key(values):
     if any(value is None for value in values):
         return None
-    return tuple(_canon(value) for value in values)
+    return canon_row(values)
 
 
 def _equi_keys(condition, env, is_fixed):
@@ -564,37 +557,32 @@ def _reads(expr, binding, is_fixed):
 
 
 class _ValueSet:
-    """The right side of `value IN (...)`, hashed on `_canon`; `contains`
-    answers under three-valued logic: FALSE for an empty set, else NULL
-    for a NULL value, else TRUE when a member equals it, else NULL when
-    a member is NULL, else FALSE."""
-    __slots__ = ("values", "saw_null")
+    """The right side of `value IN (...)`, as the set of its members'
+    `canon` keys; `contains` answers under three-valued logic: FALSE for
+    an empty set, else NULL for a NULL value, else TRUE when a member
+    equals it, else NULL when a member is NULL, else FALSE."""
+    __slots__ = ("keys", "saw_null")
 
     def __init__(self, values):
-        self.values = {}
+        self.keys = set()
         self.saw_null = False
         for value in values:
             if value is None:
                 self.saw_null = True
             else:
-                self.values.setdefault(_canon(value), value)
+                self.keys.add(canon(value))
 
     def contains(self, value):
-        if not self.values and not self.saw_null:
+        if not self.keys and not self.saw_null:
             return False
         if value is None:
             return None
-        member = self.values.get(_canon(value))
-        if member is not None and _values_equal(value, member):
+        if canon(value) in self.keys:
             return True
         return None if self.saw_null else False
 
 
 # --- value helpers ---
-
-def _is_number(value):
-    return type(value) in _NUMBER_TYPES
-
 
 def _finite(value, what):
     """`value`, unless it is an infinite or NaN float."""
@@ -612,7 +600,15 @@ def _text(value):
         return "true" if value else "false"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
-    return str(value)
+    return _str(value)
+
+
+def _str(value, convert=str):
+    """`convert(value)`; an int too long for text raises RuntimeExecError."""
+    try:
+        return convert(value)
+    except ValueError as exc:  # past the interpreter's 4300-digit limit
+        raise RuntimeExecError("integer too long to convert to text") from exc
 
 
 def _truthy(value):
@@ -640,80 +636,39 @@ def _negate3(value):
 
 
 def _compare(op, left, right):
-    """Three-valued comparison with the documented cross-family order."""
+    """Three-valued comparison under the value model."""
     if left is None or right is None:
         return None
-    if op == "=":
-        return _values_equal(left, right)
-    if op == "<>":
-        return not _values_equal(left, right)
-    order = _ORDERINGS.get(op)
-    if order is None:
+    compare = _COMPARISONS.get(op)
+    if compare is None:
         raise RuntimeExecError(f"unknown comparison {op}")
-    if type(left) in _NUMBER_TYPES and type(right) in _NUMBER_TYPES:
-        return order(left, right)
-    return order(sort_key(left), sort_key(right))
+    return compare(left, right)
 
 
-_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-              ">=": operator.ge}
+def _ordering(order):
+    """`order` of two non-NULL cells by their sort keys."""
+    def compare(left, right):
+        if type(left) is type(right) is not tuple:
+            return order(left, right)  # as their sort keys would
+        return order(sort_key(left), sort_key(right))
+    return compare
+
+
+_COMPARISONS = {
+    "=": values_equal, "<>": lambda left, right: not values_equal(left, right),
+    "<": _ordering(operator.lt), "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
+}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv, "%": operator.mod}
-_NUMBER_TYPES = (int, float)
 
 
-def _values_equal(left, right):
-    """Equality of two non-NULL values: TRUE apart from 1, 1 == 1.0."""
-    if type(left) is tuple and type(right) is tuple:
-        return len(left) == len(right) and all(
-            _values_equal(a, b) for a, b in zip(left, right))
-    if type(left) is type(right):
-        return left == right
-    return type(left) in _NUMBER_TYPES and type(right) in _NUMBER_TYPES \
-        and left == right
-
-
-def sort_key(value):
-    """Total order over cells: null < booleans < numbers < text < arrays."""
-    rank = _SORT_RANKS.get(type(value))
-    if rank is not None:
-        return (rank, value)
-    if value is None:
-        return (0, False)
-    if type(value) is tuple:
-        return (4, tuple(sort_key(v) for v in value))
-    raise RuntimeExecError(f"cannot order value {value!r}")
-
-
-_SORT_RANKS = {bool: 1, int: 2, float: 2, str: 3}
-
-
-def _canon(value):
-    """Canonical key for grouping, dedup and hash probes: NULLs equal,
-    1 == 1.0 (Python hashes equal numbers alike), TRUE apart from 1."""
-    tag = _CANON_TAGS.get(type(value))
-    if tag is not None:
-        return (tag, value)
-    if value is None:
-        return ("null",)
-    if type(value) is tuple:
-        return ("arr", tuple(_canon(v) for v in value))
-    raise RuntimeExecError(f"cannot hash value {value!r}")
-
-
-_CANON_TAGS = {bool: "bool", int: "num", float: "num", str: "txt"}
-
-
-def _canon_row(row):
-    return tuple([_canon(v) for v in row])
-
-
-def _dedupe(items, canon=_canon_row):
-    """`items` without the later ones whose `canon` key was seen."""
+def _dedupe(items, key_of=canon_row):
+    """`items` without the later ones whose key was seen."""
     seen = set()
     out = []
     for item in items:
-        key = canon(item)
+        key = key_of(item)
         if key not in seen:
             seen.add(key)
             out.append(item)
@@ -807,7 +762,7 @@ def _build_unary(expr, env):
         value = operand(ctx)
         if value is None:
             return None
-        if not _is_number(value):
+        if not is_number(value):
             raise RuntimeExecError(f"unary {op} needs a number")
         return -value if negate else value
     return sign
@@ -833,10 +788,14 @@ def _build_binary(expr, env):
                 return True
             return None if a is None or b is None else False
         return or_
-    if op in ("=", "<>"):
-        return _build_equality(op == "<>", left, right)
-    if op in _ORDERINGS:
-        return _build_ordering(_ORDERINGS[op], left, right)
+    if op in _COMPARISONS:
+        compare = _COMPARISONS[op]
+
+        def comparison(ctx):
+            a = left(ctx)
+            b = right(ctx)
+            return None if a is None or b is None else compare(a, b)
+        return comparison
     if op == "||":
         def concat(ctx):
             a = left(ctx)
@@ -851,28 +810,6 @@ def _build_binary(expr, env):
     return _build_arithmetic(op, left, right)
 
 
-def _build_equality(negated, left, right):
-    def equality(ctx):
-        a = left(ctx)
-        b = right(ctx)
-        if a is None or b is None:
-            return None
-        return _values_equal(a, b) is not negated
-    return equality
-
-
-def _build_ordering(order, left, right):
-    def ordering(ctx):
-        a = left(ctx)
-        b = right(ctx)
-        if a is None or b is None:
-            return None
-        if type(a) in _NUMBER_TYPES and type(b) in _NUMBER_TYPES:
-            return order(a, b)
-        return order(sort_key(a), sort_key(b))
-    return ordering
-
-
 def _build_arithmetic(op, left, right):
     apply = _ARITHMETIC.get(op)
     by_zero = {"/": "division by zero", "%": "modulo by zero"}.get(op)
@@ -882,7 +819,7 @@ def _build_arithmetic(op, left, right):
         b = right(ctx)
         if a is None or b is None:
             return None
-        if not _is_number(a) or not _is_number(b):
+        if not is_number(a) or not is_number(b):
             raise RuntimeExecError(f"operator {op} needs numeric operands")
         if apply is None:
             raise RuntimeExecError(f"unknown operator {op}")
@@ -1093,27 +1030,27 @@ def _first(args, name):
 
 
 def _upper(args):
-    return str(_first(args, "UPPER")).upper()
+    return _str(_first(args, "UPPER")).upper()
 
 
 def _lower(args):
-    return str(_first(args, "LOWER")).lower()
+    return _str(_first(args, "LOWER")).lower()
 
 
 def _length(args):
-    return len(str(_first(args, "LENGTH")))
+    return len(_str(_first(args, "LENGTH")))
 
 
 def _abs(args):
     value = _first(args, "ABS")
-    if not _is_number(value):
+    if not is_number(value):
         raise RuntimeExecError("ABS needs a number")
     return abs(value)
 
 
 def _round(args):
     value = _first(args, "ROUND")
-    if not _is_number(value):
+    if not is_number(value):
         raise RuntimeExecError("ROUND needs a number")
     digits = args[1] if len(args) > 1 else 0
     try:
@@ -1175,7 +1112,7 @@ def _build_aggregate(call, env):
             if value is not None:
                 values.append(value)
         if distinct:
-            values = _dedupe(values, _canon)
+            values = _dedupe(values, canon)
         return finish(values)
     return aggregate
 
@@ -1202,7 +1139,7 @@ def _avg(values):
 
 def _require_numbers(values, what):
     for v in values:
-        if not _is_number(v):
+        if not is_number(v):
             raise RuntimeExecError(f"{what} needs numeric values")
 
 
@@ -1231,8 +1168,8 @@ def _build_cast(expr, env):
         try:
             return convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise RuntimeExecError(f"cannot cast {value!r} to {base}") \
-                from exc
+            raise RuntimeExecError(
+                f"cannot cast {_str(value, repr)} to {base}") from exc
     return cast
 
 
@@ -1252,7 +1189,7 @@ def _to_real(value):
 def _to_bool(value):
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, float)):
+    if is_number(value):
         return value != 0
     lowered = str(value).strip().lower()
     if lowered in ("t", "true", "1", "yes"):

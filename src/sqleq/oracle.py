@@ -5,9 +5,13 @@ differing result is a witness of non-equivalence, while agreement on
 every provided instance is just consistency. Results compare positionally
 (column names ignored) under bag semantics unless both queries carry an
 outer ORDER BY, in which case row order matters.
+
+Cells compare under the executor's value model (`values.py`), on their
+`canon` keys, with one exception: in a real column, one that holds a
+float at any depth in either result, numbers compare with `close`, so
+tolerance applies inside arrays too.
 """
 
-import math
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
@@ -15,12 +19,12 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
-from .executor import _is_number, execute
 from .errors import SqleqError
+from .executor import execute
 from .parser import parse_sql
-
-REAL_REL_TOL = 1e-9
-REAL_ABS_TOL = 1e-12
+from .values import (
+    REAL_ABS_TOL, REAL_REL_TOL, canon, canon_masked, canon_row, close,
+)
 
 
 @dataclass(frozen=True)
@@ -42,22 +46,38 @@ class OracleOutcome:
 
 
 def compare_results(r1, r2):
-    """Compare two result tables; nulls count as equal, reals compare
-    with relative tolerance."""
+    """Compare two result tables under the value model of `values.py`;
+    numbers in real columns match within `close`."""
     if r1.column_count != r2.column_count:
         return Comparison(False, "column count differs "
                           f"({r1.column_count} vs {r2.column_count})")
     if len(r1.rows) != len(r2.rows):
         return Comparison(False,
                           f"row count differs ({len(r1.rows)} vs {len(r2.rows)})")
+    rows1, rows2 = r1.rows, r2.rows
+    real = [any(_holds_float(row[i]) for row in chain(rows1, rows2))
+            for i in range(r1.column_count)]
     if r1.ordered and r2.ordered:
-        if all(map(_rows_equal, r1.rows, r2.rows)):
-            return Comparison(True)
-        return Comparison(False, "row order differ")
+        for (key1, numbers1), (key2, numbers2) in zip(
+                _row_keys(rows1, real), _row_keys(rows2, real)):
+            if key1 != key2 or not all(map(close, numbers1, numbers2)):
+                return Comparison(False, "row order differ")
+        return Comparison(True)
     if r1.ordered != r2.ordered:
         warnings.warn("comparing an ordered result against an unordered "
                       "one as multisets", stacklevel=2)
-    if _same_multiset(r1.rows, r2.rows):
+    if not any(real):
+        same = Counter(map(canon_row, rows1)) == Counter(map(canon_row, rows2))
+    else:
+        # the tolerance is not transitive, so rows are not sorted and
+        # zipped: they group on their keys, and within each group the
+        # numbers of the real columns must pair off one to one
+        groups = {}
+        for side, rows in enumerate((rows1, rows2)):
+            for key, numbers in _row_keys(rows, real):
+                groups.setdefault(key, ([], []))[side].append(numbers)
+        same = all(_pair_off(left, right) for left, right in groups.values())
+    if same:
         return Comparison(True)
     return Comparison(False, "multiset contents differ")
 
@@ -98,57 +118,19 @@ def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _rows_equal(row1, row2):
-    for a, b in zip(row1, row2):
-        if a is None and b is None:
-            continue
-        if a is None or b is None:
-            return False
-        if _both_real(a, b):
-            if not math.isclose(a, b, rel_tol=REAL_REL_TOL,
-                                abs_tol=REAL_ABS_TOL):
-                return False
-            continue
-        if _is_number(a) and _is_number(b):
-            if a != b:
-                return False
-            continue
-        if isinstance(a, bool) != isinstance(b, bool):
-            return False
-        if type(a) is not type(b) or a != b:
-            return False
-    return True
+def _holds_float(value):
+    return type(value) is float or \
+        type(value) is tuple and any(map(_holds_float, value))
 
 
-def _both_real(a, b):
-    return _is_number(a) and _is_number(b) and \
-        (isinstance(a, float) or isinstance(b, float))
-
-
-def _same_multiset(rows1, rows2):
-    """Bag equality under `_rows_equal` for two equally long row lists.
-
-    The tolerance is not transitive, so rows are not sorted and zipped.
-    Rows group on an exact key of the cells outside real columns (a
-    column holding a float in either result); within each group the
-    numbers of the real columns must pair off one to one.
-    """
-    width = len(rows1[0]) if rows1 else 0
-    real_at = [i for i in range(width)
-               if any(isinstance(row[i], float)
-                      for row in chain(rows1, rows2))]
-    groups = {}
-    for side, rows in enumerate((rows1, rows2)):
-        for row in rows:
-            key = [(type(value), value) for value in row]
-            numbers = []
-            for i in real_at:
-                if _is_number(row[i]):
-                    key[i] = "real"
-                    numbers.append(row[i])
-            groups.setdefault(tuple(key), ([], []))[side].append(
-                tuple(numbers))
-    return all(_pair_off(left, right) for left, right in groups.values())
+def _row_keys(rows, real):
+    """(key, numbers) of each row: its `canon_row` key with every number
+    in a real column (`real[i]`) masked, and the masked numbers."""
+    for row in rows:
+        numbers = []
+        key = tuple([canon_masked(value, numbers) if masked else canon(value)
+                     for value, masked in zip(row, real)])
+        yield key, tuple(numbers)
 
 
 def _pair_off(left, right):
@@ -162,13 +144,16 @@ def _pair_off(left, right):
     supply, demand = Counter(left), Counter(right)
     targets = sorted(demand)
     firsts = [t[0] for t in targets]
-    close = {}
+    near = {}
     for v in supply:
         # close values lie within this window of the first number
-        reach = max(REAL_ABS_TOL, 2 * REAL_REL_TOL * abs(v[0]))
+        try:
+            reach = max(REAL_ABS_TOL, 2 * REAL_REL_TOL * abs(v[0]))
+        except OverflowError:  # an int beyond float range: only itself
+            reach = 0
         window = targets[bisect_left(firsts, v[0] - reach):
                          bisect_right(firsts, v[0] + reach)]
-        close[v] = [t for t in window if _rows_equal(v, t)]
+        near[v] = [t for t in window if all(map(close, v, t))]
     sent = {t: Counter() for t in targets}  # target -> units per source
     for start in supply.elements():
         # breadth-first search for a target with demand left, passing
@@ -179,7 +164,7 @@ def _pair_off(left, right):
         end = None
         while queue and end is None:
             source = queue.popleft()
-            for t in close[source]:
+            for t in near[source]:
                 if t in target_via:
                     continue
                 target_via[t] = source

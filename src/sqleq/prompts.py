@@ -19,7 +19,6 @@ from .schema import SchemaDef, serialize_schema
 
 EQUIVALENT_TEXT = "Equivalent"
 NON_EQUIVALENT_TEXT = "Non Equivalent"
-UNKNOWN_TEXT = "Unknown"
 
 _FALLBACK_EXPLANATIONS = {
     "EQ": "Both queries produce the same result on every instance of the "

@@ -54,27 +54,30 @@ class _Handler(BaseHTTPRequestHandler):
                 state.requests.append(payload)
                 state.auth_headers.append(self.headers.get("Authorization"))
             action = state.next_action()
-            if action == "ok":
-                body = json.dumps({
-                    "choices": [{"message": {"content": "Equivalent"}}],
-                    "usage": {"total_tokens": 7},
-                }).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            elif action == "garbage":
-                body = b"not json at all"
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            else:
-                self.send_error(int(action))
         finally:
+            # lowered before the response goes out, so that the server's
+            # window nests inside the client's: a client that has read the
+            # response may start its next request at once
             with state.lock:
                 state.active -= 1
+        if action == "ok":
+            body = json.dumps({
+                "choices": [{"message": {"content": "Equivalent"}}],
+                "usage": {"total_tokens": 7},
+            }).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        elif action == "garbage":
+            body = b"not json at all"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        else:
+            self.send_error(int(action))
 
     def log_message(self, *args):
         pass

@@ -1,7 +1,9 @@
+import itertools
+import math
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import corpusqueries as corpus
 from sqleq.executor import ResultTable, instance_from_dict
@@ -13,6 +15,57 @@ from sqleq.schema import SchemaDef, TableDef
 _REALS = st.one_of(
     st.sampled_from([0.3, 0.1 + 0.2, 1.0, 1.0 + 6e-10, -2.5, 0.0]),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+# cells that look alike: a cell is swapped for any member of its group,
+# equal or not under the documented rule
+_LOOKALIKES = [
+    [0.3, 0.1 + 0.2],
+    [1.0, 1.0 + 6e-10, 1.0 - 6e-10, 1, True],
+    [0, 0.0, False],
+    [2, 2.0],
+    ["x", "y"],
+]
+_CELLS = st.recursive(
+    st.sampled_from([None] + [cell for group in _LOOKALIKES
+                              for cell in group]),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=4)
+
+
+def _same_cell(a, b):
+    """The documented rule, written out: NULL = NULL, TRUE <> 1,
+    1 = 1.0, reals within 1e-9 relative, arrays element-wise."""
+    if a is None or b is None:
+        return a is None and b is None
+    if type(a) is tuple or type(b) is tuple:
+        return type(a) is type(b) and len(a) == len(b) and \
+            all(map(_same_cell, a, b))
+    if type(a) in (bool, str) or type(b) in (bool, str):
+        return type(a) is type(b) and a == b
+    if type(a) is int and type(b) is int:
+        return a == b
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def _same_rows(rows1, rows2, ordered):
+    """Brute force: some permutation of `rows2` (the identity, when
+    ordered) matches `rows1` cell by cell."""
+    if len(rows1) != len(rows2):
+        return False
+    arrangements = [rows2] if ordered else itertools.permutations(rows2)
+    return any(all(_same_cell(a, b)
+                   for row1, row2 in zip(rows1, arranged)
+                   for a, b in zip(row1, row2))
+               for arranged in arrangements)
+
+
+def _lookalike(cell, pick):
+    if type(cell) is tuple:
+        return tuple(_lookalike(c, pick) for c in cell)
+    for group in _LOOKALIKES:
+        if any(type(c) is type(cell) and c == cell for c in group):
+            return pick(group)
+    return cell
 
 
 def table(rows, ncols=None, ordered=False):
@@ -35,6 +88,22 @@ def baseball_instance(schema, batting_rows):
         "people": {"columns": ["playerid", "namefirst", "namelast"],
                    "rows": [["p1", "Alice", "Smith"]]},
     }}, schema)
+
+
+def _squared(times):
+    """`a` squared `times` times, as nested products."""
+    sql = "a"
+    for _ in range(times):
+        sql = f"({sql}) * ({sql})"
+    return sql
+
+
+def _big_instance():
+    # a squared five times is past float range, ten times past the
+    # interpreter's 4300-digit limit on int-to-text conversion
+    schema = SchemaDef(tables=(TableDef("t", ("a", "b")),))
+    return instance_from_dict({"tables": {"t": {
+        "columns": ["a", "b"], "rows": [[10 ** 18, 1.5]]}}}, schema)
 
 
 class TestCompareResults:
@@ -84,6 +153,14 @@ class TestCompareResults:
         # ResultTable carries no names at all: comparison is positional
         assert compare_results(table([(1, "a")]), table([(1, "a")])).identical
 
+    def test_int_beyond_float_range_matches_only_itself(self):
+        huge = 10 ** 400
+        r1 = table([(huge,), (0.3,)])
+        assert compare_results(r1, table([(0.1 + 0.2,), (huge,)])).identical
+        assert not compare_results(r1, table([(0.3,), (1e308,)])).identical
+        assert not compare_results(table([(huge,)], ordered=True),
+                                   table([(1.5,)], ordered=True)).identical
+
     def test_reals_match_across_exact_columns(self):
         # sorting first would pair 0.1 + 0.2 with 0.3 under different
         # text values; each text value must find its own close real
@@ -114,6 +191,22 @@ class TestCompareResults:
         r2 = table(rows2, ncols=2)
         assert compare_results(r1, r2).identical == \
             compare_results(r2, r1).identical
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.data())
+    def test_matches_brute_force_reference(self, width, ordered, data):
+        rows = st.lists(st.tuples(*[_CELLS] * width), max_size=5)
+        rows1 = data.draw(rows)
+        if data.draw(st.booleans()):
+            rows2 = data.draw(rows)
+        else:
+            # a permuted copy with cells swapped for look-alikes
+            rows2 = [tuple(_lookalike(cell, lambda group: data.draw(
+                st.sampled_from(group))) for cell in row)
+                for row in data.draw(st.permutations(rows1))]
+        outcome = compare_results(table(rows1, width, ordered),
+                                  table(rows2, width, ordered))
+        assert outcome.identical == _same_rows(rows1, rows2, ordered)
 
 
 class TestOracleCheck:
@@ -208,6 +301,36 @@ class TestOracleCheck:
         assert outcome.status == "inconclusive", outcome
         assert outcome.errors[0].startswith(
             f"instance 0: RuntimeExecError: {message}"), outcome
+
+    @pytest.mark.parametrize("sql1,sql2,status", [
+        ("SELECT ARRAY[TRUE] FROM t", "SELECT ARRAY[1] FROM t", "refuted"),
+        ("SELECT ARRAY[0.1 + 0.2] FROM t", "SELECT ARRAY[0.3] FROM t",
+         "consistent"),
+        # an int beyond float range is close to no real
+        (f"SELECT {_squared(5)} FROM t", "SELECT b FROM t", "refuted"),
+        (f"SELECT {_squared(5)} FROM t ORDER BY a",
+         "SELECT b FROM t ORDER BY a", "refuted"),
+    ], ids=["bool-array", "real-array", "huge-int", "huge-int-ordered"])
+    def test_results_compare_on_the_executor_values(self, sql1, sql2,
+                                                     status):
+        outcome = oracle_check(sql1, sql2, [_big_instance()])
+        assert outcome.status == status, outcome
+
+    @pytest.mark.parametrize("sql", [
+        f"SELECT CAST({_squared(10)} AS TEXT) FROM t",
+        f"SELECT {_squared(10)} || 'x' FROM t",
+        f"SELECT LPAD({_squared(10)}, 3) FROM t",
+        f"SELECT UPPER({_squared(10)}) FROM t",
+        f"SELECT LENGTH({_squared(10)}) FROM t",
+        f"SELECT CAST({_squared(10)} AS INT) FROM t",
+        f"SELECT CAST({_squared(10)} AS REAL) FROM t",
+    ], ids=["cast-text", "concat", "lpad", "upper", "length", "cast-int",
+            "cast-real"])
+    def test_int_too_long_for_text_is_inconclusive(self, sql):
+        outcome = oracle_check(sql, sql, [_big_instance()])
+        assert outcome.status == "inconclusive", outcome
+        assert outcome.errors == ("instance 0: RuntimeExecError: integer "
+                                  "too long to convert to text",), outcome
 
     def test_parse_failure_inconclusive(self, witness_schema):
         instance = baseball_instance(witness_schema, [["p1", 2000, 2]])
