@@ -21,7 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import datafix  # noqa: E402
 from sqleq.backend import GenConfig, MockBackend, MockRule  # noqa: E402
 from sqleq.bench import load_dataset, run_benchmark, write_report  # noqa: E402
-from sqleq.pipeline import Backends, PipelineConfig  # noqa: E402
+from sqleq.pipeline import PipelineConfig  # noqa: E402
 from sqleq.prompts import select_exemplars  # noqa: E402
 
 
@@ -63,7 +63,7 @@ def main():
                 )
                 report = run_benchmark(
                     dataset, strategy, plans_enabled,
-                    Backends(strategy=scripted_backend()), cfg,
+                    scripted_backend(), cfg,
                     parallelism=8)
                 metrics = report.metrics
                 print(f"{strategy:<12} {str(plans_enabled):<6} "

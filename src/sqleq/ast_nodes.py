@@ -2,9 +2,9 @@
 
 Nodes compare structurally (dataclass equality). Fields that carry
 provenance rather than meaning -- the raw source text of a column
-reference, a statement's unparsed trailing text -- are excluded from
-comparison so that parse/render round-trips stay equal. Nodes carry no
-name bindings: `binder.bind` keeps those outside the tree.
+reference -- are excluded from comparison so that parse/render
+round-trips stay equal. Nodes carry no name bindings: `binder.bind`
+keeps those outside the tree.
 """
 
 from __future__ import annotations
@@ -230,18 +230,17 @@ class SelectStmt:
     ctes: list = field(default_factory=list)
     order_by: list = field(default_factory=list)
     limit: Optional[LimitClause] = None
-    partial: bool = False
-    trailing_text: str = field(default="", compare=False, repr=False)
 
 
 def walk(node):
     """Yield `node` and every AST node reachable from it, depth-first."""
     yield node
-    for child in _children(node):
+    for child in children(node):
         yield from walk(child)
 
 
-def _children(node):
+def children(node):
+    """Yield the AST nodes directly under `node`, in source order."""
     if isinstance(node, SelectStmt):
         for cte in node.ctes:
             yield cte

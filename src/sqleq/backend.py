@@ -42,6 +42,8 @@ class GenConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.parallelism <= 0:
@@ -71,11 +73,6 @@ class HttpBackend:
         self._limiter = threading.Semaphore(parallelism)
         self._sleep = sleeper
         self._rng = jitter_rng or random.Random()
-
-    @classmethod
-    def from_config(cls, endpoint, cfg, api_key=None, **kwargs):
-        return cls(endpoint, api_key=api_key, parallelism=cfg.parallelism,
-                   **kwargs)
 
     def complete(self, bundle, cfg):
         started = time.monotonic()

@@ -207,7 +207,7 @@ class RunReport:
         return {v.pair_id: v.label for v in self.verdicts}
 
 
-def run_benchmark(dataset, strategy, plans_enabled, backends, cfg,
+def run_benchmark(dataset, strategy, plans_enabled, backend, cfg,
                   parallelism=4, unknown_policy="as_neq",
                   score_exact_matches=False, extra_config=None):
     """Check every pair and aggregate metrics plus breakdowns.
@@ -222,18 +222,11 @@ def run_benchmark(dataset, strategy, plans_enabled, backends, cfg,
     pairs = [p for p in dataset.pairs if p.id not in excluded]
 
     started = _now()
-    if parallelism <= 1:
-        verdicts = [
-            check_pair(p, dataset.schema_for(p), strategy, plans_enabled,
-                       backends, cfg)
-            for p in pairs
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            verdicts = list(pool.map(
-                lambda p: check_pair(p, dataset.schema_for(p), strategy,
-                                     plans_enabled, backends, cfg),
-                pairs))
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        verdicts = list(pool.map(
+            lambda p: check_pair(p, dataset.schema_for(p), strategy,
+                                 plans_enabled, backend, cfg),
+            pairs))
     finished = _now()
 
     verdicts.sort(key=lambda v: v.pair_id)
@@ -246,9 +239,8 @@ def run_benchmark(dataset, strategy, plans_enabled, backends, cfg,
         strategy=strategy, plans_enabled=plans_enabled,
         unknown_policy=unknown_policy, verdicts=verdicts, pairs=pairs,
         scored_ids=scored_ids, metrics=None, by_difficulty={},
-        by_question={}, config=_config_echo(backends, cfg, parallelism,
-                                            plans_enabled, strategy,
-                                            extra_config),
+        by_question={}, config=_config_echo(backend, cfg, plans_enabled,
+                                            strategy, extra_config),
         started_at=started, finished_at=finished,
     )
     predictions = report.predictions()
@@ -287,8 +279,7 @@ def _axis_order(groups, axis):
     return sorted(groups)
 
 
-def _config_echo(backends, cfg, parallelism, plans_enabled, strategy,
-                 extra_config):
+def _config_echo(backend, cfg, plans_enabled, strategy, extra_config):
     def gen_dict(gen):
         if gen is None:
             return None
@@ -301,7 +292,6 @@ def _config_echo(backends, cfg, parallelism, plans_enabled, strategy,
             "parallelism": gen.parallelism,
         }
 
-    del parallelism  # fan-out bound; kept out so report bytes don't vary
     echo = {
         "strategy": strategy,
         "plans": plans_enabled,
@@ -309,8 +299,8 @@ def _config_echo(backends, cfg, parallelism, plans_enabled, strategy,
         "fail_soft": cfg.fail_soft,
         "strategy_gen": gen_dict(cfg.strategy_cfg),
         "classifier_gen": gen_dict(cfg.classifier_config()),
-        "backend": type(backends.strategy).__name__,
-        "classifier_backend": type(backends.classifier_backend()).__name__,
+        "backend": type(backend).__name__,
+        "classifier_backend": type(backend).__name__,
     }
     if cfg.exemplars is not None:
         echo["exemplar_excluded_ids"] = sorted(cfg.exemplars.excluded_ids)

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 
 from .ast_nodes import (
     ColumnRef, DerivedTable, Exists, FuncCall, InSubquery, Join, Literal,
-    SelectItem, SelectStmt, SetOp, Star, Subquery, TableRef,
-    _children as ast_children,
+    SelectItem, SelectStmt, SetOp, Star, Subquery, TableRef, children,
 )
 from .errors import AmbiguousColumn, PlanError, UnresolvedName
 
@@ -80,7 +79,7 @@ def aggregate_calls(expr):
         if isinstance(node, FuncCall) and node.is_aggregate:
             calls.append(node)
             continue
-        stack.extend(ast_children(node))
+        stack.extend(children(node))
     return calls
 
 
@@ -262,7 +261,7 @@ class _Binder:
                 if isinstance(node, InSubquery):
                     stack.append(node.operand)
             else:
-                stack.extend(ast_children(node))
+                stack.extend(children(node))
 
     def order_keys(self, stmt, names, scope, ctes):
         lowered = [name.lower() for name in names]

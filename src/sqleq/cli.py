@@ -26,7 +26,7 @@ from .features import extract_features
 from .oracle import OracleOutcome, oracle_check
 from .parser import parse_sql
 from .pipeline import (
-    Backends, LABEL_EQUIVALENT, LABEL_NON_EQUIVALENT, ONE_PROMPT_STRATEGIES,
+    LABEL_EQUIVALENT, LABEL_NON_EQUIVALENT, ONE_PROMPT_STRATEGIES,
     PipelineConfig, STRATEGIES, check_pair, verdict_to_dict,
 )
 from .plan import pair_plans, plan_or_placeholder
@@ -235,29 +235,31 @@ def _load_config(path):
     return config
 
 
-def _make_backends(conf):
+def _make_backend(conf):
     if conf["backend"] == "mock":
         if conf["mock_script"]:
-            backend = _read_file(
+            return _read_file(
                 conf["mock_script"], "mock script",
                 lambda path: MockBackend.from_file(
                     path, default=conf["mock_default"]))
-        else:
-            backend = MockBackend(default=conf["mock_default"])
-        return Backends(strategy=backend)
+        return MockBackend(default=conf["mock_default"])
     if not conf["endpoint"]:
         raise UsageError("http backend requires --endpoint (or config)")
     gen = _gen_config(conf, conf["model"])
-    backend = HttpBackend.from_config(conf["endpoint"], gen,
-                                      api_key=conf["api_key"])
-    return Backends(strategy=backend)
+    return HttpBackend(conf["endpoint"], api_key=conf["api_key"],
+                       parallelism=gen.parallelism)
 
 
 def _gen_config(conf, model):
-    return GenConfig(model=model, temperature=conf["temperature"],
-                     max_output_tokens=conf["max_tokens"],
-                     timeout=conf["timeout"], max_retries=conf["retries"],
-                     parallelism=conf["parallelism"])
+    """Generation settings; an out-of-range value is a usage error."""
+    try:
+        return GenConfig(model=model, temperature=conf["temperature"],
+                         max_output_tokens=conf["max_tokens"],
+                         timeout=conf["timeout"],
+                         max_retries=conf["retries"],
+                         parallelism=conf["parallelism"])
+    except ValueError as exc:
+        raise UsageError(f"bad setting: {exc}") from exc
 
 
 def _pipeline_config(conf, dataset=None):
@@ -312,14 +314,14 @@ def _ad_hoc_pair(args):
 def cmd_check(args):
     conf = resolve_config(args)
     schema = _read_file(args.schema, "schema", load_schema)
-    backends = _make_backends(conf)
+    backend = _make_backend(conf)
     cfg = _pipeline_config(conf)
     if args.strategy == "fewshot" and cfg.exemplars is None:
         raise UsageError("fewshot strategy needs --exemplars-file")
     cfg.fail_soft = False
     pair = _ad_hoc_pair(args)
     verdict = check_pair(pair, schema, args.strategy, args.with_plans,
-                         backends, cfg)
+                         backend, cfg)
     print(json.dumps(verdict_to_dict(verdict), sort_keys=True))
     if verdict.label == LABEL_EQUIVALENT:
         return EXIT_EQUIVALENT
@@ -331,14 +333,14 @@ def cmd_check(args):
 def cmd_bench(args):
     conf = resolve_config(args)
     dataset = _read_dataset(args)
-    backends = _make_backends(conf)
+    backend = _make_backend(conf)
     cfg = _pipeline_config(
         conf, dataset=dataset if args.strategy == "fewshot" else None)
     if args.strategy == "fewshot" and cfg.exemplars is None:
         raise UsageError("fewshot strategy needs exemplars "
                          "(--exemplars-file or enough labeled pairs)")
     report = run_benchmark(
-        dataset, args.strategy, args.with_plans, backends, cfg,
+        dataset, args.strategy, args.with_plans, backend, cfg,
         parallelism=conf["parallelism"],
         unknown_policy=conf["unknown_policy"],
         score_exact_matches=args.score_exact_matches,
@@ -366,7 +368,7 @@ def cmd_plan(args):
 
 
 def cmd_features(args):
-    profile = extract_features(parse_sql(args.sql, mode="strict"))
+    profile = extract_features(parse_sql(args.sql))
     print(json.dumps(profile.as_dict(), sort_keys=True))
     return 0
 

@@ -27,11 +27,7 @@ class SqlSyntaxError(SqleqError):
 
 
 class UnsupportedConstruct(SqleqError):
-    """Strict-mode parse hit a construct outside the dialect subset."""
-
-
-class PartialAst(SqleqError):
-    """Operation requires a complete AST but the lenient parser left gaps."""
+    """Parse hit a construct outside the dialect subset."""
 
 
 # --- schema / instances ---

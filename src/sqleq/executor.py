@@ -179,8 +179,6 @@ def execute(ast, instance):
     PlanError (UnresolvedName, AmbiguousColumn, duplicate alias) when a
     name does not bind, and RuntimeExecError for runtime violations.
     """
-    if ast.partial:
-        raise RuntimeExecError("cannot execute a partial statement")
     for node in walk(ast):
         if isinstance(node, Cte) and node.recursive:
             raise UnsupportedFeature("recursive CTE")
@@ -1069,9 +1067,13 @@ def _lpad(args):
     fill = _text(args[2]) if len(args) > 2 else " "
     if not isinstance(width, int) or isinstance(width, bool) or width < 0:
         raise RuntimeExecError("LPAD width must be a non-negative integer")
-    if len(text) >= width:
+    if len(text) >= width or not fill:
         return text[:width]
-    pad = (fill * width)[: width - len(text)]
+    need = width - len(text)
+    try:
+        pad = (fill * (need // len(fill) + 1))[:need]
+    except (OverflowError, MemoryError) as exc:
+        raise RuntimeExecError("LPAD width is too large") from exc
     return pad + text
 
 
@@ -1174,7 +1176,7 @@ def _build_cast(expr, env):
 
 
 def _to_int(value):
-    if isinstance(value, (bool, float)):
+    if isinstance(value, (int, float)):
         return int(value)
     return int(str(value).strip())
 

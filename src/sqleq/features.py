@@ -11,10 +11,8 @@ from dataclasses import dataclass, fields
 
 from .ast_nodes import (
     Case, Cte, DerivedTable, Exists, FuncCall, InSubquery, Join, LimitClause,
-    OrderItem, SelectCore, SelectStmt, SetOp, Subquery, walk,
-    _children as ast_children,
+    OrderItem, SelectCore, SelectStmt, SetOp, Subquery, children, walk,
 )
-from .errors import PartialAst
 
 
 @dataclass
@@ -37,8 +35,6 @@ class FeatureProfile:
 
 
 def extract_features(ast):
-    if ast.partial:
-        raise PartialAst("cannot profile a partial AST")
     profile = FeatureProfile(nesting_depth=_depth(ast))
     for node in walk(ast):
         if isinstance(node, Join):
@@ -101,5 +97,5 @@ def _immediate_statements(stmt):
             deeper.append(node.query)
             stack.append(node.operand)
         else:
-            stack.extend(ast_children(node))
+            stack.extend(children(node))
     return deeper, same_level

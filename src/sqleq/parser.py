@@ -3,11 +3,8 @@
 Covers: CTEs (with a recursive flag), joins, set operations, subqueries
 (scalar, IN, EXISTS, derived tables), CASE, casts (both spellings),
 aggregate and scalar function calls, LIKE/BETWEEN/IN predicates, and
-window calls parsed as opaque function calls.
-
-`mode="strict"` requires the whole input to parse; `mode="lenient"`
-stashes unrecognized trailing clauses into `stmt.trailing_text` and marks
-the statement partial.
+window calls parsed as opaque function calls. The whole input must
+parse.
 
 Nesting is capped at MAX_DEPTH so that every recursive pass over a tree
 (render, bind, execute, `walk`, features) stays well inside Python's
@@ -21,7 +18,7 @@ from .ast_nodes import (
     ArrayLit, Between, Binary, Case, Cast, ColumnRef, Cte, DerivedTable,
     Exists, FuncCall, InList, InSubquery, IsNull, Join, Like, LimitClause,
     Literal, OrderItem, Quantified, SelectCore, SelectItem, SelectStmt,
-    SetOp, Star, Subquery, TableRef, Unary, _children,
+    SetOp, Star, Subquery, TableRef, Unary, children,
 )
 from .errors import SqlSyntaxError, UnsupportedConstruct
 from .lexer import tokenize
@@ -30,29 +27,16 @@ MAX_DEPTH = 64
 _TOO_DEEP = f"query nested deeper than {MAX_DEPTH} levels"
 
 
-def parse_sql(text, mode="strict"):
+def parse_sql(text):
     """Parse one SELECT statement. Returns a SelectStmt.
 
     Raises SqlSyntaxError (with byte offset and an expected-token hint) on
-    malformed input, and UnsupportedConstruct in strict mode for
-    recognized-but-unsupported syntax.
+    malformed input, and UnsupportedConstruct for recognized-but-unsupported
+    syntax.
     """
     if not text or not text.strip():
         raise SqlSyntaxError("empty query text", 0, "SELECT")
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"unknown parse mode {mode!r}")
-    lenient = mode == "lenient"
-    lex_cut = None
-    try:
-        tokens = tokenize(text)
-    except SqlSyntaxError as exc:
-        if not lenient:
-            raise
-        # salvage the tokenizable prefix; the rest becomes opaque trailing
-        tokens = tokenize(text[:exc.offset])
-        lex_cut = exc.offset
-    parser = _Parser(text, tokens, lenient=lenient, lex_cut=lex_cut)
-    stmt = parser.parse_statement()
+    stmt = _Parser(text, tokenize(text)).parse_statement()
     if _height(stmt) > MAX_DEPTH:
         raise SqlSyntaxError(_TOO_DEEP, 0)
     return stmt
@@ -65,18 +49,16 @@ def _height(root):
     while stack:
         node, level = stack.pop()
         height = max(height, level)
-        stack.extend((child, level + 1) for child in _children(node))
+        stack.extend((child, level + 1) for child in children(node))
     return height
 
 
 class _Parser:
-    def __init__(self, text, tokens, lenient=False, lex_cut=None):
+    def __init__(self, text, tokens):
         self.text = text
         self.tokens = tokens
         self.pos = 0
-        self.lenient = lenient
-        self.lex_cut = lex_cut  # offset where lenient lexing gave up
-        self.depth = 0          # nesting of the sub-parse in progress
+        self.depth = 0  # nesting of the sub-parse in progress
 
     # --- token helpers ---
 
@@ -141,16 +123,8 @@ class _Parser:
     def parse_statement(self):
         stmt = self.parse_select_stmt()
         self.accept_op(";")
-        tok = self.peek()
-        if tok.kind != "EOF":
-            if self.lenient:
-                stmt.partial = True
-                stmt.trailing_text = self.text[tok.offset:].strip()
-            else:
-                self.error("end of statement")
-        elif self.lex_cut is not None:
-            stmt.partial = True
-            stmt.trailing_text = self.text[self.lex_cut:].strip()
+        if self.peek().kind != "EOF":
+            self.error("end of statement")
         return stmt
 
     def parse_select_stmt(self):

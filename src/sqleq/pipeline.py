@@ -2,10 +2,10 @@
 
 Exact-match pairs short-circuit to Equivalent with zero backend calls
 (disable via PipelineConfig.shortcut). Otherwise the strategy prompt(s)
-run on the strategy backend -- multistage explains each query before
-deciding -- and the final output is pruned and routed through the
-classifying prompt on the classifier backend, whose text yields the
-three-way label.
+run with the strategy settings -- multistage explains each query before
+deciding -- and the final output is pruned and sent to the same backend
+in the classifying prompt, with the classifier settings; its text yields
+the three-way label.
 """
 
 import re
@@ -28,17 +28,6 @@ STRATEGIES = ("basic", "cot", "fewshot", "multistage")
 ONE_PROMPT_STRATEGIES = tuple(s for s in STRATEGIES if s != "multistage")
 
 _NON_EQUIVALENT_RE = re.compile(r"non[\s_-]*equivalent")
-
-
-@dataclass
-class Backends:
-    """Strategy backend plus an optional distinct classifier backend."""
-    strategy: object
-    classifier: object = None
-
-    def classifier_backend(self):
-        return self.classifier if self.classifier is not None \
-            else self.strategy
 
 
 @dataclass
@@ -82,7 +71,7 @@ def verdict_to_dict(verdict):
     }
 
 
-def check_pair(pair, schema, strategy, plans_enabled, backends, cfg):
+def check_pair(pair, schema, strategy, plans_enabled, backend, cfg):
     """Run one pair through a strategy and classify the outcome."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -98,7 +87,7 @@ def check_pair(pair, schema, strategy, plans_enabled, backends, cfg):
 
     try:
         return _run_strategy(pair, schema, strategy, plans, plans_enabled,
-                             backends, cfg)
+                             backend, cfg)
     except (BackendError, EmptyExplanation) as exc:
         # fail-soft never swallows credential problems: the whole run is doomed
         if cfg.fail_soft and not isinstance(exc, AuthError):
@@ -108,25 +97,23 @@ def check_pair(pair, schema, strategy, plans_enabled, backends, cfg):
         raise
 
 
-def _run_strategy(pair, schema, strategy, plans, plans_enabled, backends, cfg):
+def _run_strategy(pair, schema, strategy, plans, plans_enabled, backend, cfg):
     completions = []
-    classify_stage = 2
 
     if strategy == "multistage":
-        explain1 = backends.strategy.complete(
+        explain1 = backend.complete(
             build_explain(1, pair, schema, plans), cfg.strategy_cfg)
-        explain2 = backends.strategy.complete(
+        explain2 = backend.complete(
             build_explain(2, pair, schema, plans), cfg.strategy_cfg)
         completions.extend([explain1, explain2])
-        decide = backends.strategy.complete(
+        decide = backend.complete(
             build_decide(pair, schema, plans,
                          expl1=explain1.text, expl2=explain2.text),
             cfg.strategy_cfg)
         completions.append(decide)
         raw = decide.text
-        classify_stage = 3
     else:
-        completion = backends.strategy.complete(
+        completion = backend.complete(
             build_strategy(strategy, pair, schema, plans, cfg.exemplars),
             cfg.strategy_cfg)
         completions.append(completion)
@@ -140,10 +127,8 @@ def _run_strategy(pair, schema, strategy, plans, plans_enabled, backends, cfg):
                        completions=completions,
                        error="empty strategy output")
 
-    classifier = backends.classifier_backend()
-    classified = classifier.complete(
-        build_classify(pruned, stage=classify_stage,
-                       meta={"pair_id": pair_id}),
+    classified = backend.complete(
+        build_classify(pruned, meta={"pair_id": pair_id}),
         cfg.classifier_config())
     completions.append(classified)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from .ast_nodes import DerivedTable, Literal, SelectStmt, SetOp, TableRef
 from .binder import aggregate_calls, bind
-from .errors import PlanError
 from .parser import parse_sql
 from .render import render_expression
 
@@ -41,8 +40,6 @@ def build_plan(ast, schema):
     Names resolve through `binder.bind`; star projections render as
     their expansion against the resolved scope.
     """
-    if ast.partial:
-        raise PlanError("cannot plan a partial statement")
     return _plan_statement(ast, bind(ast, schema))
 
 
@@ -61,7 +58,7 @@ def render_plan(plan):
 def plan_or_placeholder(text, schema):
     """Plan text for a query, or the fixed placeholder on any failure."""
     try:
-        return render_plan(build_plan(parse_sql(text, mode="strict"), schema))
+        return render_plan(build_plan(parse_sql(text), schema))
     except Exception:
         return PLAN_ERROR_PLACEHOLDER
 

@@ -32,7 +32,6 @@ _FALLBACK_EXPLANATIONS = {
 class PromptBundle:
     strategy: str   # basic | cot | fewshot | multistage-explain |
                     # multistage-decide | classify
-    stage: int
     body: str
     meta: dict = field(default_factory=dict)
 
@@ -74,15 +73,14 @@ def exemplar_set_from_file(path):
     return ExemplarSet(exemplars=exemplars)
 
 
-def select_exemplars(dataset, seed, explanations=None):
+def select_exemplars(dataset, seed):
     """Sample a fixed 2 EQ + 2 NEQ exemplar set from a dataset.
 
     Deterministic for a given (dataset, seed). Sampled pairs are recorded
     in `excluded_ids` so the caller drops them from the scored split.
-    Explanations come from `explanations[pair_id]` when provided, else a
-    fixed per-label text.
+    Explanations come from each pair's own `explanation`, else a fixed
+    per-label text.
     """
-    explanations = explanations or {}
     scored = [p for p in dataset.pairs if not p.exact and p.label]
     eq_pool = sorted((p for p in scored if p.label == "EQ"), key=lambda p: p.id)
     neq_pool = sorted((p for p in scored if p.label == "NEQ"),
@@ -96,8 +94,7 @@ def select_exemplars(dataset, seed, explanations=None):
     exemplars = []
     for pair in picked:
         schema = dataset.schemas[pair.schema_name]
-        explanation = explanations.get(pair.id) or \
-            getattr(pair, "explanation", None) or \
+        explanation = getattr(pair, "explanation", None) or \
             _FALLBACK_EXPLANATIONS[pair.label]
         exemplars.append(Exemplar(
             schema_text=serialize_schema(schema), sql1=pair.sql1,
@@ -146,7 +143,7 @@ def build_fewshot(pair, schema, plans=None, exemplars=None):
         "SCHEMA": _schema_text(schema),
         "SQL_BLOCK": _sql_block(pair, plans),
     })
-    return PromptBundle("fewshot", 1, body, meta=_meta(pair))
+    return PromptBundle("fewshot", body, meta=_meta(pair))
 
 
 def build_explain(slot, pair, schema, plans=None):
@@ -166,7 +163,7 @@ def build_explain(slot, pair, schema, plans=None):
         "SCHEMA": _schema_text(schema),
         "SQL_BLOCK": block,
     })
-    return PromptBundle("multistage-explain", 1, body,
+    return PromptBundle("multistage-explain", body,
                         meta=_meta(pair, slot=slot))
 
 
@@ -180,15 +177,15 @@ def build_decide(pair, schema, plans=None, expl1="", expl2=""):
         "EXPLANATION_1": expl1,
         "EXPLANATION_2": expl2,
     })
-    return PromptBundle("multistage-decide", 2, body, meta=_meta(pair))
+    return PromptBundle("multistage-decide", body, meta=_meta(pair))
 
 
-def build_classify(raw, stage=2, meta=None):
+def build_classify(raw, meta=None):
     """Wrap strategy output in the three-way classification prompt."""
     if not raw:
         raise ValueError("classifier input must be non-empty")
     body = _fill(_template("classify"), {"TEXT": raw})
-    return PromptBundle("classify", stage, body, meta=dict(meta or {}))
+    return PromptBundle("classify", body, meta=dict(meta or {}))
 
 
 # --- internals ---
@@ -198,7 +195,7 @@ def _build_plain(strategy, pair, schema, plans):
         "SCHEMA": _schema_text(schema),
         "SQL_BLOCK": _sql_block(pair, plans),
     })
-    return PromptBundle(strategy, 1, body, meta=_meta(pair))
+    return PromptBundle(strategy, body, meta=_meta(pair))
 
 
 @functools.cache

@@ -28,7 +28,7 @@ from sqleq.cli import main
 from sqleq.executor import execute, instance_from_dict
 from sqleq.oracle import oracle_check
 from sqleq.parser import parse_sql
-from sqleq.pipeline import Backends, PipelineConfig
+from sqleq.pipeline import PipelineConfig
 from sqleq.plan import PLAN_ERROR_PLACEHOLDER, plan_or_placeholder
 from sqleq.prompts import (
     build_basic, build_classify, build_cot, build_decide, build_explain,
@@ -186,7 +186,7 @@ def test_criterion_4_shortcut_and_denominators(tmp_path):
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"),
                              fail_soft=True)
         report = run_benchmark(dataset, "basic", False,
-                               Backends(strategy=mock), cfg, parallelism=8)
+                               mock, cfg, parallelism=8)
 
         assert report.metrics.eq_total == 385
         assert report.metrics.neq_total == 189
@@ -249,7 +249,7 @@ def test_criterion_5_pipeline_determinism(tmp_path):
             cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"),
                                  fail_soft=True)
             report = run_benchmark(dataset, "multistage", False,
-                                   Backends(strategy=mock), cfg,
+                                   mock, cfg,
                                    parallelism=parallelism)
             emitted.append(_strip_timestamps(emit_report(report, "json")))
             call_counts.append(mock.call_count)
@@ -305,7 +305,7 @@ def test_criterion_7_executor_property_suite():
             rng = random.Random(seed)
             instance_dict, query, sql = queryfam.random_case(rng)
             instance = instance_from_dict(instance_dict, schema)
-            result = execute(parse_sql(sql, mode="strict"), instance)
+            result = execute(parse_sql(sql), instance)
             expected_rows, expected_ordered, expected_cols = \
                 queryfam.reference_eval(query, instance_dict)
             assert result.column_count == expected_cols, sql
@@ -337,7 +337,7 @@ def test_criterion_8_coverage_report(tmp_path):
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"),
                              fail_soft=True)
         report = run_benchmark(dataset, "basic", False,
-                               Backends(strategy=mock), cfg, parallelism=8)
+                               mock, cfg, parallelism=8)
 
         predictions = report.predictions()
         correct_flags = {}

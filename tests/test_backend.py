@@ -16,7 +16,7 @@ from sqleq.prompts import PromptBundle
 
 
 def bundle(body="prompt body", strategy="basic", pair_id="p1"):
-    return PromptBundle(strategy=strategy, stage=1, body=body,
+    return PromptBundle(strategy=strategy, body=body,
                         meta={"pair_id": pair_id})
 
 
@@ -205,7 +205,7 @@ class TestBenchIntegration:
         import json as _json
 
         from sqleq.bench import load_dataset, run_benchmark
-        from sqleq.pipeline import Backends, PipelineConfig
+        from sqleq.pipeline import PipelineConfig
 
         url, state = fake_server(handler_delay=0.02)
         records = [
@@ -225,7 +225,7 @@ class TestBenchIntegration:
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"),
                              fail_soft=True)
         report = run_benchmark(dataset, "basic", False,
-                               Backends(strategy=backend), cfg,
+                               backend, cfg,
                                parallelism=16)
         assert len(state.requests) == 24  # 12 pairs x (strategy + classify)
         assert state.max_active <= 4
@@ -237,7 +237,7 @@ class TestBenchIntegration:
         import json as _json
 
         from sqleq.bench import load_dataset, run_benchmark
-        from sqleq.pipeline import Backends, PipelineConfig
+        from sqleq.pipeline import PipelineConfig
 
         url, _state = fake_server(script=[401] * 20)
         data = tmp_path / "pairs.jsonl"
@@ -253,7 +253,7 @@ class TestBenchIntegration:
                              fail_soft=True)
         with pytest.raises(AuthError):
             run_benchmark(dataset, "basic", False,
-                          Backends(strategy=backend), cfg, parallelism=2)
+                          backend, cfg, parallelism=2)
 
 
 class TestGenConfig:
@@ -266,6 +266,7 @@ class TestGenConfig:
     @pytest.mark.parametrize("kwargs", [
         {"temperature": -0.1},
         {"max_output_tokens": 0},
+        {"timeout": 0},
         {"max_retries": -1},
         {"parallelism": 0},
     ])

@@ -12,7 +12,7 @@ from sqleq.bench import (
     coverage_compare, emit_report, load_dataset, run_benchmark, write_report,
 )
 from sqleq.errors import DatasetParseError, DuplicateId, MissingSchema
-from sqleq.pipeline import Backends, PipelineConfig
+from sqleq.pipeline import PipelineConfig
 
 
 def dataset_paths(tmp_path, records, schemas=None):
@@ -179,7 +179,7 @@ class TestRunAndReports:
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="mock-model"),
                              fail_soft=True)
         report = run_benchmark(dataset, "basic", False,
-                               Backends(strategy=mock), cfg,
+                               mock, cfg,
                                parallelism=parallelism)
         return report, mock
 
@@ -221,7 +221,7 @@ class TestRunAndReports:
         dataset = load_dataset(data, schemas)
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"))
         report = run_benchmark(dataset, "basic", False,
-                               Backends(strategy=MockBackend()), cfg,
+                               MockBackend(), cfg,
                                parallelism=1)
         assert list(breakdown(report, "difficulty")) == ["Hard"]
 
@@ -290,7 +290,7 @@ class TestRunAndReports:
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"),
                              exemplars=exemplars)
         report = run_benchmark(dataset, "fewshot", False,
-                               Backends(strategy=MockBackend()), cfg,
+                               MockBackend(), cfg,
                                parallelism=1)
         excluded = set(exemplars.excluded_ids)
         assert len(excluded) == 4
@@ -318,7 +318,7 @@ class TestCoverage:
                  for r in records]
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"))
         report = run_benchmark(dataset, "basic", False,
-                               Backends(strategy=MockBackend(rules=rules)),
+                               MockBackend(rules=rules),
                                cfg, parallelism=1)
         assert report.metrics.eq_accuracy == 1.0
         assert report.metrics.neq_accuracy == 1.0

@@ -345,8 +345,9 @@ class TestMalformedFiles:
 
 
 class TestBadSettingsAndRecords:
-    """A config setting of the wrong type and a dataset or exemplar file
-    that breaks the toolkit's rules are usage errors (exit 64)."""
+    """A setting of the wrong type or out of range and a dataset or
+    exemplar file that breaks the toolkit's rules are usage errors
+    (exit 64)."""
 
     def dataset_args(self, tmp_path, records):
         data = write_jsonl(tmp_path / "pairs.jsonl", records)
@@ -385,6 +386,31 @@ class TestBadSettingsAndRecords:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed config file {config}: "
                               f"setting {setting!r} must be "), err
+
+    def test_zero_parallelism_flag_in_bench(self, tmp_path, capsys):
+        _, args = self.dataset_args(tmp_path,
+                                    datafix.question_records()[:2])
+        assert main([*args, "--parallelism", "0"]) == 64
+        err = capsys.readouterr().err
+        assert err.strip() == \
+            "error: bad setting: parallelism must be positive"
+
+    @pytest.mark.parametrize("setting,value,message", [
+        ("parallelism", 0, "parallelism must be positive"),
+        ("temperature", -1, "temperature must be >= 0"),
+        ("max_tokens", 0, "max_output_tokens must be positive"),
+        ("timeout", -1, "timeout must be positive"),
+        ("retries", -1, "max_retries must be >= 0"),
+    ])
+    def test_out_of_range_setting(self, tmp_path, schema_file, capsys,
+                                  setting, value, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({setting: value}))
+        code = main(["--config", str(config), "check", *GOLDEN_PAIR_ARGS,
+                     "--schema", schema_file])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: bad setting: {message}"
 
     def test_well_typed_settings_pass(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -480,6 +480,12 @@ class TestScalarExpressions:
         rows = run("SELECT lpad(x::text, 3, '0') FROM t WHERE x = 2", inst).rows
         assert rows == [("002",), ("002",)]
 
+    def test_lpad_fill_longer_than_pad_or_empty(self, nums):
+        _, inst = nums
+        rows = run("SELECT lpad('a', 4, 'xy'), lpad('a', 4, '') FROM t "
+                   "WHERE x = 1", inst).rows
+        assert rows == [("xyxa", "a")]
+
     def test_like(self, nums):
         _, inst = nums
         rows = run("SELECT y FROM t WHERE y LIKE '_'", inst).rows

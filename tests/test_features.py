@@ -1,7 +1,6 @@
 import pytest
 
 import corpusqueries as corpus
-from sqleq.errors import PartialAst
 from sqleq.features import extract_features
 from sqleq.parser import parse_sql
 
@@ -54,11 +53,6 @@ class TestCounts:
         p = profile("SELECT row_number() OVER (ORDER BY a) FROM t")
         assert p.aggregate_calls == 0
         assert p.scalar_function_calls == 1
-
-    def test_partial_ast_rejected(self):
-        ast = parse_sql("SELECT a FROM t ???", mode="lenient")
-        with pytest.raises(PartialAst):
-            extract_features(ast)
 
 
 class TestInvariance:

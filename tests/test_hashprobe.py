@@ -297,7 +297,7 @@ def test_queryfam_joins_at_200_rows_match_reference():
         if query["jkind"] == "cross":
             continue  # no condition to hash; criterion 7 covers it
         sql = queryfam.to_sql(query)
-        result = execute(parse_sql(sql, mode="strict"),
+        result = execute(parse_sql(sql),
                          instance_from_dict(instance_dict, schema))
         rows, ordered, _cols = queryfam.reference_eval(query, instance_dict)
         if ordered:

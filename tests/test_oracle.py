@@ -310,7 +310,11 @@ class TestOracleCheck:
         (f"SELECT {_squared(5)} FROM t", "SELECT b FROM t", "refuted"),
         (f"SELECT {_squared(5)} FROM t ORDER BY a",
          "SELECT b FROM t ORDER BY a", "refuted"),
-    ], ids=["bool-array", "real-array", "huge-int", "huge-int-ordered"])
+        # an int past the 4300-digit text limit casts to itself
+        (f"SELECT CAST({_squared(10)} AS INT) FROM t",
+         f"SELECT {_squared(10)} FROM t", "consistent"),
+    ], ids=["bool-array", "real-array", "huge-int", "huge-int-ordered",
+            "cast-huge-int"])
     def test_results_compare_on_the_executor_values(self, sql1, sql2,
                                                      status):
         outcome = oracle_check(sql1, sql2, [_big_instance()])
@@ -322,15 +326,22 @@ class TestOracleCheck:
         f"SELECT LPAD({_squared(10)}, 3) FROM t",
         f"SELECT UPPER({_squared(10)}) FROM t",
         f"SELECT LENGTH({_squared(10)}) FROM t",
-        f"SELECT CAST({_squared(10)} AS INT) FROM t",
         f"SELECT CAST({_squared(10)} AS REAL) FROM t",
-    ], ids=["cast-text", "concat", "lpad", "upper", "length", "cast-int",
-            "cast-real"])
+    ], ids=["cast-text", "concat", "lpad", "upper", "length", "cast-real"])
     def test_int_too_long_for_text_is_inconclusive(self, sql):
         outcome = oracle_check(sql, sql, [_big_instance()])
         assert outcome.status == "inconclusive", outcome
         assert outcome.errors == ("instance 0: RuntimeExecError: integer "
                                   "too long to convert to text",), outcome
+
+    @pytest.mark.parametrize("width", ["10000000000000000000", _squared(10)],
+                             ids=["past-index-size", "past-text-limit"])
+    def test_unbuildable_lpad_width_is_inconclusive(self, width):
+        sql = f"SELECT LPAD('a', {width}) FROM t"
+        outcome = oracle_check(sql, sql, [_big_instance()])
+        assert outcome.status == "inconclusive", outcome
+        assert outcome.errors == ("instance 0: RuntimeExecError: LPAD width "
+                                  "is too large",), outcome
 
     def test_parse_failure_inconclusive(self, witness_schema):
         instance = baseball_instance(witness_schema, [["p1", 2000, 2]])

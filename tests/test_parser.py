@@ -54,18 +54,9 @@ class TestBasics:
         with pytest.raises(UnsupportedConstruct):
             parse_sql("SELECT * FROM t NATURAL JOIN s")
 
-    def test_lenient_wraps_trailing(self):
-        ast = parse_sql("SELECT a FROM t GARBAGE !!!", mode="lenient")
-        assert ast.partial
-        assert ast.trailing_text == "!!!"
-
     def test_strict_rejects_trailing(self):
         with pytest.raises(SqlSyntaxError):
             parse_sql("SELECT a FROM t !!!")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            parse_sql("SELECT 1", mode="fast")
 
 
 def _nested_parens(levels):
@@ -166,7 +157,6 @@ class TestDialect:
     def test_corpus_parses_strict(self, sql):
         ast = parse_sql(sql)
         assert isinstance(ast, SelectStmt)
-        assert not ast.partial
 
 
 class TestRoundTrip:

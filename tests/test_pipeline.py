@@ -5,7 +5,7 @@ from conftest import Pair
 from sqleq.backend import Completion, GenConfig, MockBackend, MockRule
 from sqleq.errors import AuthError, BadExemplarSet, TransportError
 from sqleq.pipeline import (
-    Backends, PipelineConfig, check_pair, parse_label, prune_output,
+    PipelineConfig, check_pair, parse_label, prune_output,
     verdict_to_dict,
 )
 from sqleq.prompts import exemplar_set_from_file
@@ -34,7 +34,7 @@ class TestCheckPair:
         mock = scripted()
         verdict = check_pair(Pair("p", "SELECT a FROM t;", "select  A from t"),
                              toy_schema, "basic", False,
-                             Backends(strategy=mock), cfg)
+                             mock, cfg)
         assert verdict.label == "Equivalent"
         assert verdict.shortcut
         assert mock.call_count == 0
@@ -45,7 +45,7 @@ class TestCheckPair:
                              shortcut=False)
         verdict = check_pair(Pair("p", "SELECT a FROM t", "SELECT a FROM t"),
                              toy_schema, "basic", False,
-                             Backends(strategy=mock), cfg)
+                             mock, cfg)
         assert not verdict.shortcut
         assert mock.call_count == 2
 
@@ -59,28 +59,18 @@ class TestCheckPair:
             strategy_cfg=GenConfig(model="m"),
             exemplars=exemplar_set_from_file(FIXTURES / "exemplars.json"))
         check_pair(pair, toy_schema, strategy, False,
-                   Backends(strategy=mock), cfg)
+                   mock, cfg)
         assert mock.call_count == expected_calls
 
     def test_unknown_strategy_rejected(self, toy_schema, pair, cfg):
         with pytest.raises(ValueError):
             check_pair(pair, toy_schema, "zero-shot", False,
-                       Backends(strategy=scripted()), cfg)
+                       scripted(), cfg)
 
     def test_fewshot_requires_exemplars(self, toy_schema, pair, cfg):
         with pytest.raises(BadExemplarSet):
             check_pair(pair, toy_schema, "fewshot", False,
-                       Backends(strategy=scripted()), cfg)
-
-    def test_distinct_classifier_backend(self, toy_schema, pair, cfg):
-        strategy_mock = MockBackend(default="some analysis")
-        classifier_mock = MockBackend(default="Non Equivalent")
-        verdict = check_pair(pair, toy_schema, "basic", False,
-                             Backends(strategy=strategy_mock,
-                                      classifier=classifier_mock), cfg)
-        assert verdict.label == "NonEquivalent"
-        assert strategy_mock.call_count == 1
-        assert classifier_mock.call_count == 1
+                       scripted(), cfg)
 
     def test_multistage_feeds_explanations_forward(self, toy_schema, pair,
                                                    cfg):
@@ -96,12 +86,36 @@ class TestCheckPair:
                 return Completion(text="Non Equivalent")
 
         verdict = check_pair(pair, toy_schema, "multistage", False,
-                             Backends(strategy=Recorder()), cfg)
+                             Recorder(), cfg)
         decide = next(b for b in seen
                       if b.strategy == "multistage-decide")
         assert "explained 1" in decide.body
         assert "explained 2" in decide.body
         assert verdict.label == "NonEquivalent"
+
+    @pytest.mark.parametrize("strategy", ["basic", "cot", "fewshot",
+                                          "multistage"])
+    @pytest.mark.parametrize("classifier_model", ["classifier", None])
+    def test_classify_prompt_gets_classifier_settings(
+            self, toy_schema, pair, strategy, classifier_model):
+        seen = []
+
+        class Recorder:
+            def complete(self, bundle, gen_cfg):
+                seen.append((bundle.strategy, gen_cfg))
+                return Completion(text="Equivalent")
+
+        strategy_cfg = GenConfig(model="strategy")
+        classifier_cfg = classifier_model and GenConfig(model=classifier_model)
+        cfg = PipelineConfig(
+            strategy_cfg=strategy_cfg, classifier_cfg=classifier_cfg,
+            exemplars=exemplar_set_from_file(FIXTURES / "exemplars.json"))
+        check_pair(pair, toy_schema, strategy, False, Recorder(), cfg)
+        *strategy_calls, (last, classify_cfg) = seen
+        assert last == "classify"
+        assert len(strategy_calls) == (3 if strategy == "multistage" else 1)
+        assert all(gen is strategy_cfg for _, gen in strategy_calls)
+        assert classify_cfg is (classifier_cfg or strategy_cfg)
 
     def test_plans_injected_when_enabled(self, toy_schema, pair, cfg):
         seen = []
@@ -112,7 +126,7 @@ class TestCheckPair:
                 return Completion(text="Equivalent")
 
         check_pair(pair, toy_schema, "basic", True,
-                   Backends(strategy=Recorder()), cfg)
+                   Recorder(), cfg)
         assert "LogicalProject(a)" in seen[0].body
         assert "LogicalProject(b)" in seen[0].body
 
@@ -126,7 +140,7 @@ class TestCheckPair:
 
         check_pair(Pair("p", "SELECT a FROM t", "SELECT nope FROM t"),
                    toy_schema, "basic", True,
-                   Backends(strategy=Recorder()), cfg)
+                   Recorder(), cfg)
         assert "ERROR WHILE GENERATING PLAN" in seen[0].body
 
     def test_fail_soft_records_error(self, toy_schema, pair):
@@ -137,7 +151,7 @@ class TestCheckPair:
         cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"),
                              fail_soft=True)
         verdict = check_pair(pair, toy_schema, "basic", False,
-                             Backends(strategy=Failing()), cfg)
+                             Failing(), cfg)
         assert verdict.label == "Unknown"
         assert "TransportError" in verdict.error
 
@@ -150,7 +164,7 @@ class TestCheckPair:
                              fail_soft=True)
         with pytest.raises(AuthError):
             check_pair(pair, toy_schema, "basic", False,
-                       Backends(strategy=Failing()), cfg)
+                       Failing(), cfg)
 
     def test_errors_propagate_without_fail_soft(self, toy_schema, pair, cfg):
         class Failing:
@@ -159,20 +173,19 @@ class TestCheckPair:
 
         with pytest.raises(TransportError):
             check_pair(pair, toy_schema, "basic", False,
-                       Backends(strategy=Failing()), cfg)
+                       Failing(), cfg)
 
     def test_deterministic_and_idempotent_with_mock(self, toy_schema, pair,
                                                     cfg):
         mock = scripted()
-        backends = Backends(strategy=mock)
-        verdicts = [check_pair(pair, toy_schema, "basic", False, backends,
-                               cfg) for _ in range(3)]
+        verdicts = [check_pair(pair, toy_schema, "basic", False, mock, cfg)
+                    for _ in range(3)]
         dicts = [verdict_to_dict(v) for v in verdicts]
         assert dicts[0] == dicts[1] == dicts[2]
 
     def test_verdict_serialization_fields(self, toy_schema, pair, cfg):
         verdict = check_pair(pair, toy_schema, "basic", False,
-                             Backends(strategy=scripted()), cfg)
+                             scripted(), cfg)
         record = verdict_to_dict(verdict)
         assert set(record) == {"pair_id", "strategy", "plans", "label",
                                "shortcut", "raw", "classifier_raw",
