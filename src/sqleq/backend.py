@@ -2,9 +2,13 @@
 
 The HTTP client speaks the common chat-completion JSON shape
 ({model, messages, temperature, max_tokens} in, choices[0].message.content
-out), retries transport failures and throttle responses with exponential
-backoff (base 1s, factor 2, jitter from an injectable RNG), never retries
-authentication failures, and bounds in-flight requests with a semaphore.
+out) and bounds in-flight requests with a semaphore. Network failures,
+5xx responses, 408 (request timeout) and 429 (throttled) are retried
+with exponential backoff (base 1s, factor 2, jitter from an injectable
+RNG). Every other 4xx fails at once: 401/403 as AuthError, the rest as
+TransportError. The HTTP stack (urllib, http.client, ssl) is imported
+when the first client is built, so a process that never builds one,
+such as an oracle or mock run, does not load it.
 
 The mock backend maps script rules to fixed responses and is a pure
 function of the prompt bytes and script: same inputs, same Completion.
@@ -14,8 +18,6 @@ import json
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,6 +70,9 @@ class HttpBackend:
 
     def __init__(self, endpoint, api_key=None, parallelism=4,
                  sleeper=time.sleep, jitter_rng=None):
+        import urllib.error
+        import urllib.request
+        self._urllib = urllib   # with .request and .error loaded
         self.endpoint = endpoint
         self.api_key = api_key
         self._limiter = threading.Semaphore(parallelism)
@@ -113,6 +118,7 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        urllib = self._urllib
         request = urllib.request.Request(self.endpoint, data=payload,
                                          headers=headers, method="POST")
         with self._limiter:
@@ -121,14 +127,18 @@ class HttpBackend:
                                             timeout=cfg.timeout) as response:
                     body = response.read()
             except urllib.error.HTTPError as exc:
+                exc.close()   # the error response holds the socket
                 if exc.code in (401, 403):
                     raise AuthError(
                         f"endpoint rejected credentials (HTTP {exc.code})"
                     ) from exc
                 if exc.code == 429:
                     raise _Throttled(f"HTTP {exc.code}") from exc
+                if 400 <= exc.code < 500 and exc.code != 408:
+                    # the request itself is wrong: resending cannot help
+                    raise TransportError(f"HTTP {exc.code}") from exc
                 raise _Transport(f"HTTP {exc.code}") from exc
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            except OSError as exc:   # URLError and timeouts included
                 raise _Transport(str(exc)) from exc
         return _parse_completion(body)
 
@@ -183,6 +193,10 @@ class MockBackend:
     Rules are checked in order; the first match wins, unmatched prompts
     get `default`. Completion latency is fixed at 0 so reports built on
     mock runs are byte-stable.
+
+    A rule that matches on `pair_id` alone is found by a dict lookup;
+    only the other rules are scanned, and only up to the looked-up one,
+    so a long per-pair script costs one lookup per call.
     """
 
     def __init__(self, rules=(), default="Unknown"):
@@ -190,6 +204,14 @@ class MockBackend:
         self.default = default
         self.calls = []
         self._lock = threading.Lock()
+        self._by_pair_id = {}   # pair_id -> index of its first such rule
+        self._scanned = []      # indexes of every other rule, in order
+        for index, rule in enumerate(self.rules):
+            if isinstance(rule.pair_id, str) and rule.substring is None \
+                    and rule.strategy is None:
+                self._by_pair_id.setdefault(rule.pair_id, index)
+            else:
+                self._scanned.append(index)
 
     @classmethod
     def from_file(cls, path, default="Unknown"):
@@ -204,12 +226,19 @@ class MockBackend:
 
     def complete(self, bundle, cfg):
         del cfg
+        pair_id = bundle.meta.get("pair_id")
         with self._lock:
-            self.calls.append((bundle.strategy, bundle.meta.get("pair_id")))
-        for rule in self.rules:
-            if rule.matches(bundle):
-                return Completion(text=rule.response)
-        return Completion(text=self.default)
+            self.calls.append((bundle.strategy, pair_id))
+        found = self._by_pair_id.get(pair_id)
+        for index in self._scanned:
+            if found is not None and index > found:
+                break
+            if self.rules[index].matches(bundle):
+                found = index
+                break
+        if found is None:
+            return Completion(text=self.default)
+        return Completion(text=self.rules[found].response)
 
     @property
     def call_count(self):

@@ -16,14 +16,11 @@ mean is sqrt(eq_accuracy * neq_accuracy) and is omitted when a class is
 empty.
 """
 
-import csv
 import io
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Optional
 
 from .errors import DatasetParseError, DuplicateId, MissingSchema
@@ -33,6 +30,9 @@ from .pipeline import (
     verdict_to_dict,
 )
 from .schema import load_schemas
+
+# concurrent.futures, csv and datetime are imported by the functions that
+# use them: `sqleq oracle` loads this module but runs none of those.
 
 DIFFICULTIES = ("Easy", "Medium", "Hard", "ExtraHard", "Unlabeled")
 UNKNOWN_POLICIES = ("as_neq", "always_wrong")
@@ -216,6 +216,8 @@ def run_benchmark(dataset, strategy, plans_enabled, backend, cfg,
     id so reports do not depend on scheduling. Exemplar pairs (for
     few-shot) are dropped from the run entirely.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     excluded = set()
     if cfg.exemplars is not None:
         excluded = set(cfg.exemplars.excluded_ids)
@@ -310,6 +312,7 @@ def _config_echo(backend, cfg, plans_enabled, strategy, extra_config):
 
 
 def _now():
+    from datetime import datetime, timezone
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -438,6 +441,7 @@ def _emit_json(report):
 
 
 def _emit_csv(report):
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["pair_id", "ground_truth", "prediction", "scored",

@@ -250,16 +250,26 @@ def _make_backend(conf):
                        parallelism=gen.parallelism)
 
 
+# GenConfig field -> the setting that gives it
+_GEN_SETTINGS = {
+    "temperature": "temperature",
+    "max_output_tokens": "max_tokens",
+    "timeout": "timeout",
+    "max_retries": "retries",
+    "parallelism": "parallelism",
+}
+
+
 def _gen_config(conf, model):
-    """Generation settings; an out-of-range value is a usage error."""
+    """Generation settings; an out-of-range value is a usage error that
+    names the setting, not the GenConfig field."""
     try:
-        return GenConfig(model=model, temperature=conf["temperature"],
-                         max_output_tokens=conf["max_tokens"],
-                         timeout=conf["timeout"],
-                         max_retries=conf["retries"],
-                         parallelism=conf["parallelism"])
+        return GenConfig(model=model, **{
+            field: conf[setting] for field, setting in _GEN_SETTINGS.items()})
     except ValueError as exc:
-        raise UsageError(f"bad setting: {exc}") from exc
+        field, _, rest = str(exc).partition(" ")
+        raise UsageError(
+            f"bad setting: {_GEN_SETTINGS.get(field, field)} {rest}") from exc
 
 
 def _pipeline_config(conf, dataset=None):

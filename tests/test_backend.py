@@ -1,10 +1,13 @@
+import gc
 import json
 import random
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sqleq.backend import (
     Completion, GenConfig, HttpBackend, MockBackend, MockRule,
@@ -154,6 +157,39 @@ class TestHttpBackend:
         backend = HttpBackend(url, sleeper=no_sleep)
         with pytest.raises(TransportError):
             backend.complete(bundle(), GenConfig(model="m", max_retries=3))
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_client_errors_fail_at_once(self, fake_server, status):
+        url, state = fake_server(script=[status, "ok"])
+        delays = []
+        backend = HttpBackend(url, sleeper=delays.append)
+        with pytest.raises(TransportError, match=f"^HTTP {status}$"):
+            backend.complete(bundle(), GenConfig(model="m"))
+        assert len(state.requests) == 1
+        assert delays == []
+
+    @pytest.mark.parametrize("status", [408, 503])
+    def test_timeouts_and_server_errors_retried(self, fake_server, status):
+        url, state = fake_server(script=[status, "ok"])
+        delays = []
+        backend = HttpBackend(url, sleeper=delays.append)
+        completion = backend.complete(bundle(), GenConfig(model="m"))
+        assert completion.attempts == 2
+        assert len(state.requests) == 2
+        assert len(delays) == 1
+
+    def test_error_responses_are_closed(self, fake_server):
+        url, _state = fake_server(script=[503, 404])
+        backend = HttpBackend(url, sleeper=no_sleep)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                backend.complete(bundle(), GenConfig(model="m"))
+            except TransportError:
+                pass
+            gc.collect()
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_malformed_response(self, fake_server):
         url, _state = fake_server(script=["garbage"])
@@ -322,3 +358,32 @@ class TestMockBackend:
         assert mock.complete(bundle(pair_id="p1"), cfg).text == "Equivalent"
         assert mock.complete(bundle(pair_id="zz"), cfg).text == \
             "Non Equivalent"
+
+
+_RULES = st.lists(st.builds(
+    MockRule,
+    response=st.just(""),
+    substring=st.none() | st.sampled_from(["a", "b"]),
+    pair_id=st.none() | st.sampled_from(["p1", "p2", "p3"]),
+    strategy=st.none() | st.sampled_from(["basic", "cot"]),
+), max_size=12)
+_BUNDLES = st.lists(st.builds(
+    bundle,
+    body=st.sampled_from(["", "a", "b", "ab"]),
+    strategy=st.sampled_from(["basic", "cot"]),
+    pair_id=st.none() | st.sampled_from(["p1", "p2", "p3", "p4"]),
+), min_size=1, max_size=8)
+
+
+@given(_RULES, _BUNDLES)
+def test_mock_answers_equal_a_plain_scan_of_the_script(rules, bundles):
+    # each rule answers with its own index, so the answers show which
+    # rule won
+    rules = [MockRule(response=str(i), substring=r.substring,
+                      pair_id=r.pair_id, strategy=r.strategy)
+             for i, r in enumerate(rules)]
+    mock = MockBackend(rules=rules, default="none")
+    cfg = GenConfig(model="m")
+    for b in bundles:
+        scanned = next((r.response for r in rules if r.matches(b)), "none")
+        assert mock.complete(b, cfg).text == scanned

@@ -398,9 +398,9 @@ class TestBadSettingsAndRecords:
     @pytest.mark.parametrize("setting,value,message", [
         ("parallelism", 0, "parallelism must be positive"),
         ("temperature", -1, "temperature must be >= 0"),
-        ("max_tokens", 0, "max_output_tokens must be positive"),
+        ("max_tokens", 0, "max_tokens must be positive"),
         ("timeout", -1, "timeout must be positive"),
-        ("retries", -1, "max_retries must be >= 0"),
+        ("retries", -1, "retries must be >= 0"),
     ])
     def test_out_of_range_setting(self, tmp_path, schema_file, capsys,
                                   setting, value, message):
