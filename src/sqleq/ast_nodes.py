@@ -1,117 +1,123 @@
 """AST node types for the SELECT-only dialect.
 
-Nodes compare structurally (dataclass equality). Fields that carry
-provenance rather than meaning -- the raw source text of a column
-reference -- are excluded from comparison so that parse/render
-round-trips stay equal. Nodes carry no name bindings: `binder.bind`
-keeps those outside the tree.
+Every node derives from `records.Record`: nodes compare structurally,
+field by field, and are unhashable, so the binder and executor key
+them by id(). Their repr is `Name(field=value, ...)`. Fields that
+carry provenance rather than meaning -- the raw source text of a
+column reference -- are left out of comparison and repr so that
+parse/render round-trips stay equal. Nodes carry no name bindings:
+`binder.bind` keeps those outside the tree.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from .records import Record
 
 AGGREGATE_NAMES = frozenset({"sum", "count", "avg", "min", "max"})
 
 
 # --- expressions ---
 
-@dataclass
-class Literal:
-    value: object  # None | bool | int | float | str
+class Literal(Record):
+    def __init__(self, value):
+        self.value = value  # None | bool | int | float | str
 
 
-@dataclass
-class ColumnRef:
-    table: Optional[str]   # normalized (lower unless quoted)
-    column: str
-    table_quoted: bool = False
-    column_quoted: bool = False
-    raw: str = field(default="", compare=False, repr=False)
+class ColumnRef(Record):
+    def __init__(self, table, column, table_quoted=False,
+                 column_quoted=False, raw=""):
+        self.table = table  # normalized (lower unless quoted)
+        self.column = column
+        self.table_quoted = table_quoted
+        self.column_quoted = column_quoted
+        self.raw = raw
+
+    def _fields(self):
+        return {name: value for name, value in vars(self).items()
+                if name != "raw"}
 
 
-@dataclass
-class Unary:
-    op: str  # '-' | '+' | 'NOT'
-    operand: Expr
+class Unary(Record):
+    def __init__(self, op, operand):
+        self.op = op  # '-' | '+' | 'NOT'
+        self.operand = operand
 
 
-@dataclass
-class Binary:
-    op: str  # arithmetic, comparison, 'AND', 'OR', '||'
-    left: Expr
-    right: Expr
+class Binary(Record):
+    def __init__(self, op, left, right):
+        self.op = op  # arithmetic, comparison, 'AND', 'OR', '||'
+        self.left = left
+        self.right = right
 
 
-@dataclass
-class IsNull:
-    operand: Expr
-    negated: bool = False
+class IsNull(Record):
+    def __init__(self, operand, negated=False):
+        self.operand = operand
+        self.negated = negated
 
 
-@dataclass
-class InList:
-    operand: Expr
-    items: list
-    negated: bool = False
+class InList(Record):
+    def __init__(self, operand, items, negated=False):
+        self.operand = operand
+        self.items = items
+        self.negated = negated
 
 
-@dataclass
-class InSubquery:
-    operand: Expr
-    query: SelectStmt
-    negated: bool = False
+class InSubquery(Record):
+    def __init__(self, operand, query, negated=False):
+        self.operand = operand
+        self.query = query
+        self.negated = negated
 
 
-@dataclass
-class Between:
-    operand: Expr
-    low: Expr
-    high: Expr
-    negated: bool = False
+class Between(Record):
+    def __init__(self, operand, low, high, negated=False):
+        self.operand = operand
+        self.low = low
+        self.high = high
+        self.negated = negated
 
 
-@dataclass
-class Like:
-    operand: Expr
-    pattern: Expr
-    negated: bool = False
+class Like(Record):
+    def __init__(self, operand, pattern, negated=False):
+        self.operand = operand
+        self.pattern = pattern
+        self.negated = negated
 
 
-@dataclass
-class Exists:
-    query: SelectStmt
+class Exists(Record):
+    def __init__(self, query):
+        self.query = query
 
 
-@dataclass
-class Subquery:
-    query: SelectStmt
+class Subquery(Record):
+    def __init__(self, query):
+        self.query = query
 
 
-@dataclass
-class Quantified:
+class Quantified(Record):
     """Comparison against ANY/ALL of a subquery or array-valued expression."""
-    op: str
-    left: Expr
-    quantifier: str  # 'ANY' | 'ALL'
-    operand: Union[Subquery, Expr]
+
+    def __init__(self, op, left, quantifier, operand):
+        self.op = op
+        self.left = left
+        self.quantifier = quantifier  # 'ANY' | 'ALL'
+        self.operand = operand        # Subquery or expression
 
 
-@dataclass
-class Case:
-    operand: Optional[Expr]
-    whens: list  # [(condition, result)]
-    else_: Optional[Expr]
+class Case(Record):
+    def __init__(self, operand, whens, else_):
+        self.operand = operand  # None for a searched CASE
+        self.whens = whens      # [(condition, result)]
+        self.else_ = else_
 
 
-@dataclass
-class FuncCall:
-    name: str  # normalized lower
-    args: list
-    distinct: bool = False
-    star: bool = False           # COUNT(*)
-    window_text: Optional[str] = None  # raw OVER (...) clause, parsed opaquely
+class FuncCall(Record):
+    def __init__(self, name, args, distinct=False, star=False,
+                 window_text=None):
+        self.name = name  # normalized lower
+        self.args = args
+        self.distinct = distinct
+        self.star = star                # COUNT(*)
+        self.window_text = window_text  # raw OVER (...), parsed opaquely
 
     @property
     def is_aggregate(self):
@@ -122,35 +128,29 @@ class FuncCall:
         return self.window_text is not None
 
 
-@dataclass
-class Cast:
-    operand: Expr
-    type_name: str
+class Cast(Record):
+    def __init__(self, operand, type_name):
+        self.operand = operand
+        self.type_name = type_name
 
 
-@dataclass
-class ArrayLit:
-    items: list
-
-
-Expr = Union[
-    Literal, ColumnRef, Unary, Binary, IsNull, InList, InSubquery, Between,
-    Like, Exists, Subquery, Quantified, Case, FuncCall, Cast, ArrayLit,
-]
+class ArrayLit(Record):
+    def __init__(self, items):
+        self.items = items
 
 
 # --- select structure ---
 
-@dataclass
-class Star:
-    qualifier: Optional[str] = None  # t.* carries the relation name
+class Star(Record):
+    def __init__(self, qualifier=None):
+        self.qualifier = qualifier  # t.* carries the relation name
 
 
-@dataclass
-class SelectItem:
-    expr: Expr
-    alias: Optional[str] = None
-    alias_quoted: bool = False
+class SelectItem(Record):
+    def __init__(self, expr, alias=None, alias_quoted=False):
+        self.expr = expr
+        self.alias = alias
+        self.alias_quoted = alias_quoted
 
     def output_name(self):
         """Result-column name: the alias, else the column name for bare refs."""
@@ -161,75 +161,73 @@ class SelectItem:
         return None
 
 
-@dataclass
-class TableRef:
-    name: str
-    alias: Optional[str] = None
-    quoted: bool = False
+class TableRef(Record):
+    def __init__(self, name, alias=None, quoted=False):
+        self.name = name
+        self.alias = alias
+        self.quoted = quoted
 
 
-@dataclass
-class DerivedTable:
-    query: SelectStmt
-    alias: Optional[str] = None
+class DerivedTable(Record):
+    def __init__(self, query, alias=None):
+        self.query = query
+        self.alias = alias
 
 
-@dataclass
-class Join:
-    kind: str  # inner | left | right | full | cross
-    left: FromItem
-    right: FromItem
-    condition: Optional[Expr] = None
+class Join(Record):
+    def __init__(self, kind, left, right, condition=None):
+        self.kind = kind  # inner | left | right | full | cross
+        self.left = left  # TableRef | DerivedTable | Join
+        self.right = right
+        self.condition = condition
 
 
-FromItem = Union[TableRef, DerivedTable, Join]
+class OrderItem(Record):
+    def __init__(self, expr, descending=False):
+        self.expr = expr
+        self.descending = descending  # direction defaults to ascending
 
 
-@dataclass
-class OrderItem:
-    expr: Expr
-    descending: bool = False  # direction defaults to ascending
+class LimitClause(Record):
+    def __init__(self, count, offset=None):
+        self.count = count
+        self.offset = offset
 
 
-@dataclass
-class LimitClause:
-    count: Expr
-    offset: Optional[Expr] = None
+class SelectCore(Record):
+    def __init__(self, items, from_item=None, where=None, group_by=None,
+                 having=None, distinct=False):
+        self.items = items  # SelectItem | Star
+        self.from_item = from_item
+        self.where = where
+        self.group_by = [] if group_by is None else group_by
+        self.having = having
+        self.distinct = distinct
 
 
-@dataclass
-class SelectCore:
-    items: list          # SelectItem | Star
-    from_item: Optional[FromItem] = None
-    where: Optional[Expr] = None
-    group_by: list = field(default_factory=list)
-    having: Optional[Expr] = None
-    distinct: bool = False
+class SetOp(Record):
+    def __init__(self, kind, all, left, right):
+        self.kind = kind  # union | intersect | except
+        self.all = all
+        # arms are cores, nested set ops, or parenthesized full statements
+        self.left = left
+        self.right = right
 
 
-@dataclass
-class SetOp:
-    kind: str  # union | intersect | except
-    all: bool
-    # arms are cores, nested set ops, or parenthesized full statements
-    left: Union[SelectCore, SetOp, SelectStmt]
-    right: Union[SelectCore, SetOp, SelectStmt]
+class Cte(Record):
+    def __init__(self, name, query, columns=None, recursive=False):
+        self.name = name
+        self.query = query
+        self.columns = [] if columns is None else columns
+        self.recursive = recursive
 
 
-@dataclass
-class Cte:
-    name: str
-    query: SelectStmt
-    columns: list = field(default_factory=list)
-    recursive: bool = False
-
-
-@dataclass
-class SelectStmt:
-    body: Union[SelectCore, SetOp]
-    ctes: list = field(default_factory=list)
-    order_by: list = field(default_factory=list)
-    limit: Optional[LimitClause] = None
+class SelectStmt(Record):
+    def __init__(self, body, ctes=None, order_by=None, limit=None):
+        self.body = body  # SelectCore | SetOp
+        self.ctes = [] if ctes is None else ctes
+        self.order_by = [] if order_by is None else order_by
+        self.limit = limit
 
 
 def walk(node):

@@ -5,7 +5,10 @@ The HTTP client speaks the common chat-completion JSON shape
 out) and bounds in-flight requests with a semaphore. Network failures,
 5xx responses, 408 (request timeout) and 429 (throttled) are retried
 with exponential backoff (base 1s, factor 2, jitter from an injectable
-RNG). Every other 4xx fails at once: 401/403 as AuthError, the rest as
+RNG). A 429 or 503 that carries Retry-After (delta-seconds or an HTTP
+date) waits that long instead, capped at the longest backoff the
+configured retries reach; an unparsable value falls back to the
+backoff. Every other 4xx fails at once: 401/403 as AuthError, the rest as
 TransportError. The HTTP stack (urllib, http.client, ssl) is imported
 when the first client is built, so a process that never builds one,
 such as an oracle or mock run, does not load it.
@@ -18,28 +21,26 @@ import json
 import random
 import threading
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     AuthError, MalformedResponse, ThrottledExhausted, TransportError,
 )
+from .records import Frozen, Record
 
 BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER_SECONDS = 0.25
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    model: str
-    temperature: float = 0.2
-    max_output_tokens: int = 1000
-    timeout: float = 30.0
-    max_retries: int = 3
-    parallelism: int = 4
-
-    def __post_init__(self):
+class GenConfig(Frozen):
+    def __init__(self, model, temperature=0.2, max_output_tokens=1000,
+                 timeout=30.0, max_retries=3, parallelism=4):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "max_output_tokens", max_output_tokens)
+        object.__setattr__(self, "timeout", timeout)
+        object.__setattr__(self, "max_retries", max_retries)
+        object.__setattr__(self, "parallelism", parallelism)
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens <= 0:
@@ -52,12 +53,12 @@ class GenConfig:
             raise ValueError("parallelism must be positive")
 
 
-@dataclass(frozen=True)
-class Completion:
-    text: str
-    usage: Optional[dict] = None
-    latency_ms: float = 0.0
-    attempts: int = 1
+class Completion(Frozen, Record):
+    def __init__(self, text, usage=None, latency_ms=0.0, attempts=1):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "usage", usage)
+        object.__setattr__(self, "latency_ms", latency_ms)
+        object.__setattr__(self, "attempts", attempts)
 
 
 class HttpBackend:
@@ -85,7 +86,7 @@ class HttpBackend:
         last_error = None
         for attempt in range(cfg.max_retries + 1):
             if attempt:
-                self._sleep(self._backoff_delay(attempt - 1))
+                self._sleep(self._retry_delay(attempt - 1, last_error, cfg))
             try:
                 text, usage = self._request_once(bundle.body, cfg)
             except _Throttled as exc:
@@ -104,9 +105,20 @@ class HttpBackend:
                 f"throttled on all {cfg.max_retries + 1} attempts")
         raise TransportError(str(last_error))
 
-    def _backoff_delay(self, retry_index):
-        base = BACKOFF_BASE_SECONDS * (BACKOFF_FACTOR ** retry_index)
-        return base + self._rng.uniform(0.0, BACKOFF_JITTER_SECONDS)
+    def _retry_delay(self, retry_index, error, cfg):
+        """Seconds to wait before retry `retry_index` after `error`.
+
+        A Retry-After the server sent with a 429 or 503 wins over the
+        backoff, capped at the longest backoff `cfg.max_retries` retries
+        can reach.
+        """
+        asked = error.retry_after
+        if asked is None:
+            base = BACKOFF_BASE_SECONDS * (BACKOFF_FACTOR ** retry_index)
+            return base + self._rng.uniform(0.0, BACKOFF_JITTER_SECONDS)
+        longest = BACKOFF_BASE_SECONDS * \
+            (BACKOFF_FACTOR ** (cfg.max_retries - 1)) + BACKOFF_JITTER_SECONDS
+        return min(asked, longest)
 
     def _request_once(self, prompt, cfg):
         payload = json.dumps({
@@ -132,12 +144,15 @@ class HttpBackend:
                     raise AuthError(
                         f"endpoint rejected credentials (HTTP {exc.code})"
                     ) from exc
+                retry_after = None
+                if exc.code in (429, 503):
+                    retry_after = _retry_after(exc.headers.get("Retry-After"))
                 if exc.code == 429:
-                    raise _Throttled(f"HTTP {exc.code}") from exc
+                    raise _Throttled(f"HTTP {exc.code}", retry_after) from exc
                 if 400 <= exc.code < 500 and exc.code != 408:
                     # the request itself is wrong: resending cannot help
                     raise TransportError(f"HTTP {exc.code}") from exc
-                raise _Transport(f"HTTP {exc.code}") from exc
+                raise _Transport(f"HTTP {exc.code}", retry_after) from exc
             except OSError as exc:   # URLError and timeouts included
                 raise _Transport(str(exc)) from exc
         return _parse_completion(body)
@@ -161,20 +176,45 @@ def _parse_completion(body):
     return text, data.get("usage")
 
 
-class _Throttled(Exception):
-    pass
-
-
 class _Transport(Exception):
+    """A failed attempt worth retrying, with the wait the server asked
+    for in seconds, if any."""
+
+    def __init__(self, message, retry_after=None):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+class _Throttled(_Transport):
     pass
 
 
-@dataclass(frozen=True)
-class MockRule:
-    response: str
-    substring: Optional[str] = None
-    pair_id: Optional[str] = None
-    strategy: Optional[str] = None
+def _retry_after(value):
+    """Seconds a Retry-After header asks for: delta-seconds or an HTTP
+    date (a past date asks for 0). None when absent or unparsable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    from email.utils import mktime_tz, parsedate_tz
+    try:
+        parts = parsedate_tz(value)
+        if parts is None:
+            return None
+        if parts[9] is None:   # "-0000": UTC, no zone given
+            parts = parts[:9] + (0,)
+        return max(0.0, mktime_tz(parts) - time.time())
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+class MockRule(Frozen):
+    def __init__(self, response, substring=None, pair_id=None, strategy=None):
+        object.__setattr__(self, "response", response)
+        object.__setattr__(self, "substring", substring)
+        object.__setattr__(self, "pair_id", pair_id)
+        object.__setattr__(self, "strategy", strategy)
 
     def matches(self, bundle):
         if self.substring is not None and self.substring not in bundle.body:

@@ -20,8 +20,6 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DatasetParseError, DuplicateId, MissingSchema
 from .normalize import exact_match
@@ -29,6 +27,7 @@ from .pipeline import (
     LABEL_EQUIVALENT, LABEL_NON_EQUIVALENT, LABEL_UNKNOWN, check_pair,
     verdict_to_dict,
 )
+from .records import Frozen
 from .schema import load_schemas
 
 # concurrent.futures, csv and datetime are imported by the functions that
@@ -43,23 +42,27 @@ _DIFFICULTY_ALIASES = {
 }
 
 
-@dataclass
 class QueryPair:
-    id: str
-    sql1: str
-    sql2: str
-    schema_name: str
-    label: Optional[str]            # EQ | NEQ
-    difficulty: str = "Unlabeled"
-    question: Optional[str] = None
-    explanation: Optional[str] = None
-    exact: bool = False             # computed at load time
+    def __init__(self, id, sql1, sql2, schema_name, label,
+                 difficulty="Unlabeled", question=None, explanation=None,
+                 exact=None):
+        self.id = id
+        self.sql1 = sql1
+        self.sql2 = sql2
+        self.schema_name = schema_name
+        self.label = label  # EQ | NEQ | None
+        self.difficulty = difficulty
+        self.question = question
+        self.explanation = explanation
+        # whether the texts normalize alike: set at load time, None until
+        # then, and `pipeline.check_pair` normalizes a pair left at None
+        self.exact = exact
 
 
-@dataclass
 class Dataset:
-    pairs: list
-    schemas: dict   # name -> SchemaDef
+    def __init__(self, pairs, schemas):
+        self.pairs = pairs
+        self.schemas = schemas  # name -> SchemaDef
 
     def schema_for(self, pair):
         return self.schemas[pair.schema_name]
@@ -101,14 +104,14 @@ def _parse_pair_line(line, line_number, schemas):
         raise MissingSchema(f"line {line_number}: schema {schema_name!r} "
                             f"not in schemas file")
     difficulty = _normalize_difficulty(record.get("difficulty"), line_number)
-    pair = QueryPair(
-        id=str(record["id"]), sql1=record["sql1"], sql2=record["sql2"],
+    sql1, sql2 = record["sql1"], record["sql2"]
+    return QueryPair(
+        id=str(record["id"]), sql1=sql1, sql2=sql2,
         schema_name=schema_name, label=label, difficulty=difficulty,
         question=record.get("question"),
         explanation=record.get("explanation"),
+        exact=exact_match(sql1, sql2),
     )
-    pair.exact = exact_match(pair.sql1, pair.sql2)
-    return pair
 
 
 def _normalize_difficulty(value, line_number):
@@ -124,30 +127,23 @@ def _normalize_difficulty(value, line_number):
 
 # --- metrics ---
 
-@dataclass(frozen=True)
-class Metrics:
-    eq_total: int
-    neq_total: int
-    eq_correct: int
-    neq_correct: int
-    unknown_predictions: int
-    errors: int
-    eq_accuracy: Optional[float]
-    neq_accuracy: Optional[float]
-    gm: Optional[float]
+class Metrics(Frozen):
+    def __init__(self, eq_total, neq_total, eq_correct, neq_correct,
+                 unknown_predictions, errors, eq_accuracy, neq_accuracy, gm):
+        object.__setattr__(self, "eq_total", eq_total)
+        object.__setattr__(self, "neq_total", neq_total)
+        object.__setattr__(self, "eq_correct", eq_correct)
+        object.__setattr__(self, "neq_correct", neq_correct)
+        object.__setattr__(self, "unknown_predictions", unknown_predictions)
+        object.__setattr__(self, "errors", errors)
+        # the accuracies and gm are None when a class has no scored pair
+        object.__setattr__(self, "eq_accuracy", eq_accuracy)
+        object.__setattr__(self, "neq_accuracy", neq_accuracy)
+        object.__setattr__(self, "gm", gm)
 
     def as_dict(self):
-        return {
-            "eq_total": self.eq_total,
-            "neq_total": self.neq_total,
-            "eq_correct": self.eq_correct,
-            "neq_correct": self.neq_correct,
-            "unknown_predictions": self.unknown_predictions,
-            "errors": self.errors,
-            "eq_accuracy": self.eq_accuracy,
-            "neq_accuracy": self.neq_accuracy,
-            "gm": self.gm,
-        }
+        """The fields by name, in the order `__init__` declares them."""
+        return dict(vars(self))
 
 
 def compute_metrics(predictions, pairs, unknown_policy="as_neq",
@@ -188,20 +184,22 @@ def compute_metrics(predictions, pairs, unknown_policy="as_neq",
 
 # --- run execution ---
 
-@dataclass
 class RunReport:
-    strategy: str
-    plans_enabled: bool
-    unknown_policy: str
-    verdicts: list                  # sorted by pair id
-    pairs: list                     # QueryPair rows the run covered
-    scored_ids: set
-    metrics: Optional[Metrics]
-    by_difficulty: dict
-    by_question: dict
-    config: dict
-    started_at: str = ""
-    finished_at: str = ""
+    def __init__(self, strategy, plans_enabled, unknown_policy, verdicts,
+                 pairs, scored_ids, metrics, by_difficulty, by_question,
+                 config, started_at="", finished_at=""):
+        self.strategy = strategy
+        self.plans_enabled = plans_enabled
+        self.unknown_policy = unknown_policy
+        self.verdicts = verdicts  # sorted by pair id
+        self.pairs = pairs        # QueryPair rows the run covered
+        self.scored_ids = scored_ids
+        self.metrics = metrics    # Metrics | None
+        self.by_difficulty = by_difficulty
+        self.by_question = by_question
+        self.config = config
+        self.started_at = started_at
+        self.finished_at = finished_at
 
     def predictions(self):
         return {v.pair_id: v.label for v in self.verdicts}
@@ -318,20 +316,17 @@ def _now():
 
 # --- coverage comparison ---
 
-@dataclass(frozen=True)
-class CoverageReport:
-    supported_total: int
-    unsupported_total: int
-    supported_correct: int
-    unsupported_correct: int
+class CoverageReport(Frozen):
+    def __init__(self, supported_total, unsupported_total, supported_correct,
+                 unsupported_correct):
+        object.__setattr__(self, "supported_total", supported_total)
+        object.__setattr__(self, "unsupported_total", unsupported_total)
+        object.__setattr__(self, "supported_correct", supported_correct)
+        object.__setattr__(self, "unsupported_correct", unsupported_correct)
 
     def as_dict(self):
-        return {
-            "supported_total": self.supported_total,
-            "unsupported_total": self.unsupported_total,
-            "supported_correct": self.supported_correct,
-            "unsupported_correct": self.unsupported_correct,
-        }
+        """The fields by name, in the order `__init__` declares them."""
+        return dict(vars(self))
 
 
 def coverage_compare(report, tool_results_path):

@@ -33,8 +33,6 @@ keeps the rows of the other FROM items, so a false "correlated" only
 costs time, while a false "uncorrelated" would return wrong rows.
 """
 
-from dataclasses import dataclass, field
-
 from .ast_nodes import (
     ColumnRef, DerivedTable, Exists, FuncCall, InSubquery, Join, Literal,
     SelectItem, SelectStmt, SetOp, Star, Subquery, TableRef, children,
@@ -42,16 +40,17 @@ from .ast_nodes import (
 from .errors import AmbiguousColumn, PlanError, UnresolvedName
 
 
-@dataclass
 class Binding:
     """Name resolution of one statement, keyed by id() of AST nodes."""
-    slots: dict = field(default_factory=dict)   # ColumnRef -> (depth, slot)
-    items: dict = field(default_factory=dict)   # SelectCore -> [SelectItem]
-    grouped: set = field(default_factory=set)   # SelectCores that aggregate
-    order: dict = field(default_factory=dict)   # SelectStmt -> [int | None]
-    ctes: dict = field(default_factory=dict)    # TableRef -> Cte it names
-    # subquery SelectStmts and FROM items that read an enclosing row
-    correlated: set = field(default_factory=set)
+
+    def __init__(self):
+        self.slots = {}        # ColumnRef -> (depth, slot)
+        self.items = {}        # SelectCore -> [SelectItem]
+        self.grouped = set()   # SelectCores that aggregate
+        self.order = {}        # SelectStmt -> [int | None]
+        self.ctes = {}         # TableRef -> Cte it names
+        # subquery SelectStmts and FROM items that read an enclosing row
+        self.correlated = set()
 
 
 def bind(stmt, schema):

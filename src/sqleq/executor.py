@@ -55,7 +55,6 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .ast_nodes import (
     ArrayLit, Between, Binary, Case, Cast, ColumnRef, Cte, DerivedTable,
@@ -71,18 +70,20 @@ from .values import (
 
 # --- data containers ---
 
-@dataclass
 class ResultTable:
-    column_count: int
-    rows: list          # list of value tuples
-    ordered: bool       # outermost statement had ORDER BY
+    def __init__(self, column_count, rows, ordered):
+        self.column_count = column_count
+        self.rows = rows        # list of value tuples
+        self.ordered = ordered  # outermost statement had ORDER BY
 
 
-@dataclass
 class DatabaseInstance:
     """Per-table row multisets conforming to a schema definition."""
-    schema: object
-    tables: dict = field(default_factory=dict)  # name -> (columns, rows)
+
+    def __init__(self, schema, tables=None):
+        self.schema = schema
+        # name -> (columns, rows)
+        self.tables = {} if tables is None else tables
 
     def table(self, name):
         entry = self.tables.get(name.lower())

@@ -7,31 +7,34 @@ maximum select-statement depth: CTE bodies, derived tables and
 expression subqueries add a level; set-operation arms do not.
 """
 
-from dataclasses import dataclass, fields
-
 from .ast_nodes import (
     Case, Cte, DerivedTable, Exists, FuncCall, InSubquery, Join, LimitClause,
     OrderItem, SelectCore, SelectStmt, SetOp, Subquery, children, walk,
 )
+from .records import Record
 
 
-@dataclass
-class FeatureProfile:
-    joins: int = 0
-    subqueries: int = 0
-    ctes: int = 0
-    aggregate_calls: int = 0
-    group_by_clauses: int = 0
-    order_by_keys: int = 0
-    limit_clauses: int = 0
-    set_operators: int = 0
-    scalar_function_calls: int = 0
-    case_expressions: int = 0
-    recursive_ctes: int = 0
-    nesting_depth: int = 1
+class FeatureProfile(Record):
+    def __init__(self, joins=0, subqueries=0, ctes=0, aggregate_calls=0,
+                 group_by_clauses=0, order_by_keys=0, limit_clauses=0,
+                 set_operators=0, scalar_function_calls=0,
+                 case_expressions=0, recursive_ctes=0, nesting_depth=1):
+        self.joins = joins
+        self.subqueries = subqueries
+        self.ctes = ctes
+        self.aggregate_calls = aggregate_calls
+        self.group_by_clauses = group_by_clauses
+        self.order_by_keys = order_by_keys
+        self.limit_clauses = limit_clauses
+        self.set_operators = set_operators
+        self.scalar_function_calls = scalar_function_calls
+        self.case_expressions = case_expressions
+        self.recursive_ctes = recursive_ctes
+        self.nesting_depth = nesting_depth
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The counts by name, in the order `__init__` declares them."""
+        return dict(vars(self))
 
 
 def extract_features(ast):

@@ -5,9 +5,8 @@ identifiers lower); quoted identifiers and string literals keep their
 exact contents. Comments (`--` and `/* */`) are skipped.
 """
 
-from dataclasses import dataclass
-
 from .errors import SqlSyntaxError
+from .records import Frozen
 
 KEYWORDS = frozenset("""
     SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET AS ON JOIN INNER
@@ -24,12 +23,15 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str      # KW, IDENT, QIDENT, STRING, NUMBER, OP, EOF
-    value: object  # normalized value (keywords upper, identifiers lower)
-    raw: str       # exact source slice
-    offset: int    # byte offset of the first character
+class Token(Frozen):
+    def __init__(self, kind, value, raw, offset):
+        # kind: KW, IDENT, QIDENT, STRING, NUMBER, OP, EOF; value: the
+        # normalized text (keywords upper, identifiers lower); raw: the
+        # exact source slice; offset: byte offset of the first character
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "offset", offset)
 
 
 def tokenize(text):

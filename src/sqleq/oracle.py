@@ -15,30 +15,30 @@ tolerance applies inside arrays too.
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
 
 from .errors import SqleqError
 from .executor import execute
 from .parser import parse_sql
+from .records import Frozen
 from .values import (
     REAL_ABS_TOL, REAL_REL_TOL, canon, canon_masked, canon_row, close,
 )
 
 
-@dataclass(frozen=True)
-class Comparison:
-    identical: bool
-    reason: Optional[str] = None
+class Comparison(Frozen):
+    def __init__(self, identical, reason=None):
+        object.__setattr__(self, "identical", identical)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
-    status: str  # refuted | consistent | inconclusive
-    witness_index: Optional[int] = None
-    reason: Optional[str] = None
-    errors: tuple = field(default_factory=tuple)
+class OracleOutcome(Frozen):
+    def __init__(self, status, witness_index=None, reason=None, errors=()):
+        # refuted | consistent | inconclusive
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness_index", witness_index)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "errors", errors)
 
 
 def compare_results(r1, r2):

@@ -1,16 +1,15 @@
 """One equivalence check: shortcut, strategy call(s), classification.
 
 Exact-match pairs short-circuit to Equivalent with zero backend calls
-(disable via PipelineConfig.shortcut). Otherwise the strategy prompt(s)
-run with the strategy settings -- multistage explains each query before
-deciding -- and the final output is pruned and sent to the same backend
-in the classifying prompt, with the classifier settings; its text yields
-the three-way label.
+(disable via PipelineConfig.shortcut); a pair from `bench.load_dataset`
+carries the flag, any other pair is normalized here. Otherwise the
+strategy prompt(s) run with the strategy settings -- multistage explains
+each query before deciding -- and the final output is pruned and sent to
+the same backend in the classifying prompt, with the classifier
+settings; its text yields the three-way label.
 """
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import AuthError, BackendError, BadExemplarSet, EmptyExplanation
 from .normalize import exact_match
@@ -30,30 +29,33 @@ ONE_PROMPT_STRATEGIES = tuple(s for s in STRATEGIES if s != "multistage")
 _NON_EQUIVALENT_RE = re.compile(r"non[\s_-]*equivalent")
 
 
-@dataclass
 class PipelineConfig:
-    strategy_cfg: object
-    classifier_cfg: object = None   # defaults to strategy_cfg
-    exemplars: object = None        # ExemplarSet, required for fewshot
-    shortcut: bool = True
-    fail_soft: bool = False
+    def __init__(self, strategy_cfg, classifier_cfg=None, exemplars=None,
+                 shortcut=True, fail_soft=False):
+        self.strategy_cfg = strategy_cfg
+        self.classifier_cfg = classifier_cfg  # defaults to strategy_cfg
+        self.exemplars = exemplars            # ExemplarSet, for fewshot
+        self.shortcut = shortcut
+        self.fail_soft = fail_soft
 
     def classifier_config(self):
         return self.classifier_cfg if self.classifier_cfg is not None \
             else self.strategy_cfg
 
 
-@dataclass
 class Verdict:
-    label: str
-    pair_id: Optional[str] = None
-    strategy: Optional[str] = None
-    plans: bool = False
-    shortcut: bool = False
-    raw: str = ""
-    classifier_raw: str = ""
-    completions: list = field(default_factory=list)
-    error: Optional[str] = None
+    def __init__(self, label, pair_id=None, strategy=None, plans=False,
+                 shortcut=False, raw="", classifier_raw="", completions=None,
+                 error=None):
+        self.label = label
+        self.pair_id = pair_id
+        self.strategy = strategy
+        self.plans = plans
+        self.shortcut = shortcut
+        self.raw = raw
+        self.classifier_raw = classifier_raw
+        self.completions = [] if completions is None else completions
+        self.error = error
 
 
 def verdict_to_dict(verdict):
@@ -79,7 +81,7 @@ def check_pair(pair, schema, strategy, plans_enabled, backend, cfg):
         raise BadExemplarSet("fewshot strategy requires cfg.exemplars")
 
     pair_id = getattr(pair, "id", None)
-    if cfg.shortcut and exact_match(pair.sql1, pair.sql2):
+    if cfg.shortcut and _is_exact(pair):
         return Verdict(label=LABEL_EQUIVALENT, pair_id=pair_id,
                        strategy=strategy, plans=plans_enabled, shortcut=True)
 
@@ -95,6 +97,15 @@ def check_pair(pair, schema, strategy, plans_enabled, backend, cfg):
                            strategy=strategy, plans=plans_enabled,
                            error=f"{type(exc).__name__}: {exc}")
         raise
+
+
+def _is_exact(pair):
+    """The pair's load-time exact-match flag; a pair without one (None or
+    no such attribute) is normalized here."""
+    exact = getattr(pair, "exact", None)
+    if exact is None:
+        return exact_match(pair.sql1, pair.sql2)
+    return exact
 
 
 def _run_strategy(pair, schema, strategy, plans, plans_enabled, backend, cfg):

@@ -7,8 +7,6 @@ level. `plan_or_placeholder` maps every parse or planning failure to the
 fixed placeholder string so prompt construction never fails.
 """
 
-from dataclasses import dataclass, field
-
 from .ast_nodes import DerivedTable, Literal, SelectStmt, SetOp, TableRef
 from .binder import aggregate_calls, bind
 from .parser import parse_sql
@@ -19,12 +17,13 @@ PLAN_ERROR_PLACEHOLDER = "ERROR WHILE GENERATING PLAN"
 _SETOP_OP = {"union": "Union", "intersect": "Intersect", "except": "Except"}
 
 
-@dataclass
 class PlanNode:
-    op: str    # Scan, CteRef, Values, Filter, Project, Join, Aggregate,
-               # Sort, Limit, Union, Intersect, Except, CteBind
-    args: str
-    children: list = field(default_factory=list)
+    def __init__(self, op, args, children=None):
+        # Scan, CteRef, Values, Filter, Project, Join, Aggregate, Sort,
+        # Limit, Union, Intersect, Except, CteBind
+        self.op = op
+        self.args = args
+        self.children = [] if children is None else children
 
     def ops(self):
         """Operator names in depth-first order (handy for assertions)."""

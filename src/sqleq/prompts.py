@@ -11,10 +11,10 @@ import functools
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import BadExemplarSet, EmptyExplanation, InsufficientPairs
+from .records import Frozen, Record
 from .schema import SchemaDef, serialize_schema
 
 EQUIVALENT_TEXT = "Equivalent"
@@ -28,29 +28,28 @@ _FALLBACK_EXPLANATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    strategy: str   # basic | cot | fewshot | multistage-explain |
-                    # multistage-decide | classify
-    body: str
-    meta: dict = field(default_factory=dict)
+class PromptBundle(Frozen):
+    def __init__(self, strategy, body, meta=None):
+        # basic | cot | fewshot | multistage-explain | multistage-decide |
+        # classify
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
 
-@dataclass(frozen=True)
-class Exemplar:
-    schema_text: str
-    sql1: str
-    sql2: str
-    label: str       # EQ | NEQ
-    explanation: str
+class Exemplar(Frozen, Record):
+    def __init__(self, schema_text, sql1, sql2, label, explanation):
+        object.__setattr__(self, "schema_text", schema_text)
+        object.__setattr__(self, "sql1", sql1)
+        object.__setattr__(self, "sql2", sql2)
+        object.__setattr__(self, "label", label)  # EQ | NEQ
+        object.__setattr__(self, "explanation", explanation)
 
 
-@dataclass(frozen=True)
-class ExemplarSet:
-    exemplars: tuple
-    excluded_ids: tuple = ()
-
-    def __post_init__(self):
+class ExemplarSet(Frozen, Record):
+    def __init__(self, exemplars, excluded_ids=()):
+        object.__setattr__(self, "exemplars", exemplars)
+        object.__setattr__(self, "excluded_ids", excluded_ids)
         if len(self.exemplars) != 4:
             raise BadExemplarSet(
                 f"need exactly 4 exemplars, got {len(self.exemplars)}")

@@ -10,28 +10,26 @@ Schema JSON format:
 """
 
 import json
-from dataclasses import dataclass, field
-
 from .errors import SchemaError
+from .records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class TableDef:
-    name: str
-    columns: tuple
+class TableDef(Frozen, Record):
+    def __init__(self, name, columns):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "columns", columns)
 
     def has_column(self, column):
         lowered = column.lower()
         return any(c.lower() == lowered for c in self.columns)
 
 
-@dataclass(frozen=True)
-class SchemaDef:
-    tables: tuple
-    foreign_keys: tuple = field(default_factory=tuple)  # (("t.c", "t.c"), ...)
-    primary_keys: tuple = field(default_factory=tuple)  # ("t.c", ...)
-
-    def __post_init__(self):
+class SchemaDef(Frozen, Record):
+    def __init__(self, tables, foreign_keys=(), primary_keys=()):
+        object.__setattr__(self, "tables", tables)
+        # (("t.c", "t.c"), ...) and ("t.c", ...)
+        object.__setattr__(self, "foreign_keys", foreign_keys)
+        object.__setattr__(self, "primary_keys", primary_keys)
         seen = set()
         for table in self.tables:
             lowered = table.name.lower()

@@ -4,6 +4,7 @@ import random
 import threading
 import time
 import warnings
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -73,6 +74,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+        elif isinstance(action, tuple):   # (status, Retry-After value)
+            status, retry_after = action
+            self.send_response(status)
+            self.send_header("Retry-After", retry_after)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         elif action == "garbage":
             body = b"not json at all"
             self.send_response(200)
@@ -233,6 +240,50 @@ class TestHttpBackend:
         first, second = schedules[0]
         assert 1.0 <= first <= 1.25     # base 1s plus bounded jitter
         assert 2.0 <= second <= 2.25    # doubled
+
+
+class TestRetryAfter:
+    """A 429 or 503 with Retry-After sets the wait before the next try, up
+    to the longest backoff the retry count reaches."""
+
+    def _delays(self, fake_server, script, max_retries):
+        url, state = fake_server(script=script)
+        delays = []
+        backend = HttpBackend(url, sleeper=delays.append,
+                              jitter_rng=random.Random(42))
+        completion = backend.complete(
+            bundle(), GenConfig(model="m", max_retries=max_retries))
+        assert completion.attempts == len(script) + 1
+        assert len(state.requests) == len(script) + 1
+        return delays
+
+    def test_delta_seconds(self, fake_server):
+        script = [(429, "3"), (503, " 0 "), (429, "2")]
+        assert self._delays(fake_server, script, 3) == [3.0, 0.0, 2.0]
+
+    def test_http_date(self, fake_server):
+        soon = formatdate(time.time() + 3, usegmt=True)
+        past = formatdate(time.time() - 60, usegmt=True)
+        first, second = self._delays(fake_server, [(429, soon), (503, past)],
+                                     3)
+        assert 1.0 < first <= 3.0   # the date has whole seconds
+        assert second == 0.0
+
+    def test_unusable_value_falls_back_to_the_backoff(self, fake_server):
+        script = [(429, "soon"), (429, "1.5"), (429, "-3"), (429, ""),
+                  (503, "Mon, 32 Foo 2020 99:99:99 GMT"),
+                  (500, "3")]   # only 429 and 503 carry a wait to honour
+        delays = self._delays(fake_server, script, len(script))
+        for retry_index, delay in enumerate(delays):
+            assert 2.0 ** retry_index <= delay <= 2.0 ** retry_index + 0.25
+
+    def test_wait_is_capped_at_the_longest_backoff(self, fake_server):
+        later = formatdate(time.time() + 3600, usegmt=True)
+        script = [(429, "3600"), (503, later), (429, "99999999999")]
+        for max_retries, cap in [(1, 1.25), (2, 2.25), (3, 4.25)]:
+            delays = self._delays(fake_server, script[:max_retries],
+                                  max_retries)
+            assert delays == [cap] * max_retries
 
 
 class TestBenchIntegration:

@@ -11,6 +11,7 @@ from sqleq.bench import (
     CoverageReport, QueryPair, breakdown, compute_metrics,
     coverage_compare, emit_report, load_dataset, run_benchmark, write_report,
 )
+from sqleq import bench, normalize, pipeline
 from sqleq.errors import DatasetParseError, DuplicateId, MissingSchema
 from sqleq.pipeline import PipelineConfig
 
@@ -194,6 +195,20 @@ class TestRunAndReports:
         shortcut = next(v for v in report.verdicts if v.pair_id == "px")
         assert shortcut.shortcut
         assert mock.call_count == 20  # 10 scored pairs x 2 calls
+
+    def test_one_exact_match_per_pair(self, tmp_path, monkeypatch):
+        # load_dataset computes the flag and check_pair reuses it
+        calls = []
+
+        def counting(sql1, sql2):
+            calls.append((sql1, sql2))
+            return normalize.exact_match(sql1, sql2)
+
+        monkeypatch.setattr(bench, "exact_match", counting)
+        monkeypatch.setattr(pipeline, "exact_match", counting)
+        report, _mock = self._small_run(tmp_path)
+        assert len(calls) == len(set(calls)) == len(report.pairs) == 11
+        assert next(v for v in report.verdicts if v.pair_id == "px").shortcut
 
     def test_report_independent_of_parallelism(self, tmp_path):
         texts = []

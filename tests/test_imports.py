@@ -91,3 +91,25 @@ def test_building_an_http_backend_loads_the_http_stack():
              "HttpBackend('http://127.0.0.1:9/')")
     assert _loaded(setup, ["http.client", "urllib.request"]) == \
         ["http.client", "urllib.request"]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the records are plain classes: building them at import would cost
+    # every CLI process the dataclasses machinery and what it loads
+    assert _loaded("import sqleq.cli", ["dataclasses", "inspect"]) == []
+
+
+def _imported_modules(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in _imported_modules(path)

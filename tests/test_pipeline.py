@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from conftest import Pair
 from sqleq.backend import Completion, GenConfig, MockBackend, MockRule
+from sqleq.bench import QueryPair
 from sqleq.errors import AuthError, BadExemplarSet, TransportError
 from sqleq.pipeline import (
     PipelineConfig, check_pair, parse_label, prune_output,
@@ -38,6 +39,23 @@ class TestCheckPair:
         assert verdict.label == "Equivalent"
         assert verdict.shortcut
         assert mock.call_count == 0
+
+    def test_pair_never_normalized_is_checked_here(self, toy_schema, cfg):
+        # as `sqleq check` builds it: no load-time exact flag
+        pair = QueryPair(id="p", sql1="SELECT a FROM t;",
+                         sql2="select  A from t", schema_name="s", label=None)
+        mock = scripted()
+        verdict = check_pair(pair, toy_schema, "basic", False, mock, cfg)
+        assert verdict.shortcut and mock.call_count == 0
+
+    @pytest.mark.parametrize("exact, calls", [(True, 0), (False, 2)])
+    def test_load_time_flag_is_reused(self, toy_schema, cfg, exact, calls):
+        pair = QueryPair(id="p", sql1="SELECT a FROM t",
+                         sql2="SELECT a FROM t", schema_name="s", label="EQ",
+                         exact=exact)
+        mock = scripted()
+        verdict = check_pair(pair, toy_schema, "basic", False, mock, cfg)
+        assert verdict.shortcut is exact and mock.call_count == calls
 
     def test_shortcut_can_be_disabled(self, toy_schema):
         mock = scripted(classify_text="Non Equivalent")
