@@ -95,6 +95,13 @@ def _parse_pair_line(line, line_number, schemas):
     for required in ("id", "sql1", "sql2", "schema", "label"):
         if required not in record:
             raise DatasetParseError(f"missing field {required!r}", line_number)
+    for field in ("sql1", "sql2"):
+        if not isinstance(record[field], str):
+            raise DatasetParseError(f"{field} must be text", line_number)
+    for field in ("question", "explanation"):
+        if not isinstance(record.get(field), (str, type(None))):
+            raise DatasetParseError(f"{field} must be text or null",
+                                    line_number)
     label = record["label"]
     if label not in ("EQ", "NEQ"):
         raise DatasetParseError(f"label must be EQ or NEQ, got {label!r}",

@@ -1,9 +1,18 @@
-"""Tokenizer for the SELECT-only SQL dialect.
+"""Tokenizer for the SELECT-only SQL dialect, and SQL's lexical rules.
+
+The pattern strings `GAP`, `STRING` and `QUOTED_IDENT` define once how
+SQL text splits; `normalize.py` builds its scanner from them too.
+Whitespace and comments (`--` to the end of the line, `/* */`) separate
+tokens. A string literal ('...') or quoted identifier ("...") runs to
+its closing quote, and a doubled quote inside stands for one quote.
 
 Unquoted identifiers and keywords are case-folded (keywords upper,
 identifiers lower); quoted identifiers and string literals keep their
-exact contents. Comments (`--` and `/* */`) are skipped.
+exact contents. Numbers are `1`, `1.5`, `.5`, `1e5` or `1.5E-3`; an
+exponent needs a digit, so `1e+` is `1`, `e`, `+`.
 """
+
+import re
 
 from .errors import SqlSyntaxError
 from .records import Frozen
@@ -22,6 +31,33 @@ OPERATORS = (
     "(", ")", "[", "]", ",", ".", ";",
 )
 
+# Whitespace, a line comment, or a block comment that closes.
+GAP = r"\s+|--[^\n]*\n?|/\*(?s:.*?)\*/"
+# A quoted run that closes; the lookahead keeps an escaped quote from
+# closing it.
+STRING = r"'[^']*(?:''[^']*)*'(?!')"
+QUOTED_IDENT = r'"[^"]*(?:""[^"]*)*"(?!")'
+
+# Tried in order at each position: GAP before '-' and '/', NUMBER before
+# '.'. WORD also starts on a non-decimal digit such as '²' or '½',
+# which `tokenize` rejects.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("GAP", GAP),
+    ("STRING", STRING),
+    ("QIDENT", QUOTED_IDENT),
+    ("NUMBER", r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"),
+    ("WORD", r"[^\W\d]\w*"),
+    ("UNCLOSED", r"/\*|['\"]"),
+    ("OP", "|".join(map(re.escape, OPERATORS))),
+    ("MISMATCH", "."),
+)))
+
+_UNCLOSED = {
+    "/*": ("unterminated block comment", "*/"),
+    "'": ("unterminated string literal", "'"),
+    '"': ("unterminated quoted identifier", '"'),
+}
+
 
 class Token(Frozen):
     def __init__(self, kind, value, raw, offset):
@@ -37,103 +73,40 @@ class Token(Frozen):
 def tokenize(text):
     """Return the token list for `text`, ending with an EOF token."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "GAP":
             continue
-        if text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise SqlSyntaxError("unterminated block comment", i, "*/")
-            i = j + 2
-            continue
-        if ch == "'":
-            value, end = _scan_quoted(text, i, "'")
-            tokens.append(Token("STRING", value, text[i:end], i))
-            i = end
-            continue
-        if ch == '"':
-            value, end = _scan_quoted(text, i, '"')
-            tokens.append(Token("QIDENT", value, text[i:end], i))
-            i = end
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            value, end = _scan_number(text, i)
-            tokens.append(Token("NUMBER", value, text[i:end], i))
-            i = end
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
+        raw = m.group()
+        start = m.start()
+        if kind == "WORD" and (raw[0].isalpha() or raw[0] == "_"):
+            upper = raw.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KW", upper, word, i))
+                tokens.append(Token("KW", upper, raw, start))
             else:
-                tokens.append(Token("IDENT", word.lower(), word, i))
-            i = j
-            continue
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, op, i))
-                i += len(op)
-                break
-        else:
-            raise SqlSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", None, "", n))
+                tokens.append(Token("IDENT", raw.lower(), raw, start))
+        elif kind == "OP":
+            tokens.append(Token("OP", raw, raw, start))
+        elif kind == "NUMBER":
+            tokens.append(Token("NUMBER", _number(raw, start), raw, start))
+        elif kind == "STRING":
+            tokens.append(Token("STRING", raw[1:-1].replace("''", "'"),
+                                raw, start))
+        elif kind == "QIDENT":
+            tokens.append(Token("QIDENT", raw[1:-1].replace('""', '"'),
+                                raw, start))
+        else:  # UNCLOSED, MISMATCH, or a WORD such as "²"
+            message, expected = _UNCLOSED.get(
+                raw, (f"unexpected character {raw[0]!r}", None))
+            raise SqlSyntaxError(message, start, expected)
+    tokens.append(Token("EOF", None, "", len(text)))
     return tokens
 
 
-def _scan_quoted(text, start, quote):
-    """Scan a quoted region starting at `start`; doubling escapes the quote."""
-    i = start + 1
-    parts = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == quote:
-            if i + 1 < n and text[i + 1] == quote:
-                parts.append(quote)
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    kind = "string literal" if quote == "'" else "quoted identifier"
-    raise SqlSyntaxError(f"unterminated {kind}", start, quote)
-
-
-def _scan_number(text, start):
-    i = start
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = text[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            # a trailing '.' followed by a non-digit belongs to the next token
-            if i + 1 < n and text[i + 1].isdigit():
-                seen_dot = True
-                i += 1
-            else:
-                break
-        elif ch in "eE" and not seen_exp and i + 1 < n and (
-            text[i + 1].isdigit() or text[i + 1] in "+-"
-        ):
-            seen_exp = True
-            i += 2 if text[i + 1] in "+-" else 1
-        else:
-            break
-    raw = text[start:i]
-    value = float(raw) if (seen_dot or seen_exp) else int(raw)
-    return value, i
+def _number(raw, offset):
+    if not raw.isdecimal():
+        return float(raw)
+    try:
+        return int(raw)
+    except ValueError:  # more digits than Python converts from text
+        raise SqlSyntaxError("integer literal too long", offset) from None

@@ -1,53 +1,38 @@
 """Text-level query canonicalization for exact-match detection.
 
-Works on raw text (no parse, so even malformed queries normalize):
-whitespace runs outside string literals collapse to one space, everything
-outside literals and quoted identifiers is lower-cased, comments drop,
-trailing semicolons strip. String-literal contents are untouched.
+Works on raw text (no parse, so even malformed queries normalize) and
+splits it by the lexer's rules (`lexer.GAP`, `lexer.STRING`,
+`lexer.QUOTED_IDENT`): each run of whitespace and comments becomes one
+space, string literals and quoted identifiers stay verbatim, everything
+else (numbers and operators included) is lower-cased, and trailing
+semicolons strip. An unterminated comment drops the rest of the text;
+an unterminated quote keeps it verbatim.
 """
+
+import re
+
+from .lexer import GAP, QUOTED_IDENT, STRING
+
+# A run stops where a gap or a quote may start, and lowers as a whole:
+# str.lower picks the final sigma from the letters around it.
+_PIECE = re.compile(
+    rf"(?P<gap>{GAP}|/\*(?s:.*))"
+    rf"|(?P<quoted>{STRING}|{QUOTED_IDENT}|['\"](?s:.*))"
+    r"|(?P<run>(?:[^\s'\"/-]|/(?!\*)|-(?!-))+)")
 
 
 def normalize_query(text):
     out = []
-    i = 0
-    n = len(text)
     pending_space = False
-
-    def emit(chunk):
-        nonlocal pending_space
+    for m in _PIECE.finditer(text):
+        kind = m.lastgroup
+        if kind == "gap":
+            pending_space = True
+            continue
         if pending_space and out:
             out.append(" ")
         pending_space = False
-        out.append(chunk)
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            pending_space = True
-            i += 1
-            continue
-        if text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            pending_space = True
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            i = n if j < 0 else j + 2
-            pending_space = True
-            continue
-        if ch == "'" or ch == '"':
-            end = _quoted_end(text, i, ch)
-            emit(text[i:end])
-            i = end
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "'\"" and \
-                not text.startswith("--", j) and not text.startswith("/*", j):
-            j += 1
-        emit(text[i:j].lower())
-        i = j
-
+        out.append(m.group() if kind == "quoted" else m.group().lower())
     result = "".join(out)
     while result.endswith(";"):
         result = result[:-1].rstrip()
@@ -57,16 +42,3 @@ def normalize_query(text):
 def exact_match(q1, q2):
     """True iff the two query texts canonicalize to the same string."""
     return normalize_query(q1) == normalize_query(q2)
-
-
-def _quoted_end(text, start, quote):
-    i = start + 1
-    n = len(text)
-    while i < n:
-        if text[i] == quote:
-            if i + 1 < n and text[i + 1] == quote:
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    return n  # unterminated: take the rest verbatim

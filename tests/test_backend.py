@@ -102,7 +102,11 @@ def fake_server():
         state.handler_delay = handler_delay
         handler = type("Handler", (_Handler,), {"state": state})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # shutdown() waits for the loop to wake up: poll often enough
+        # that teardown does not wait out the default half second
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
         thread.start()
         servers.append(server)
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"

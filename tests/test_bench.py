@@ -56,6 +56,37 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError, match="line 2"):
             load_dataset(data, schemas)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sql1", 5, "sql1 must be text"),
+        ("sql2", None, "sql2 must be text"),
+        ("question", 7, "question must be text or null"),
+        ("explanation", ["why"], "explanation must be text or null"),
+    ])
+    def test_text_field_of_wrong_type_reports_line(self, tmp_path, field,
+                                                   value, message):
+        records = [
+            {"id": "a", "sql1": "SELECT 1", "sql2": "SELECT 2",
+             "schema": "toy", "label": "EQ", "question": "Q1"},
+            {"id": "b", "sql1": "SELECT 1", "sql2": "SELECT 2",
+             "schema": "toy", "label": "EQ", field: value},
+        ]
+        data, schemas = dataset_paths(tmp_path, records)
+        with pytest.raises(DatasetParseError, match=f"line 2: {message}"):
+            load_dataset(data, schemas)
+
+    def test_absent_or_null_question_and_explanation_load(self, tmp_path):
+        records = [
+            {"id": "a", "sql1": "SELECT 1", "sql2": "SELECT 2",
+             "schema": "toy", "label": "EQ"},
+            {"id": "b", "sql1": "SELECT 1", "sql2": "SELECT 2",
+             "schema": "toy", "label": "EQ", "question": None,
+             "explanation": None},
+        ]
+        data, schemas = dataset_paths(tmp_path, records)
+        pairs = load_dataset(data, schemas).pairs
+        assert [(p.question, p.explanation) for p in pairs] == \
+            [(None, None), (None, None)]
+
     def test_duplicate_id_rejected(self, tmp_path):
         record = {"id": "same", "sql1": "SELECT 1", "sql2": "SELECT 2",
                   "schema": "toy", "label": "EQ"}

@@ -90,6 +90,12 @@ class TestPlanFeaturesPrompt:
         code = main(["features", "--sql", "SELECT FROM"])
         assert code == 70
 
+    def test_features_of_a_character_no_token_holds(self, capsys):
+        code = main(["features", "--sql", "SELECT ²"])
+        assert code == 70
+        assert capsys.readouterr().err.strip() == (
+            "error: SqlSyntaxError: unexpected character '²' at offset 7")
+
     def test_prompt_basic_matches_golden(self, schema_file, capsys):
         code = main(["prompt", "--strategy", "basic",
                      "--sql1", "SELECT playerid FROM people",
@@ -270,6 +276,29 @@ class TestOracleCommand:
                 "instance 0: RuntimeExecError: "), statuses[pid]
         assert statuses["after"]["status"] == "refuted"
 
+    def test_malformed_literal_is_inconclusive_and_run_goes_on(
+            self, tmp_path, capsys):
+        data = write_jsonl(tmp_path / "pairs.jsonl", [
+            {"id": pid, "sql1": s1, "sql2": s2, "schema": "s",
+             "label": "NEQ"} for pid, s1, s2 in [
+                ("bad-number", "SELECT 1e+ FROM t", "SELECT a FROM t"),
+                ("after", "SELECT a FROM t", "SELECT a + 1 FROM t")]])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps({"s": {
+            "tables": [{"name": "t", "columns": ["a"]}]}}))
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(
+            {"tables": {"t": {"columns": ["a"], "rows": [[1]]}}}))
+        code = main(["oracle", "--dataset", str(data),
+                     "--schemas", str(schemas),
+                     "--instances", str(instance), "--format", "json"])
+        assert code == 0
+        bad, after = [json.loads(line) for line in
+                      capsys.readouterr().out.strip().split("\n")]
+        assert bad["status"] == "inconclusive"
+        assert bad["errors"][0].startswith("SqlSyntaxError: "), bad
+        assert after["status"] == "refuted"
+
 
 class TestMalformedFiles:
     """A malformed input file is a usage error (exit 64) naming the file,
@@ -430,6 +459,8 @@ class TestBadSettingsAndRecords:
          "line 2: schema 'nowhere'"),
         (lambda rs: [rs[0], {**rs[1], "id": rs[0]["id"]}],
          "duplicate pair id"),
+        (lambda rs: [rs[0], {**rs[1], "question": 7}],
+         "line 2: question must be text or null"),
     ])
     def test_dataset_breaking_rules(self, tmp_path, capsys, mutate, message):
         records = mutate(datafix.question_records()[:2])

@@ -6,9 +6,10 @@ from sqleq.ast_nodes import (
     ColumnRef, Cte, FuncCall, Join, Literal, SelectCore, SelectStmt, walk,
 )
 from sqleq.cli import main
-from sqleq.errors import SqlSyntaxError, UnsupportedConstruct
+from sqleq.errors import SqleqError, SqlSyntaxError, UnsupportedConstruct
 from sqleq.executor import instance_from_dict
 from sqleq.features import extract_features
+from sqleq.lexer import tokenize
 from sqleq.oracle import oracle_check
 from sqleq.parser import MAX_DEPTH, parse_sql
 from sqleq.plan import PLAN_ERROR_PLACEHOLDER, plan_or_placeholder
@@ -57,6 +58,72 @@ class TestBasics:
     def test_strict_rejects_trailing(self):
         with pytest.raises(SqlSyntaxError):
             parse_sql("SELECT a FROM t !!!")
+
+
+class TestLexicalRules:
+    def test_number_forms(self):
+        tokens = tokenize("1 1.5 .5 1e5 1.5E-3")
+        assert [(t.kind, t.value) for t in tokens[:-1]] == [
+            ("NUMBER", 1), ("NUMBER", 1.5), ("NUMBER", 0.5),
+            ("NUMBER", 1e5), ("NUMBER", 1.5e-3)]
+        assert [type(t.value) for t in tokens[:-1]] == \
+            [int, float, float, float, float]
+
+    def test_exponent_without_digits_is_not_part_of_the_number(self):
+        assert [t.raw for t in tokenize("1e+")] == ["1", "e", "+", ""]
+
+    def test_doubled_quotes_escape(self):
+        string, qident, _ = tokenize("'It''s' \"A\"\"B\"")
+        assert (string.kind, string.value, string.raw) == \
+            ("STRING", "It's", "'It''s'")
+        assert (qident.kind, qident.value) == ("QIDENT", 'A"B')
+
+    @pytest.mark.parametrize("text", ["/*/", "x /* y"])
+    def test_unterminated_block_comment(self, text):
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            tokenize(text)
+        assert excinfo.value.offset == text.index("/*")
+        assert excinfo.value.expected == "*/"
+
+    @pytest.mark.parametrize("sql,offset,message", [
+        ("SELECT 1e+ FROM t", 9, "unexpected '+'"),
+        ("SELECT 1e- FROM t", 9, "unexpected '-'"),
+        ("SELECT ²", 7, "unexpected character '²'"),
+        ("SELECT " + "9" * 5000, 7, "integer literal too long"),
+    ], ids=["1e+", "1e-", "superscript-two", "5000-digit-int"])
+    def test_malformed_literal_is_a_syntax_error(self, sql, offset, message):
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            parse_sql(sql)
+        assert excinfo.value.offset == offset
+        assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize("text", ["²", "½", "9" * 5000],
+                             ids=["superscript-two", "one-half",
+                                  "5000-digit-int"])
+    def test_lexer_rejects_what_no_token_can_hold(self, text):
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            tokenize(text)
+        assert excinfo.value.offset == 0
+
+
+# Fragments that probe the lexical rules: quotes and their escapes, both
+# comment forms, number pieces and characters that are digits or letters
+# only to some of Python's string predicates.
+_sqlish = st.lists(st.sampled_from([
+    "SELECT ", "FROM ", "WHERE ", "t", "a", " ", "\n", "'", '"', "''",
+    "--", "/*", "*/", "/", "*", "-", "+", ".", "e", "E", "0", "1", "9",
+    "(", ")", ",", "=", ";", "Σ", "²", "½", "١", "9" * 4301,
+]), max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sqlish)
+def test_lexer_and_parser_raise_only_toolkit_errors(text):
+    for step in (tokenize, parse_sql):
+        try:
+            step(text)
+        except SqleqError:
+            pass
 
 
 def _nested_parens(levels):

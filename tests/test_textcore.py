@@ -32,6 +32,19 @@ class TestNormalize:
     def test_quoted_identifier_contents_kept(self):
         assert normalize_query('SELECT "MiXed" FROM t') == 'select "MiXed" from t'
 
+    @pytest.mark.parametrize("text,canonical", [
+        ("SELECT 'AbC", "select 'AbC"),
+        ("SELECT A /* x", "select a"),
+        ("SELECT A--B\nFROM T", "select a from t"),
+        ("X/*c*/Y", "x y"),
+        ("SELECT 'It''s', \"A\"\"B\"", "select 'It''s', \"A\"\"B\""),
+        ("SELECT AΣ.B FROM T", "select aσ.b from t"),
+    ], ids=["unterminated-quote-kept", "unterminated-comment-dropped",
+            "comment-inside-word", "comment-between-words",
+            "doubled-quotes-kept", "run-lowered-whole"])
+    def test_edge_cases(self, text, canonical):
+        assert normalize_query(text) == canonical
+
     def test_multiple_trailing_semicolons(self):
         assert normalize_query("select 1 ; ;") == "select 1"
 
