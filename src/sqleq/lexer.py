@@ -60,14 +60,15 @@ _UNCLOSED = {
 
 
 class Token(Frozen):
-    def __init__(self, kind, value, raw, offset):
+    def __init__(self, kind, value, raw, offset, _set=object.__setattr__):
         # kind: KW, IDENT, QIDENT, STRING, NUMBER, OP, EOF; value: the
         # normalized text (keywords upper, identifiers lower); raw: the
-        # exact source slice; offset: byte offset of the first character
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "offset", offset)
+        # exact source slice; offset: byte offset of the first character.
+        # `_set` is bound once, not looked up per field and token.
+        _set(self, "kind", kind)
+        _set(self, "value", value)
+        _set(self, "raw", raw)
+        _set(self, "offset", offset)
 
 
 def tokenize(text):

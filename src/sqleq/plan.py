@@ -3,12 +3,14 @@
 A plan mirrors source clause order (FROM, WHERE, GROUP BY, HAVING,
 SELECT, ORDER BY, LIMIT) with no rewriting. Rendering emits one
 `Logical<Op>(args)` line per operator, children indented two spaces per
-level. `plan_or_placeholder` maps every parse or planning failure to the
-fixed placeholder string so prompt construction never fails.
+level. `plan_or_placeholder` maps every parse or planning failure (a
+`SqleqError`) to the fixed placeholder string; any other exception is a
+defect and propagates.
 """
 
 from .ast_nodes import DerivedTable, Literal, SelectStmt, SetOp, TableRef
 from .binder import aggregate_calls, bind
+from .errors import SqleqError
 from .parser import parse_sql
 from .render import render_expression
 
@@ -55,10 +57,11 @@ def render_plan(plan):
 
 
 def plan_or_placeholder(text, schema):
-    """Plan text for a query, or the fixed placeholder on any failure."""
+    """Plan text for a query, or the fixed placeholder if it does not
+    parse or resolve."""
     try:
         return render_plan(build_plan(parse_sql(text), schema))
-    except Exception:
+    except SqleqError:
         return PLAN_ERROR_PLACEHOLDER
 
 

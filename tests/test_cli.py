@@ -496,6 +496,29 @@ class TestInternalErrors:
         assert err.strip() == "error: internal: RuntimeError: boom"
         assert "Traceback" not in err
 
+    def test_planner_defect_fails_the_bench_run(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a defect is no plan failure: it must not become the placeholder
+        def broken(ast, schema):
+            raise TypeError("defect")
+
+        monkeypatch.setattr("sqleq.plan.build_plan", broken)
+        data = write_jsonl(tmp_path / "pairs.jsonl",
+                           datafix.question_records()[:20])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+        script = tmp_path / "mock.json"
+        script.write_text(json.dumps(datafix.scripted_question_rules()))
+        out = tmp_path / "report.json"
+        code = main(["bench", "--dataset", str(data),
+                     "--schemas", str(schemas), "--strategy", "basic",
+                     "--with-plans", "--out", str(out),
+                     "--mock-script", str(script)])
+        assert code == 70
+        err = capsys.readouterr().err
+        assert err.strip() == "error: internal: TypeError: defect"
+        assert not out.exists()
+
 
 class TestConfigResolution:
     class Args:

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 import corpusqueries as corpus
 from sqleq.ast_nodes import (
-    ColumnRef, Cte, FuncCall, Join, Literal, SelectCore, SelectStmt, walk,
+    Between, Binary, Cast, ColumnRef, Cte, FuncCall, InList, IsNull, Join,
+    Like, Literal, Quantified, SelectCore, SelectStmt, Subquery, Unary, walk,
 )
 from sqleq.cli import main
 from sqleq.errors import SqleqError, SqlSyntaxError, UnsupportedConstruct
@@ -134,11 +135,22 @@ def _plus_chain(terms):
     return "SELECT " + " + ".join(["a"] * terms) + " FROM t"
 
 
+def _and_chain(terms):
+    return "SELECT a FROM t WHERE " + " AND ".join(["a = 1"] * terms)
+
+
+def _cast_chain(casts):
+    return "SELECT a" + "::int" * casts + " FROM t"
+
+
 # The deepest input of each shape: parentheses nest inside the statement
 # and the select-item expression, which take two parser levels; a
 # left-deep chain of n additions sits under statement, core and item
-# nodes and over its leaf, a tree of height n + 4.
-DEEPEST = [(_nested_parens, MAX_DEPTH - 2), (_plus_chain, MAX_DEPTH - 3)]
+# nodes and over its leaf, a tree of height n + 4. A WHERE chain of n
+# ANDs sits under statement and core nodes and over an `a = 1` of two
+# levels, n + 4 as well; n casts sit between the item and the leaf, n + 4.
+DEEPEST = [(_nested_parens, MAX_DEPTH - 2), (_plus_chain, MAX_DEPTH - 3),
+           (_and_chain, MAX_DEPTH - 3), (_cast_chain, MAX_DEPTH - 4)]
 
 
 class TestDepthLimit:
@@ -179,6 +191,94 @@ class TestDepthLimit:
     def test_other_deep_shapes_are_syntax_errors(self, sql):
         with pytest.raises(SqlSyntaxError, match="nested deeper"):
             parse_sql(sql)
+
+    # Chains the parser builds in a loop: however long, each is a depth
+    # error, never a RecursionError.
+    @pytest.mark.parametrize("sql", [
+        "SELECT " + "- " * 5000 + "a FROM t",
+        "SELECT a FROM t WHERE " + "NOT " * 5000 + "a = 1",
+        "SELECT a" + "::int" * 5000 + " FROM t",
+        _and_chain(5000),
+        "SELECT a FROM t WHERE " + " OR ".join(["a = 1"] * 5000),
+        "SELECT " + " = ".join(["a"] * 5000) + " FROM t",
+        "SELECT a" + " IS NULL" * 5000 + " FROM t",
+        "SELECT " + " || ".join(["a"] * 5000) + " FROM t",
+        "SELECT a FROM t" + " JOIN t ON a = b" * 5000,
+        "SELECT a FROM " + ", ".join(["t"] * 5000),
+        " UNION ALL ".join(["SELECT a FROM t"] * 5000),
+        " INTERSECT ".join(["SELECT a FROM t"] * 5000),
+    ], ids=["sign", "not", "cast", "and", "or", "eq", "is-null", "concat",
+            "join-on", "comma-from", "union-all", "intersect"])
+    def test_loop_built_chains_of_5000_are_syntax_errors(self, sql):
+        with pytest.raises(SqlSyntaxError, match="nested deeper") as excinfo:
+            parse_sql(sql)
+        assert excinfo.value.offset == 0
+
+
+def _expr(sql):
+    return parse_sql(f"SELECT {sql}").body.items[0].expr
+
+
+def _col(name):
+    return ColumnRef(None, name)
+
+
+a, b, c, d, e, f, x = map(_col, "abcdefx")
+
+
+class TestPrecedence:
+    """Exact tree shapes: a round trip through `render` cannot catch a
+    precedence error, since render adds the parentheses it needs."""
+
+    def test_every_level_in_one_expression(self):
+        assert _expr("a OR b AND NOT c = d + e * -f::int") == Binary(
+            "OR", a, Binary("AND", b, Unary("NOT", Binary(
+                "=", c, Binary("+", d, Binary(
+                    "*", e, Unary("-", Cast(f, "int"))))))))
+
+    @pytest.mark.parametrize("op", ["-", "="])
+    def test_binary_chains_are_left_deep(self, op):
+        assert _expr(f"a {op} b {op} c") == \
+            Binary(op, Binary(op, a, b), c)
+
+    def test_not_covers_the_predicate(self):
+        assert _expr("NOT NOT a IN (1)") == \
+            Unary("NOT", Unary("NOT", InList(a, [Literal(1)])))
+
+    def test_pattern_is_arithmetic(self):
+        assert _expr("a NOT LIKE b || c") == \
+            Like(a, Binary("||", b, c), negated=True)
+
+    def test_between_bounds_stop_at_and(self):
+        assert _expr("a BETWEEN b + 1 AND c AND d") == Binary(
+            "AND", Between(a, Binary("+", b, Literal(1)), c), d)
+
+    def test_comparison_after_is_null(self):
+        assert _expr("x IS NOT NULL = TRUE") == \
+            Binary("=", IsNull(x, negated=True), Literal(True))
+
+    def test_quantified_comparison(self):
+        assert _expr("a = ANY (SELECT b FROM t)") == Quantified(
+            "=", a, "ANY", Subquery(parse_sql("SELECT b FROM t")))
+
+    def test_signs_bind_tighter_than_multiplication(self):
+        assert _expr("- - a * b") == \
+            Binary("*", Unary("-", Unary("-", a)), b)
+
+    @pytest.mark.parametrize("sql, offset, expected", [
+        ("SELECT a NOT NULL", 13, "IN, BETWEEN, or LIKE after NOT"),
+        ("SELECT a IS NULL + 1", 17, "end of statement"),
+        ("SELECT a = NOT b", 11, "expression"),
+        ("SELECT a BETWEEN b = c AND d", 19, "AND"),
+    ], ids=["not-null", "arithmetic-after-is-null", "not-after-comparison",
+            "comparison-in-between-bound"])
+    def test_misplaced_operators(self, sql, offset, expected):
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            parse_sql(sql)
+        assert (excinfo.value.offset, excinfo.value.expected) == \
+            (offset, expected)
+        assert str(excinfo.value).startswith(
+            f"unexpected {sql[offset:].split()[0]!r}")
 
 
 class TestDialect:

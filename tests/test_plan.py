@@ -172,6 +172,14 @@ class TestPlaceholder:
         text = plan_or_placeholder(sql, toy_schema)
         assert text == PLAN_ERROR_PLACEHOLDER
 
+    def test_defect_propagates(self, toy_schema, monkeypatch):
+        def broken(ast, schema):
+            raise TypeError("defect")
+
+        monkeypatch.setattr("sqleq.plan.build_plan", broken)
+        with pytest.raises(TypeError, match="defect"):
+            plan_or_placeholder("SELECT a FROM t", toy_schema)
+
     @pytest.mark.parametrize("sql", corpus.ASSIGNMENT_QUERIES)
     def test_corpus_non_empty_plan_or_placeholder(self, sql, baseball_schema):
         text = plan_or_placeholder(sql, baseball_schema)
