@@ -554,7 +554,24 @@ class _Parser:
         quoted = tok.kind == "QIDENT"
 
         if not quoted and self.accept_op("("):
-            return self.parse_call_tail(name)
+            # the call is parsed here, not in a helper, so that nested
+            # calls take one stack frame fewer per level
+            distinct = star = False
+            args = []
+            self.h = 1
+            if self.accept_op("*"):
+                star = True
+            elif not (self.value == ")" and self.kind == "OP"):
+                distinct = bool(self.accept_kw("DISTINCT"))
+                # DISTINCT(expr) as a pseudo-call, e.g. count(distinct(x))
+                args = self.parse_list(self.parse_expr)
+                self.h += 1
+            self.expect_op(")")
+            window_text = None
+            if self.accept_kw("OVER"):
+                window_text = self.capture_parenthesized()
+            return FuncCall(name=name, args=args, distinct=distinct,
+                            star=star, window_text=window_text)
 
         self.h = 1
         if self.value == "." and self.kind == "OP" and \
@@ -566,25 +583,6 @@ class _Parser:
                              f"{tok.raw}.{col_tok.raw}")
         return ColumnRef(table=None, column=name, column_quoted=quoted,
                          raw=tok.raw)
-
-    def parse_call_tail(self, name):
-        distinct = star = False
-        args = []
-        self.h = 1
-        if self.accept_op("*"):
-            star = True
-        elif not (self.value == ")" and self.kind == "OP"):
-            distinct = bool(self.accept_kw("DISTINCT"))
-            # DISTINCT(expr) written as a pseudo-call, e.g. count(distinct(x))
-            args = self.parse_list(self.parse_expr)
-            self.h += 1
-        self.expect_op(")")
-
-        window_text = None
-        if self.accept_kw("OVER"):
-            window_text = self.capture_parenthesized()
-        return FuncCall(name=name, args=args, distinct=distinct, star=star,
-                        window_text=window_text)
 
     def capture_parenthesized(self):
         """Consume a balanced parenthesized token group, returning raw text."""

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,6 +215,24 @@ class TestDepthLimit:
         with pytest.raises(SqlSyntaxError, match="nested deeper") as excinfo:
             parse_sql(sql)
         assert excinfo.value.offset == 0
+
+    def test_deepest_nesting_fits_in_780_stack_frames(self):
+        # The costliest level is an operator of every power around a
+        # call: about 12 frames, so MAX_DEPTH levels stay well inside the
+        # default recursion limit of 1000 wherever the parser is called.
+        sql = "a"
+        for _ in range(MAX_DEPTH - 2):
+            sql = f"a OR b AND NOT c = d + e * f({sql})"
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 780)
+        try:
+            with pytest.raises(SqlSyntaxError, match="nested deeper"):
+                parse_sql("SELECT " + sql)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def _expr(sql):
