@@ -7,6 +7,13 @@ carry provenance rather than meaning -- the raw source text of a
 column reference -- are left out of comparison and repr so that
 parse/render round-trips stay equal. Nodes carry no name bindings:
 `binder.bind` keeps those outside the tree.
+
+This module alone knows the tree's shape. CHILD_FIELDS lists, once for
+each node class, the fields that hold its child nodes in source order;
+`children`, `walk` (preorder, over an explicit stack, so it does not
+recurse) and `select_level` read only that table. `select_level` defines
+where a select level ends, for the binder, the executor and the
+feature counts alike.
 """
 
 from .records import Record
@@ -230,91 +237,85 @@ class SelectStmt(Record):
         self.limit = limit
 
 
-def walk(node):
-    """Yield `node` and every AST node reachable from it, depth-first."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+# The fields of each node type that hold its child nodes, in source
+# order: a node, None, or a list of nodes or of CASE branch tuples.
+CHILD_FIELDS = {
+    Literal: (),
+    ColumnRef: (),
+    Unary: ("operand",),
+    Binary: ("left", "right"),
+    IsNull: ("operand",),
+    InList: ("operand", "items"),
+    InSubquery: ("operand", "query"),
+    Between: ("operand", "low", "high"),
+    Like: ("operand", "pattern"),
+    Exists: ("query",),
+    Subquery: ("query",),
+    Quantified: ("left", "operand"),
+    Case: ("operand", "whens", "else_"),
+    FuncCall: ("args",),
+    Cast: ("operand",),
+    ArrayLit: ("items",),
+    Star: (),
+    SelectItem: ("expr",),
+    TableRef: (),
+    DerivedTable: ("query",),
+    Join: ("left", "right", "condition"),
+    OrderItem: ("expr",),
+    LimitClause: ("count", "offset"),
+    SelectCore: ("items", "from_item", "where", "group_by", "having"),
+    SetOp: ("left", "right"),
+    Cte: ("query",),
+    SelectStmt: ("ctes", "body", "order_by", "limit"),
+}
 
 
 def children(node):
-    """Yield the AST nodes directly under `node`, in source order."""
-    if isinstance(node, SelectStmt):
-        for cte in node.ctes:
-            yield cte
-        yield node.body
-        for item in node.order_by:
-            yield item
-        if node.limit:
-            yield node.limit
-    elif isinstance(node, Cte):
-        yield node.query
-    elif isinstance(node, SetOp):
-        yield node.left
-        yield node.right
-    elif isinstance(node, SelectCore):
-        for item in node.items:
-            yield item
-        if node.from_item:
-            yield node.from_item
-        if node.where:
-            yield node.where
-        yield from node.group_by
-        if node.having:
-            yield node.having
-    elif isinstance(node, SelectItem):
-        yield node.expr
-    elif isinstance(node, Join):
-        yield node.left
-        yield node.right
-        if node.condition:
-            yield node.condition
-    elif isinstance(node, DerivedTable):
-        yield node.query
-    elif isinstance(node, OrderItem):
-        yield node.expr
-    elif isinstance(node, LimitClause):
-        yield node.count
-        if node.offset:
-            yield node.offset
-    elif isinstance(node, Unary):
-        yield node.operand
-    elif isinstance(node, Binary):
-        yield node.left
-        yield node.right
-    elif isinstance(node, IsNull):
-        yield node.operand
-    elif isinstance(node, InList):
-        yield node.operand
-        yield from node.items
-    elif isinstance(node, InSubquery):
-        yield node.operand
-        yield node.query
-    elif isinstance(node, Between):
-        yield node.operand
-        yield node.low
-        yield node.high
-    elif isinstance(node, Like):
-        yield node.operand
-        yield node.pattern
-    elif isinstance(node, Exists):
-        yield node.query
-    elif isinstance(node, Subquery):
-        yield node.query
-    elif isinstance(node, Quantified):
-        yield node.left
-        yield node.operand
-    elif isinstance(node, Case):
-        if node.operand:
-            yield node.operand
-        for cond, result in node.whens:
-            yield cond
-            yield result
-        if node.else_:
-            yield node.else_
-    elif isinstance(node, FuncCall):
-        yield from node.args
-    elif isinstance(node, Cast):
-        yield node.operand
-    elif isinstance(node, ArrayLit):
-        yield from node.items
+    """The AST nodes directly under `node`, in source order: its
+    CHILD_FIELDS in turn, a list item by item (a CASE branch as its
+    condition, then its result), None skipped."""
+    out = []
+    for name in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if isinstance(value, list):
+            for item in value:
+                if isinstance(item, tuple):
+                    out.extend(item)
+                else:
+                    out.append(item)
+        elif value is not None:
+            out.append(value)
+    return out
+
+
+def walk(node):
+    """Yield `node` and every AST node below it, in preorder."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def select_level(node, stop=None):
+    """Yield `node` and the nodes at its select level, last child first.
+
+    A SelectStmt below `node` starts a level of its own: it is yielded
+    but not entered. So the statement of an expression subquery, an
+    EXISTS, an IN subquery, a derived table, a CTE or a parenthesized
+    set-operation arm keeps its nodes, while the operand of an IN
+    subquery stays at this level. A node for which `stop(node)` is
+    true, `node` itself included, is yielded but not entered either.
+    """
+    root, stack = node, [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if (node is root or not isinstance(node, SelectStmt)) and \
+                (stop is None or not stop(node)):
+            stack.extend(children(node))
+
+
+def is_aggregate_call(node):
+    """Whether `node` is a call of an aggregate (not a window) function."""
+    return isinstance(node, FuncCall) and node.is_aggregate

@@ -74,24 +74,34 @@ def load_dataset(path, schemas):
         schemas = load_schemas(schemas)
     pairs = []
     seen = set()
+    for line_number, record in _records(path):
+        pair = _pair_from_record(record, line_number, schemas)
+        if pair.id in seen:
+            raise DuplicateId(f"duplicate pair id {pair.id!r} "
+                              f"(line {line_number})")
+        seen.add(pair.id)
+        pairs.append(pair)
+    return Dataset(pairs=pairs, schemas=schemas)
+
+
+def _records(path):
+    """Yield (line number, object) for each non-blank line of a JSONL
+    file; a line that is not a JSON object is a DatasetParseError."""
     with open(path, encoding="utf-8") as f:
         for line_number, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            pair = _parse_pair_line(line, line_number, schemas)
-            if pair.id in seen:
-                raise DuplicateId(f"duplicate pair id {pair.id!r} "
-                                  f"(line {line_number})")
-            seen.add(pair.id)
-            pairs.append(pair)
-    return Dataset(pairs=pairs, schemas=schemas)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetParseError(f"invalid JSON: {exc}",
+                                        line_number) from exc
+            if not isinstance(record, dict):
+                raise DatasetParseError("not a JSON object", line_number)
+            yield line_number, record
 
 
-def _parse_pair_line(line, line_number, schemas):
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"invalid JSON: {exc}", line_number) from exc
+def _pair_from_record(record, line_number, schemas):
     for required in ("id", "sql1", "sql2", "schema", "label"):
         if required not in record:
             raise DatasetParseError(f"missing field {required!r}", line_number)
@@ -347,29 +357,21 @@ def coverage_compare(report, tool_results_path):
     known = {p.id: p for p in report.pairs}
     supported_total = unsupported_total = 0
     supported_correct = unsupported_correct = 0
-    with open(tool_results_path, encoding="utf-8") as f:
-        for line_number, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetParseError(f"invalid JSON: {exc}",
-                                        line_number) from exc
-            pair_id = str(record.get("pair_id"))
-            if pair_id not in known:
-                warnings.warn(f"tool results line {line_number}: unknown "
-                              f"pair id {pair_id!r} ignored", stacklevel=2)
-                continue
-            pair = known[pair_id]
-            correct = _prediction_correct(
-                predictions.get(pair_id), pair.label, report.unknown_policy)
-            if record.get("supported"):
-                supported_total += 1
-                supported_correct += correct
-            else:
-                unsupported_total += 1
-                unsupported_correct += correct
+    for line_number, record in _records(tool_results_path):
+        pair_id = str(record.get("pair_id"))
+        if pair_id not in known:
+            warnings.warn(f"tool results line {line_number}: unknown "
+                          f"pair id {pair_id!r} ignored", stacklevel=2)
+            continue
+        pair = known[pair_id]
+        correct = _prediction_correct(
+            predictions.get(pair_id), pair.label, report.unknown_policy)
+        if record.get("supported"):
+            supported_total += 1
+            supported_correct += correct
+        else:
+            unsupported_total += 1
+            unsupported_correct += correct
     return CoverageReport(supported_total, unsupported_total,
                           supported_correct, unsupported_correct)
 

@@ -22,7 +22,10 @@ Resolution rules:
 
 Scopes follow execution: an expression subquery sees the row it is
 evaluated on, a derived table sees only the rows around its FROM
-clause, a CTE definition and LIMIT/OFFSET see no enclosing row.
+clause, a CTE definition and LIMIT/OFFSET see no enclosing row. An
+expression is bound over `ast_nodes.select_level`, which ends its level
+at each nested statement: the binder binds that statement where the
+walk meets it, and an IN subquery's operand stays in the outer scope.
 
 Correlation: each scope has a level (its nesting depth), and the binder
 tracks the lowest level any column reference resolves to. A subquery
@@ -34,8 +37,8 @@ costs time, while a false "uncorrelated" would return wrong rows.
 """
 
 from .ast_nodes import (
-    ColumnRef, DerivedTable, Exists, FuncCall, InSubquery, Join, Literal,
-    SelectItem, SelectStmt, SetOp, Star, Subquery, TableRef, children,
+    ColumnRef, DerivedTable, Join, Literal, SelectItem, SelectStmt, SetOp,
+    Star, TableRef, is_aggregate_call, select_level,
 )
 from .errors import AmbiguousColumn, PlanError, UnresolvedName
 
@@ -66,20 +69,10 @@ def bind(stmt, schema):
 
 
 def aggregate_calls(expr):
-    """Aggregate calls at this select level (subqueries keep their own)."""
-    calls = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Subquery, InSubquery, Exists)):
-            if isinstance(node, InSubquery):
-                stack.append(node.operand)
-            continue
-        if isinstance(node, FuncCall) and node.is_aggregate:
-            calls.append(node)
-            continue
-        stack.extend(children(node))
-    return calls
+    """Aggregate calls at this select level (subqueries keep their own,
+    and a call's arguments are not searched), last child first."""
+    return [node for node in select_level(expr, is_aggregate_call)
+            if is_aggregate_call(node)]
 
 
 _UNREACHED = float("inf")  # level reached by no column reference
@@ -247,20 +240,13 @@ class _Binder:
         raise PlanError(f"cannot plan FROM item {item!r}")
 
     def expr(self, expr, scope, ctes):
-        stack = [expr]
-        while stack:
-            node = stack.pop()
+        for node in select_level(expr):
             if isinstance(node, ColumnRef):
                 depth, slot = scope.resolve(node)
                 self.binding.slots[id(node)] = depth, slot
                 self.reach = min(self.reach, scope.level - depth)
-            elif isinstance(node, (Subquery, Exists, InSubquery)):
-                self.tracked(node.query, scope, self.statement, node.query,
-                             ctes, scope)
-                if isinstance(node, InSubquery):
-                    stack.append(node.operand)
-            else:
-                stack.extend(children(node))
+            elif isinstance(node, SelectStmt):
+                self.tracked(node, scope, self.statement, node, ctes, scope)
 
     def order_keys(self, stmt, names, scope, ctes):
         lowered = [name.lower() for name in names]

@@ -20,7 +20,7 @@ from .bench import (
     UNKNOWN_POLICIES, QueryPair, fmt_metric, load_dataset, run_benchmark,
     write_report,
 )
-from .errors import BadExemplarSet, DatasetError, SqleqError
+from .errors import BadExemplarSet, DatasetError, SchemaError, SqleqError
 from .executor import instance_from_dict
 from .features import extract_features
 from .oracle import OracleOutcome, oracle_check
@@ -299,7 +299,7 @@ def _read_file(path, what, load):
     try:
         return load(path)
     except (ValueError, KeyError, TypeError, AttributeError, DatasetError,
-            BadExemplarSet) as exc:
+            BadExemplarSet, SchemaError) as exc:
         raise UsageError(f"malformed {what} file {path}: {exc}") from exc
 
 

@@ -59,7 +59,8 @@ from collections import Counter
 from .ast_nodes import (
     ArrayLit, Between, Binary, Case, Cast, ColumnRef, Cte, DerivedTable,
     Exists, FuncCall, InList, InSubquery, IsNull, Join, Like, Literal,
-    Quantified, SelectStmt, SetOp, Subquery, TableRef, Unary, walk,
+    Quantified, SelectStmt, SetOp, Subquery, TableRef, Unary,
+    is_aggregate_call, select_level, walk,
 )
 from .binder import bind
 from .errors import InstanceError, RuntimeExecError, UnsupportedFeature
@@ -546,9 +547,8 @@ def _reads(expr, binding, is_fixed):
     """{is_fixed(depth, slot)} over the column references of `expr`; an
     empty set for a subquery or an aggregate, which never make a key."""
     reads = set()
-    for node in walk(expr):
-        if isinstance(node, (Subquery, Exists, InSubquery)) or \
-                isinstance(node, FuncCall) and node.is_aggregate:
+    for node in select_level(expr):
+        if isinstance(node, SelectStmt) or is_aggregate_call(node):
             return set()
         if isinstance(node, ColumnRef):
             reads.add(is_fixed(*binding.slots[id(node)]))

@@ -3,13 +3,16 @@
 Counts are taken over the whole statement including CTE bodies and
 subqueries, so they reflect source occurrences rather than semantics
 (e.g. ORDER BY keys inside a CTE still count). Nesting depth is the
-maximum select-statement depth: CTE bodies, derived tables and
-expression subqueries add a level; set-operation arms do not.
+maximum select-statement depth: each statement that
+`ast_nodes.select_level` does not enter -- a CTE body, a derived table,
+an expression subquery anywhere, LIMIT and OFFSET included -- adds a
+level, except a parenthesized set-operation arm.
 """
 
 from .ast_nodes import (
     Case, Cte, DerivedTable, Exists, FuncCall, InSubquery, Join, LimitClause,
-    OrderItem, SelectCore, SelectStmt, SetOp, Subquery, children, walk,
+    OrderItem, SelectCore, SelectStmt, SetOp, Subquery, children,
+    select_level, walk,
 )
 from .records import Record
 
@@ -68,37 +71,13 @@ def extract_features(ast):
 
 
 def _depth(stmt):
-    deeper, same_level = _immediate_statements(stmt)
     depth = 1
-    for sub in deeper:
-        depth = max(depth, 1 + _depth(sub))
-    for arm in same_level:
-        depth = max(depth, _depth(arm))
+    arms = set()  # ids of statements that continue this level
+    for node in select_level(stmt):
+        if isinstance(node, SelectStmt) and node is not stmt:
+            depth = max(depth, _depth(node) + (id(node) not in arms))
+        elif isinstance(node, (SelectStmt, SetOp)):
+            # a statement directly under this one or under a set
+            # operation is a parenthesized body or arm
+            arms.update(map(id, children(node)))
     return depth
-
-
-def _immediate_statements(stmt):
-    """Nested statements one boundary below `stmt`.
-
-    Returns (depth-increasing, same-level) statement lists; traversal
-    stops at each statement boundary so every level is counted once.
-    """
-    deeper = [cte.query for cte in stmt.ctes]
-    same_level = []
-    stack = [stmt.body] + [item.expr for item in stmt.order_by]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SelectStmt):
-            same_level.append(node)  # parenthesized set-operation arm
-        elif isinstance(node, Cte):
-            deeper.append(node.query)
-        elif isinstance(node, DerivedTable):
-            deeper.append(node.query)
-        elif isinstance(node, (Subquery, Exists)):
-            deeper.append(node.query)
-        elif isinstance(node, InSubquery):
-            deeper.append(node.query)
-            stack.append(node.operand)
-        else:
-            stack.extend(children(node))
-    return deeper, same_level

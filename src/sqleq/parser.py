@@ -7,7 +7,8 @@ window calls parsed as opaque function calls. The whole input must
 parse.
 
 Statements are parsed by recursive descent, expressions by precedence
-climbing over these binding powers:
+climbing over these binding powers (`BINDING_POWERS` holds the infix
+ones, and `render` parenthesizes by the same table):
 
     OR 1   AND 2   prefix NOT 3   + - || 5   * / % 6
     comparisons, IS [NOT] NULL, [NOT] IN, [NOT] BETWEEN, [NOT] LIKE 4
@@ -20,7 +21,7 @@ climbed at power 3. Signs bind tighter than `*`, `::` tighter than
 signs; chains of signs, NOT and `::` are loops, never recursion.
 
 Nesting is capped at MAX_DEPTH so that every recursive pass over a tree
-(render, bind, execute, `walk`, features) stays well inside Python's
+(render, bind, execute, features) stays well inside Python's
 recursion limit. The parser's own nesting (one level per statement, per
 expression -- so per parenthesis -- and per parenthesized join) is
 checked as a level is entered, at the offset of its first token. The
@@ -43,7 +44,7 @@ MAX_DEPTH = 64
 _TOO_DEEP = f"query nested deeper than {MAX_DEPTH} levels"
 
 _NOT, _PREDICATE, _MAX_BP = 3, 4, 6
-_BINDING = {
+BINDING_POWERS = {
     "OR": 1, "AND": 2,
     **dict.fromkeys(("=", "<>", "!=", "<", "<=", ">", ">=", "IS", "NOT",
                      "IN", "BETWEEN", "LIKE"), _PREDICATE),
@@ -390,7 +391,7 @@ class _Parser:
             ceiling = _MAX_BP
 
         while True:
-            bp = _BINDING.get(self.value, 0)
+            bp = BINDING_POWERS.get(self.value, 0)
             if not min_bp < bp <= ceiling or self.kind in _TEXT_KINDS:
                 self.h = height
                 return left

@@ -2,7 +2,8 @@
 
 The output is deterministic: keywords upper-case, unquoted identifiers
 lower-case, single spaces, explicit AS for aliases, parentheses only
-where precedence requires them. Round-trip guarantee: parsing the
+where precedence requires them, with a binary operator's precedence
+read from the parser's `BINDING_POWERS`. Round-trip guarantee: parsing the
 rendered text yields a structurally equal AST.
 """
 
@@ -11,13 +12,8 @@ from .ast_nodes import (
     FuncCall, InList, InSubquery, IsNull, Join, Like, Literal, Quantified,
     SelectStmt, SetOp, Star, Subquery, TableRef, Unary,
 )
+from .parser import BINDING_POWERS
 
-_PREC = {
-    "OR": 1, "AND": 2,
-    "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "||": 5,
-    "*": 6, "/": 6, "%": 6,
-}
 _JOIN_WORD = {
     "inner": "JOIN", "left": "LEFT JOIN", "right": "RIGHT JOIN",
     "full": "FULL JOIN", "cross": "CROSS JOIN",
@@ -142,7 +138,7 @@ def _expr(e, parent_prec):
             return f"{_name(e.table, e.table_quoted)}.{col}"
         return col
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = BINDING_POWERS[e.op]
         text = f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}"
         return _wrap(text, prec, parent_prec)
     if isinstance(e, Unary):

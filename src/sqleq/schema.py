@@ -7,6 +7,9 @@ Schema JSON format:
       "foreign_keys": [["t1.x", "t2.y"], ...],
       "primary_keys": ["t.a", ...]
     }
+
+A field of another shape (`"columns": "ab"`, a name that is not text)
+is a SchemaError naming the field.
 """
 
 import json
@@ -63,14 +66,33 @@ class SchemaDef(Frozen, Record):
 
 
 def schema_from_dict(data):
-    tables = tuple(
-        TableDef(name=t["name"], columns=tuple(t["columns"]))
-        for t in data.get("tables", [])
-    )
-    foreign_keys = tuple(tuple(fk) for fk in data.get("foreign_keys", []))
-    primary_keys = tuple(data.get("primary_keys", []))
-    return SchemaDef(tables=tables, foreign_keys=foreign_keys,
-                     primary_keys=primary_keys)
+    """The SchemaDef of a schema's JSON form; a field of the wrong shape
+    is a SchemaError that names it."""
+    if not isinstance(data, dict):
+        raise SchemaError("schema must be a JSON object")
+    tables = []
+    for table in _list_field(data, "tables", dict, "objects"):
+        name = table.get("name")
+        if not isinstance(name, str):
+            raise SchemaError(f"table name {name!r} is not text")
+        columns = _list_field(table, "columns", str, "text",
+                              f" of table {name!r}")
+        tables.append(TableDef(name=name, columns=tuple(columns)))
+    foreign_keys = _list_field(data, "foreign_keys", list, "pairs")
+    for fk in foreign_keys:
+        if len(fk) != 2 or not all(isinstance(ref, str) for ref in fk):
+            raise SchemaError(f"foreign key {fk!r} is not a pair of text")
+    return SchemaDef(
+        tables=tuple(tables), foreign_keys=tuple(map(tuple, foreign_keys)),
+        primary_keys=tuple(_list_field(data, "primary_keys", str, "text")))
+
+
+def _list_field(data, field, kind, kind_name, owner=""):
+    value = data.get(field, [])
+    if not isinstance(value, list) or \
+            not all(isinstance(item, kind) for item in value):
+        raise SchemaError(f"{field}{owner} must be a list of {kind_name}")
+    return value
 
 
 def load_schema(path):

@@ -109,6 +109,15 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError, match="line 1"):
             load_dataset(data, schemas)
 
+    @pytest.mark.parametrize("line", [5, [1], "text", None])
+    def test_line_that_is_not_an_object_reports_line(self, tmp_path, line):
+        records = [{"id": "a", "sql1": "SELECT 1", "sql2": "SELECT 2",
+                    "schema": "toy", "label": "EQ"}, line]
+        data, schemas = dataset_paths(tmp_path, records)
+        with pytest.raises(DatasetParseError,
+                           match="line 2: not a JSON object"):
+            load_dataset(data, schemas)
+
     def test_difficulty_corpus_fixture_counts(self, tmp_path):
         data, schemas = dataset_paths(tmp_path, datafix.difficulty_records())
         loaded = load_dataset(data, schemas)
@@ -385,6 +394,17 @@ class TestCoverage:
         with pytest.warns(UserWarning, match="unknown pair id"):
             coverage = coverage_compare(report, path)
         assert coverage.supported_total == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('[1]\n', "line 1: not a JSON object"),
+        ('{"pair_id": "p00"}\n{"pair_id": \n', "line 2: invalid JSON"),
+    ])
+    def test_malformed_tool_results_line(self, tmp_path, text, message):
+        report = self._report(tmp_path)
+        path = tmp_path / "tool.jsonl"
+        path.write_text(text)
+        with pytest.raises(DatasetParseError, match=message):
+            coverage_compare(report, path)
 
     def test_as_dict(self):
         coverage = CoverageReport(2, 3, 1, 0)

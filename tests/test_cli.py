@@ -355,6 +355,12 @@ class TestMalformedFiles:
                      "--instances", path])
         self.assert_malformed(capsys, code, "schemas", path)
 
+    def test_schema_file_of_the_wrong_shape(self, tmp_path, capsys):
+        path = self.write(tmp_path, "schema.json", json.dumps(
+            {"tables": [{"name": "t", "columns": "ab"}]}))
+        code = main(["check", *GOLDEN_PAIR_ARGS, "--schema", path])
+        self.assert_malformed(capsys, code, "schema", path)
+
     def test_directory_is_not_a_schema_file(self, tmp_path, capsys):
         code = main(["check", *GOLDEN_PAIR_ARGS, "--schema", str(tmp_path)])
         assert code == 64
@@ -461,6 +467,7 @@ class TestBadSettingsAndRecords:
          "duplicate pair id"),
         (lambda rs: [rs[0], {**rs[1], "question": 7}],
          "line 2: question must be text or null"),
+        (lambda rs: [rs[0], 5], "line 2: not a JSON object"),
     ])
     def test_dataset_breaking_rules(self, tmp_path, capsys, mutate, message):
         records = mutate(datafix.question_records()[:2])

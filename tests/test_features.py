@@ -45,6 +45,20 @@ class TestCounts:
         assert p.subqueries == 4
         assert p.nesting_depth == 2
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t LIMIT (SELECT 1)",
+        "SELECT a FROM t LIMIT 1 OFFSET (SELECT COUNT(*) FROM u)",
+    ])
+    def test_limit_and_offset_subqueries_add_a_level(self, sql):
+        p = profile(sql)
+        assert p.subqueries == 1
+        assert p.nesting_depth == 2
+
+    def test_parenthesized_set_operation_arms_add_no_level(self):
+        p = profile("(SELECT a FROM t) UNION (SELECT b FROM "
+                    "(SELECT b FROM u) AS x)")
+        assert p.nesting_depth == 2
+
     def test_aggregates_counted_per_call_site(self):
         p = profile("SELECT SUM(a), SUM(a), COUNT(*) FROM t GROUP BY b")
         assert p.aggregate_calls == 3

@@ -134,6 +134,19 @@ class TestResolution:
         with pytest.raises(UnresolvedName, match="x"):
             plan_for("SELECT x FROM t", toy_schema)
 
+    def test_last_operand_is_resolved_first(self, toy_schema):
+        with pytest.raises(UnresolvedName, match="^y$"):
+            plan_for("SELECT x + y FROM t", toy_schema)
+
+    def test_aggregates_listed_last_operand_first(self, toy_schema):
+        text = render_plan(plan_for(
+            "SELECT SUM(a) + MAX(b), COUNT(*) FROM t", toy_schema))
+        assert "aggs=[MAX(b), SUM(a), COUNT(*)]" in text
+
+    def test_nested_aggregate_is_not_listed(self, toy_schema):
+        text = render_plan(plan_for("SELECT SUM(MAX(a)) FROM t", toy_schema))
+        assert "aggs=[SUM(MAX(a))]" in text
+
     def test_unknown_table(self, toy_schema):
         with pytest.raises(UnresolvedName, match="missing"):
             plan_for("SELECT a FROM missing", toy_schema)

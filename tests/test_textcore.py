@@ -101,6 +101,34 @@ class TestSchema:
             SchemaDef(tables=(TableDef("t", ("a",)),),
                       foreign_keys=(("t.a", "t.nope"),))
 
+    def test_columns_given_as_text_rejected(self):
+        with pytest.raises(SchemaError, match="columns of table 't'"):
+            schema_from_dict({"tables": [{"name": "t", "columns": "ab"}]})
+
+    def test_primary_keys_given_as_text_rejected(self):
+        with pytest.raises(SchemaError, match="primary_keys must be a list"):
+            schema_from_dict({"tables": [{"name": "t", "columns": ["a"]}],
+                              "primary_keys": "t.a"})
+
+    def test_table_name_that_is_not_text_rejected(self):
+        with pytest.raises(SchemaError, match="table name 5"):
+            schema_from_dict({"tables": [{"name": 5, "columns": ["a"]}]})
+
+    def test_column_that_is_not_text_rejected(self):
+        with pytest.raises(SchemaError, match="columns of table 't'"):
+            schema_from_dict({"tables": [{"name": "t",
+                                          "columns": ["a", None]}]})
+
+    @pytest.mark.parametrize("data, field", [
+        ([], "schema"),
+        ({"tables": {"t": ["a"]}}, "tables"),
+        ({"tables": [{"name": "t", "columns": ["a"]}],
+          "foreign_keys": [["t.a"]]}, "foreign key"),
+    ])
+    def test_other_misshapen_fields_rejected(self, data, field):
+        with pytest.raises(SchemaError, match=field):
+            schema_from_dict(data)
+
     def test_json_round_trip(self, tmp_path):
         payload = {
             "tables": [{"name": "t", "columns": ["a", "b"]},
