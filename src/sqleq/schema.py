@@ -104,6 +104,8 @@ def load_schemas(path):
     """Load a {schema_name: schema} file used by benchmark datasets."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise SchemaError("schemas file must map names to schemas")
     return {name: schema_from_dict(spec) for name, spec in data.items()}
 
 

@@ -9,7 +9,8 @@ import corpusqueries as corpus
 from sqleq.errors import SchemaError
 from sqleq.normalize import exact_match, normalize_query
 from sqleq.schema import (
-    SchemaDef, TableDef, load_schema, schema_from_dict, serialize_schema,
+    SchemaDef, TableDef, load_schema, load_schemas, schema_from_dict,
+    serialize_schema,
 )
 
 
@@ -128,6 +129,12 @@ class TestSchema:
     def test_other_misshapen_fields_rejected(self, data, field):
         with pytest.raises(SchemaError, match=field):
             schema_from_dict(data)
+
+    def test_schemas_file_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "schemas.json"
+        path.write_text("[1]")
+        with pytest.raises(SchemaError, match="schemas file"):
+            load_schemas(path)
 
     def test_json_round_trip(self, tmp_path):
         payload = {
