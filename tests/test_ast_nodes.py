@@ -36,7 +36,7 @@ def _suite_texts():
     for text in dict.fromkeys(texts):
         try:
             trees.append(parse_sql(text))
-        except (SqleqError, RecursionError):
+        except SqleqError:
             continue
     return trees
 
