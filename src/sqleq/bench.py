@@ -38,7 +38,7 @@ UNKNOWN_POLICIES = ("as_neq", "always_wrong")
 
 _DIFFICULTY_ALIASES = {
     "easy": "Easy", "medium": "Medium", "hard": "Hard",
-    "extrahard": "ExtraHard", "extra": "ExtraHard", "unlabeled": "Unlabeled",
+    "extrahard": "ExtraHard", "unlabeled": "Unlabeled",
 }
 
 

@@ -75,6 +75,11 @@ def aggregate_calls(expr):
             if is_aggregate_call(node)]
 
 
+def output_name(item, position):
+    """The alias or column name of a select item, else `col<position>`."""
+    return item.output_name() or f"col{position}"
+
+
 _UNREACHED = float("inf")  # level reached by no column reference
 
 
@@ -204,8 +209,7 @@ class _Binder:
         self.binding.items[id(core)] = items
         if core.group_by or any(aggregate_calls(e) for e in per_group):
             self.binding.grouped.add(id(core))
-        names = [item.output_name() or f"col{i}"
-                 for i, item in enumerate(items)]
+        names = [output_name(item, i) for i, item in enumerate(items)]
         return names, scope
 
     def from_item(self, item, ctes, outer):
@@ -301,5 +305,5 @@ def _peek_output_names(stmt):
     for i, item in enumerate(body.items):
         if isinstance(item, Star):
             return None
-        names.append(item.output_name() or f"col{i}")
+        names.append(output_name(item, i))
     return names

@@ -4,7 +4,9 @@ Subcommands: check (one pair), bench (dataset run + report), plan,
 features, prompt (exact prompt bytes), oracle (execution-based check).
 
 Exit codes: 0 Equivalent, 1 Non-Equivalent, 2 Unknown, 64 usage error,
-70 internal error. Configuration precedence: flags > environment
+65 SQL that does not parse or bind, 69 backend failed after its retries
+or gave an empty explanation, 70 internal or other toolkit error.
+Configuration precedence: flags > environment
 (SQLEQ_API_KEY, SQLEQ_CONFIG) > config file (TOML or JSON) > defaults.
 Diagnostics go to stderr; stdout stays machine-parseable under
 --format json.
@@ -20,7 +22,10 @@ from .bench import (
     UNKNOWN_POLICIES, QueryPair, fmt_metric, load_dataset, run_benchmark,
     write_report,
 )
-from .errors import BadExemplarSet, DatasetError, SchemaError, SqleqError
+from .errors import (
+    BackendError, BadExemplarSet, DatasetError, EmptyExplanation, PlanError,
+    SchemaError, SqleqError, SqlSyntaxError, UnsupportedConstruct,
+)
 from .executor import instance_from_dict
 from .features import extract_features
 from .oracle import OracleOutcome, oracle_check
@@ -40,6 +45,8 @@ EXIT_EQUIVALENT = 0
 EXIT_NON_EQUIVALENT = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_DATA = 65
+EXIT_UNAVAILABLE = 69
 EXIT_ERROR = 70
 
 BACKENDS = ("mock", "http")
@@ -95,14 +102,15 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SqleqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, (SqlSyntaxError, UnsupportedConstruct, PlanError)):
+            return EXIT_DATA
+        if isinstance(exc, (BackendError, EmptyExplanation)):
+            return EXIT_UNAVAILABLE
         return EXIT_ERROR
     except Exception as exc:  # a defect: report it in the documented way
         print(f"error: internal: {type(exc).__name__}: {exc}",

@@ -12,6 +12,13 @@ Rows are flat tuples: a join concatenates its two sides (an outer join
 pads the missing side with NULLs) and a column reference reads
 `row[slot]` after stepping out `depth` enclosing row contexts.
 
+An ORDER BY key that names no output column is a hidden column (as in
+PostgreSQL's "resjunk" entries): the select core appends its value after
+the output columns, computed after them in the same row or group
+context, and the sort cuts it off again. A set operation, a
+parenthesized statement or a DISTINCT core cannot, and raises if it has
+rows.
+
 Each expression compiles once per execute, on first use, to a closure
 over the row context (`_compile`): column slots, operators, function,
 aggregate and cast names, literal LIKE patterns and literal IN lists are
@@ -157,10 +164,7 @@ def _check_primary_keys(instance):
     for ref in instance.schema.primary_keys:
         table_name, _, column = ref.partition(".")
         columns, rows = instance.table(table_name)
-        try:
-            idx = columns.index(column.lower())
-        except ValueError:
-            continue
+        idx = columns.index(column.lower())
         seen = set()
         for row in rows:
             value = row[idx]
@@ -238,13 +242,16 @@ def _exec_stmt(stmt, env, outer_ctx):
                 f"CTE {cte.name!r} column list arity mismatch")
         env.ctes[id(cte)] = (width, rows)
 
-    by_expression = None in env.binding.order.get(id(stmt), ())
-    width, pairs = _exec_body(stmt.body, env, outer_ctx, by_expression)
+    order = env.binding.order.get(id(stmt), ())
+    hidden = [item.expr for index, item in zip(order, stmt.order_by)
+              if index is None]
+    width, rows = _exec_body(stmt.body, env, outer_ctx, hidden)
 
     if stmt.order_by:
-        rows = _sort_rows(pairs, stmt, env)
-    else:
-        rows = [out for out, _ctx in pairs]
+        if hidden and rows and len(rows[0]) == width:
+            raise RuntimeExecError(
+                "ORDER BY expression must name an output column here")
+        rows = _sort_rows(rows, stmt, width, env)
 
     if stmt.limit is not None:
         rows = _apply_limit(rows, stmt.limit, env)
@@ -252,15 +259,14 @@ def _exec_stmt(stmt, env, outer_ctx):
     return width, rows
 
 
-def _exec_body(body, env, outer_ctx, keep_ctx=False):
-    """Returns (width, [(output row, row context or None)]); a select
-    core keeps the row contexts when `keep_ctx` or it groups."""
+def _exec_body(body, env, outer_ctx, hidden=()):
+    """Returns (width, rows); a select core appends the values of the
+    `hidden` expressions to its rows, after the `width` output columns."""
     if isinstance(body, SetOp):
         return _exec_setop(body, env, outer_ctx)
     if isinstance(body, SelectStmt):
-        width, rows = _exec_stmt(body, env, outer_ctx)
-        return width, [(row, None) for row in rows]
-    return _exec_core(body, env, outer_ctx, keep_ctx)
+        return _exec_stmt(body, env, outer_ctx)
+    return _exec_core(body, env, outer_ctx, hidden)
 
 
 def _exec_setop(op, env, outer_ctx):
@@ -269,33 +275,29 @@ def _exec_setop(op, env, outer_ctx):
     if width != right_width:
         raise RuntimeExecError(
             f"{op.kind.upper()} arms have different column counts")
-    lrows = [row for row, _ in left]
-    rrows = [row for row, _ in right]
 
     if op.kind == "union":
-        rows = lrows + rrows if op.all else _dedupe(lrows + rrows)
-    else:
-        # INTERSECT keeps left rows found on the right, EXCEPT the others;
-        # ALL consumes one right row per match, DISTINCT dedupes the left
-        rcounts = Counter(map(canon_row, rrows))
-        keep_found = op.kind == "intersect"
-        rows = []
-        for row in (lrows if op.all else _dedupe(lrows)):
-            key = canon_row(row)
-            found = rcounts[key] > 0
-            if found and op.all:
-                rcounts[key] -= 1
-            if found == keep_found:
-                rows.append(row)
-
-    return width, [(row, None) for row in rows]
+        return width, left + right if op.all else _dedupe(left + right)
+    # INTERSECT keeps left rows found on the right, EXCEPT the others;
+    # ALL consumes one right row per match, DISTINCT dedupes the left
+    rcounts = Counter(map(canon_row, right))
+    keep_found = op.kind == "intersect"
+    rows = []
+    for row in (left if op.all else _dedupe(left)):
+        key = canon_row(row)
+        found = rcounts[key] > 0
+        if found and op.all:
+            rcounts[key] -= 1
+        if found == keep_found:
+            rows.append(row)
+    return width, rows
 
 
-def _exec_core(core, env, outer_ctx, keep_ctx):
+def _exec_core(core, env, outer_ctx, hidden):
     if core.from_item is None:
         rows = [()]
     elif core.where is None or id(core.from_item) in env.binding.correlated:
-        rows = _exec_from(core.from_item, env, outer_ctx)[0]
+        rows = _exec_from(core.from_item, env, outer_ctx)[1]
     else:
         rows = _probe_from(core, env, outer_ctx)
     if core.where is not None:
@@ -312,7 +314,7 @@ def _exec_core(core, env, outer_ctx, keep_ctx):
     project = _row_fn([_compile(e, env) for e in exprs])
     if id(core) in env.binding.grouped:
         ctxs = _group(rows, core.group_by, env, outer_ctx)
-    elif core.having is not None or keep_ctx:
+    elif core.having is not None or hidden:
         ctxs = [_Ctx(row, outer_ctx) for row in rows]
     else:
         ctxs = None
@@ -320,37 +322,38 @@ def _exec_core(core, env, outer_ctx, keep_ctx):
         having = _compile(core.having, env)
         ctxs = [c for c in ctxs if having(c) is True]
     if ctxs is not None:
-        pairs = [(project(ctx), ctx) for ctx in ctxs]
+        out = [project(ctx) for ctx in ctxs]
     else:
         ctx = _Ctx(None, outer_ctx)  # reused: no later clause reads it
-        pairs = []
+        out = []
         for row in rows:
             ctx.row = row
-            pairs.append((project(ctx), None))
+            out.append(project(ctx))
 
-    if core.distinct:
-        pairs = [(out, None) for out in _dedupe(out for out, _ in pairs)]
+    if core.distinct:  # a distinct row has no one context for hidden keys
+        out = _dedupe(out)
+    elif hidden:  # a second pass: every select item runs before any key
+        keys = _row_fn([_compile(e, env) for e in hidden])
+        out = [row + keys(ctx) for row, ctx in zip(out, ctxs)]
 
-    return len(exprs), pairs
+    return len(exprs), out
 
 
 def _exec_from(item, env, outer_ctx):
-    """Returns (flat rows, row width) of a FROM item."""
+    """Returns (row width, flat rows) of a FROM item."""
     if isinstance(item, TableRef):
         cte = env.binding.ctes.get(id(item))
         if cte is not None:
-            width, rows = env.ctes[id(cte)]
-            return rows, width
+            return env.ctes[id(cte)]
         columns, rows = env.instance.table(item.name)
-        return rows, len(columns)
+        return len(columns), rows
 
     if isinstance(item, DerivedTable):
-        width, rows = _exec_stmt(item.query, env, outer_ctx)
-        return rows, width
+        return _exec_stmt(item.query, env, outer_ctx)
 
     if isinstance(item, Join):
-        left, left_width = _exec_from(item.left, env, outer_ctx)
-        right, right_width = _exec_from(item.right, env, outer_ctx)
+        left_width, left = _exec_from(item.left, env, outer_ctx)
+        right_width, right = _exec_from(item.right, env, outer_ctx)
         condition = None if item.kind == "cross" else item.condition
         ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
         index = None
@@ -384,7 +387,7 @@ def _exec_from(item, env, outer_ctx):
             out.extend(null_left + rrow
                        for rrow, matched in zip(right, matched_right)
                        if not matched)
-        return out, left_width + right_width
+        return left_width + right_width, out
 
     raise RuntimeExecError(f"cannot evaluate FROM item {item!r}")
 
@@ -399,10 +402,10 @@ def _probe_from(core, env, outer_ctx):
     """
     keys = _equi_keys(core.where, env, lambda depth, slot: depth == 0)
     if keys is None:
-        return _exec_from(core.from_item, env, outer_ctx)[0]
+        return _exec_from(core.from_item, env, outer_ctx)[1]
     index = env.memo.get(id(core))
     if index is None:
-        rows = _exec_from(core.from_item, env, outer_ctx)[0]
+        rows = _exec_from(core.from_item, env, outer_ctx)[1]
         index = env.memo[id(core)] = _Index(rows, keys,
                                             _Ctx(None, outer_ctx))
     if not index.rows:
@@ -427,31 +430,20 @@ def _group(rows, group_by, env, outer_ctx):
             for members in buckets.values()]
 
 
-def _sort_rows(pairs, stmt, env):
-    """Output rows in ORDER BY order; keys were bound to an output index,
-    or to None for an expression over the row context."""
-    keys = [_order_key(index, item.expr, env) for index, item
-            in zip(env.binding.order[id(stmt)], stmt.order_by)]
-    keyed = [([key(out, ctx) for key in keys], out) for out, ctx in pairs]
-    for i in range(len(keys) - 1, -1, -1):
-        keyed.sort(key=lambda entry: entry[0][i],
-                   reverse=stmt.order_by[i].descending)
-    return [out for _keys, out in keyed]
-
-
-def _order_key(index, expr, env):
-    """Closure giving the sort key of one ORDER BY item for an output
-    row and its row context."""
-    if index is not None:
-        return lambda out, ctx: sort_key(out[index])
-    fn = _compile(expr, env)
-
-    def by_expression(out, ctx):
-        if ctx is None:
-            raise RuntimeExecError(
-                "ORDER BY expression must name an output column here")
-        return sort_key(fn(ctx))
-    return by_expression
+def _sort_rows(rows, stmt, width, env):
+    """`rows`, the list the body built, sorted in place and cut back to
+    `width` columns; a key bound to None reads the next hidden column."""
+    keys = []
+    hidden = width
+    for index, item in zip(env.binding.order[id(stmt)], stmt.order_by):
+        if index is None:
+            index, hidden = hidden, hidden + 1
+        keys.append((index, item.descending))
+    for slot, descending in reversed(keys):
+        rows.sort(key=lambda row: sort_key(row[slot]), reverse=descending)
+    if hidden > width:
+        return [row[:width] for row in rows]
+    return rows
 
 
 def _apply_limit(rows, limit, env):
@@ -675,7 +667,9 @@ def _dedupe(items, key_of=canon_row):
 
 
 def _like_regex(pattern):
-    out = []
+    """Regular expression of a LIKE pattern; `%` and `_` match any
+    character, a newline too."""
+    out = ["(?s)"]
     for ch in pattern:
         if ch == "%":
             out.append(".*")

@@ -9,7 +9,7 @@ defect and propagates.
 """
 
 from .ast_nodes import DerivedTable, Literal, SelectStmt, SetOp, TableRef
-from .binder import aggregate_calls, bind
+from .binder import aggregate_calls, bind, output_name
 from .errors import SqleqError
 from .parser import parse_sql
 from .render import render_expression
@@ -148,8 +148,7 @@ def _plan_core(core, binding):
     plan = PlanNode("Project", ", ".join(rendered), [plan])
 
     if core.distinct:
-        names = [item.output_name() or f"col{i}"
-                 for i, item in enumerate(items)]
+        names = [output_name(item, i) for i, item in enumerate(items)]
         plan = PlanNode("Aggregate",
                         f"group=[{', '.join(names)}], aggs=[]", [plan])
 

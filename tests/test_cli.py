@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -58,6 +59,18 @@ class TestCheck:
                      "--schema", schema_file])
         assert code == 2
 
+    def test_unreachable_backend_exit(self, schema_file, tmp_path, capsys):
+        with socket.socket() as sock:  # a loopback port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"retries": 0}))
+        code = main(["--config", str(config), "check", *GOLDEN_PAIR_ARGS,
+                     "--schema", schema_file, "--backend", "http",
+                     "--endpoint", f"http://127.0.0.1:{port}/v1"])
+        assert code == 69
+        assert capsys.readouterr().err.startswith("error: TransportError: ")
+
     def test_missing_schema_file_usage_error(self, capsys):
         code = main(["check", "--sql1", "SELECT 1", "--sql2", "SELECT 2",
                      "--schema", "/nowhere/schema.json"])
@@ -88,11 +101,19 @@ class TestPlanFeaturesPrompt:
 
     def test_features_syntax_error_exit(self, capsys):
         code = main(["features", "--sql", "SELECT FROM"])
-        assert code == 70
+        assert code == 65
+        assert capsys.readouterr().err.startswith("error: SqlSyntaxError: ")
+
+    def test_features_unsupported_construct_exit(self, capsys):
+        code = main(["features", "--sql",
+                     "SELECT a FROM t NATURAL JOIN s"])
+        assert code == 65
+        assert capsys.readouterr().err.startswith(
+            "error: UnsupportedConstruct: ")
 
     def test_features_of_a_character_no_token_holds(self, capsys):
         code = main(["features", "--sql", "SELECT ²"])
-        assert code == 70
+        assert code == 65
         assert capsys.readouterr().err.strip() == (
             "error: SqlSyntaxError: unexpected character '²' at offset 7")
 

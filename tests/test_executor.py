@@ -207,6 +207,60 @@ class TestSortingAndLimits:
         assert not run(cte, inst).ordered
 
 
+class TestHiddenOrderColumns:
+    """ORDER BY keys that name no output column are evaluated where the
+    select items are, sorted on and cut off before the rows leave."""
+
+    NO_CONTEXT = "ORDER BY expression must name an output column here"
+
+    def test_distinct_core_raises_only_with_rows(self, nums):
+        schema, inst = nums
+        sql = "SELECT DISTINCT y FROM t ORDER BY x"
+        with pytest.raises(RuntimeExecError, match=self.NO_CONTEXT):
+            run(sql, inst)
+        assert run(sql, make_instance(schema)).rows == []
+
+    def test_set_operation_key_on_the_enclosing_row(self, nums):
+        _, inst = nums
+        arms = {"rows": "SELECT u.x FROM t AS u UNION SELECT 1",
+                "none": "SELECT u.x FROM t AS u WHERE u.x = 99 "
+                        "UNION SELECT u.x FROM t AS u WHERE u.x = 98"}
+        sql = "SELECT x FROM t WHERE EXISTS ({} ORDER BY t.y)"
+        with pytest.raises(RuntimeExecError, match=self.NO_CONTEXT):
+            run(sql.format(arms["rows"]), inst)
+        assert run(sql.format(arms["none"]), inst).rows == []
+
+    def test_parenthesized_statement_raises_only_with_rows(self, nums):
+        _, inst = nums
+        sql = ("SELECT x FROM t WHERE EXISTS "
+               "((SELECT u.x FROM t AS u LIMIT {}) ORDER BY t.y)")
+        with pytest.raises(RuntimeExecError, match=self.NO_CONTEXT):
+            run(sql.format(3), inst)
+        assert run(sql.format(0), inst).rows == []
+
+    def test_grouped_key_not_selected_with_desc_and_limit(self, nums):
+        _, inst = nums
+        result = run("SELECT MIN(y) FROM t GROUP BY x "
+                     "ORDER BY SUM(x) DESC, x LIMIT 2", inst)
+        assert result.rows == [("b",), ("a",)]
+        assert result.column_count == 1
+
+    def test_hidden_columns_never_leave_a_statement(self, nums):
+        _, inst = nums
+        rows = run("SELECT x FROM t WHERE y IN "
+                   "(SELECT y FROM t ORDER BY x DESC)", inst).rows
+        assert rows == [(1,), (2,), (None,)]
+        rows = run("WITH c AS (SELECT y FROM t ORDER BY x DESC) "
+                   "SELECT * FROM c", inst).rows
+        assert rows == [("b",), (None,), ("a",), ("c",)]
+
+    def test_select_item_error_wins_over_a_key_error(self, nums):
+        _, inst = nums
+        # the key raises on the first row, the select item on the second
+        with pytest.raises(RuntimeExecError, match="division by zero"):
+            run("SELECT 10 / (x - 2) FROM t ORDER BY 10 % (x - 1)", inst)
+
+
 class TestSetOps:
     @pytest.fixture
     def ab(self):
@@ -490,6 +544,16 @@ class TestScalarExpressions:
         _, inst = nums
         rows = run("SELECT y FROM t WHERE y LIKE '_'", inst).rows
         assert rows == [("a",), ("b",), ("c",)]
+
+    def test_like_wildcards_match_a_newline(self):
+        schema = SchemaDef(tables=(TableDef("t", ("id", "s")),))
+        inst = make_instance(schema, t=[[1, "a\nb"], [2, "ab"]])
+        assert run("SELECT id FROM t WHERE s LIKE 'a%'", inst).rows == \
+            [(1,), (2,)]
+        assert run("SELECT id FROM t WHERE s LIKE 'a_b'", inst).rows == \
+            [(1,)]
+        assert run("SELECT id FROM t WHERE s LIKE ('a' || '_b')",
+                   inst).rows == [(1,)]
 
     def test_between(self, nums):
         _, inst = nums

@@ -234,6 +234,16 @@ class TestOracleCheck:
         assert outcome.status == "refuted"
         assert outcome.witness_index == 1
 
+    def test_like_percent_matches_a_newline(self):
+        schema = SchemaDef(tables=(TableDef("t", ("id", "s")),))
+        instance = instance_from_dict({"tables": {"t": {
+            "columns": ["id", "s"], "rows": [[1, "a\nb"], [2, "ab"]]}}},
+            schema)
+        outcome = oracle_check("SELECT id FROM t WHERE s LIKE '%'",
+                               "SELECT id FROM t WHERE s IS NOT NULL",
+                               [instance])
+        assert outcome.status == "consistent", outcome.reason
+
     def test_identical_queries_consistent(self, witness_schema):
         instance = baseball_instance(witness_schema, [["p1", 2000, 2]])
         outcome = oracle_check("SELECT playerid FROM people",

@@ -182,7 +182,7 @@ class TestDepthLimit:
         outcome = oracle_check(sql, "SELECT a FROM t", [instance])
         assert outcome.status == "inconclusive"
         assert plan_or_placeholder(sql, toy_schema) == PLAN_ERROR_PLACEHOLDER
-        assert main(["features", "--sql", sql]) == 70
+        assert main(["features", "--sql", sql]) == 65
 
     @pytest.mark.parametrize("sql", [
         "SELECT a FROM t WHERE " + "NOT " * 500 + "a = 1",
