@@ -430,6 +430,8 @@ def cmd_oracle(args):
     for path in args.instances:
         data = _read_file(path, "instance", _load_json)
         raw_instances.extend(data if isinstance(data, list) else [data])
+    if not raw_instances:
+        raise UsageError("the --instances files hold no instance")
 
     refuted = consistent = inconclusive = 0
     loaded = {}  # schema name -> (valid instances, load errors)

@@ -45,7 +45,8 @@ pairs no longer raises (PostgreSQL takes the same freedom).
 Semantics notes:
 - values compare, group and sort by the value model of `values.py`,
   which the oracle shares: GROUP BY, DISTINCT, set operations, IN and
-  hash probes match `canon` keys, and ORDER BY is a stable sort on
+  hash probes match as `canon` keys do (whole columns on the raw rows
+  where `values.row_keys` allows), and ORDER BY is a stable sort on
   `sort_key`, applied in reverse for DESC;
 - predicates use three-valued logic; only rows where the condition is
   True survive WHERE/ON/HAVING;
@@ -72,7 +73,8 @@ from .ast_nodes import (
 from .binder import bind
 from .errors import InstanceError, RuntimeExecError, UnsupportedFeature
 from .values import (
-    canon, canon_row, is_number, is_scalar, sort_key, values_equal,
+    canon, canon_row, cell_types, is_number, is_scalar, raw_keys_exact,
+    row_keys, sort_key, sorts_raw, values_equal,
 )
 
 
@@ -165,12 +167,13 @@ def _check_primary_keys(instance):
         table_name, _, column = ref.partition(".")
         columns, rows = instance.table(table_name)
         idx = columns.index(column.lower())
+        values = [row[idx] for row in rows]
+        keys = values if raw_keys_exact([cell_types(values)]) \
+            else map(canon, values)
         seen = set()
-        for row in rows:
-            value = row[idx]
+        for value, key in zip(values, keys):
             if value is None:
                 raise InstanceError(f"NULL in primary key column {ref}")
-            key = canon(value)
             if key in seen:
                 raise InstanceError(f"duplicate primary key value in {ref}")
             seen.add(key)
@@ -276,15 +279,17 @@ def _exec_setop(op, env, outer_ctx):
         raise RuntimeExecError(
             f"{op.kind.upper()} arms have different column counts")
 
+    both = left + right
     if op.kind == "union":
-        return width, left + right if op.all else _dedupe(left + right)
+        return width, both if op.all else _dedupe(both, row_keys(both))
     # INTERSECT keeps left rows found on the right, EXCEPT the others;
     # ALL consumes one right row per match, DISTINCT dedupes the left
-    rcounts = Counter(map(canon_row, right))
+    keys = row_keys(both)
+    lkeys, rcounts = keys[:len(left)], Counter(keys[len(left):])
+    keyed = list(zip(lkeys, left))
     keep_found = op.kind == "intersect"
     rows = []
-    for row in (left if op.all else _dedupe(left)):
-        key = canon_row(row)
+    for key, row in (keyed if op.all else _dedupe(keyed, lkeys)):
         found = rcounts[key] > 0
         if found and op.all:
             rcounts[key] -= 1
@@ -331,7 +336,7 @@ def _exec_core(core, env, outer_ctx, hidden):
             out.append(project(ctx))
 
     if core.distinct:  # a distinct row has no one context for hidden keys
-        out = _dedupe(out)
+        out = _dedupe(out, row_keys(out))
     elif hidden:  # a second pass: every select item runs before any key
         keys = _row_fn([_compile(e, env) for e in hidden])
         out = [row + keys(ctx) for row, ctx in zip(out, ctxs)]
@@ -419,20 +424,24 @@ def _group(rows, group_by, env, outer_ctx):
     if not group_by:
         rep = rows[0] if rows else _NoRow()
         return [_Ctx(rep, outer_ctx, group=rows)]
-    keys = [_compile(e, env) for e in group_by]
+    key_of = _row_fn([_compile(e, env) for e in group_by])
     ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
-    buckets = {}
+    keys = []
     for row in rows:
         ctx.row = row
-        key = tuple([canon(f(ctx)) for f in keys])
+        keys.append(key_of(ctx))
+    buckets = {}
+    for key, row in zip(row_keys(keys), rows):
         buckets.setdefault(key, []).append(row)
     return [_Ctx(members[0], outer_ctx, group=members)
             for members in buckets.values()]
 
 
 def _sort_rows(rows, stmt, width, env):
-    """`rows`, the list the body built, sorted in place and cut back to
-    `width` columns; a key bound to None reads the next hidden column."""
+    """`rows`, the list the body built, sorted and cut back to `width`
+    columns; a key bound to None reads the next hidden column. A key
+    column `sorts_raw` allows sorts on its cells, NULLs set apart in
+    their order: first, as `sort_key` puts them, or last when DESC."""
     keys = []
     hidden = width
     for index, item in zip(env.binding.order[id(stmt)], stmt.order_by):
@@ -440,7 +449,17 @@ def _sort_rows(rows, stmt, width, env):
             index, hidden = hidden, hidden + 1
         keys.append((index, item.descending))
     for slot, descending in reversed(keys):
-        rows.sort(key=lambda row: sort_key(row[slot]), reverse=descending)
+        cell = operator.itemgetter(slot)
+        types = set(map(type, map(cell, rows)))
+        if not sorts_raw(types):
+            rows.sort(key=lambda row: sort_key(row[slot]), reverse=descending)
+            continue
+        nulls = []
+        if type(None) in types:
+            nulls = [row for row in rows if row[slot] is None]
+            rows = [row for row in rows if row[slot] is not None]
+        rows.sort(key=cell, reverse=descending)
+        rows = rows + nulls if descending else nulls + rows
     if hidden > width:
         return [row[:width] for row in rows]
     return rows
@@ -654,16 +673,15 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv, "%": operator.mod}
 
 
-def _dedupe(items, key_of=canon_row):
-    """`items` without the later ones whose key was seen."""
-    seen = set()
-    out = []
-    for item in items:
-        key = key_of(item)
-        if key not in seen:
-            seen.add(key)
-            out.append(item)
-    return out
+def _dedupe(items, keys):
+    """`items` without the later ones whose key (in `keys`, one per item;
+    `items` itself when they key on themselves) was seen."""
+    if keys is items:
+        return list(dict.fromkeys(items))
+    firsts = {}
+    for key, item in zip(keys, items):
+        firsts.setdefault(key, item)
+    return list(firsts.values())
 
 
 def _like_regex(pattern):
@@ -1109,7 +1127,7 @@ def _build_aggregate(call, env):
             if value is not None:
                 values.append(value)
         if distinct:
-            values = _dedupe(values, canon)
+            values = _dedupe(values, map(canon, values))
         return finish(values)
     return aggregate
 

@@ -6,23 +6,24 @@ every provided instance is just consistency. Results compare positionally
 (column names ignored) under bag semantics unless both queries carry an
 outer ORDER BY, in which case row order matters.
 
-Cells compare under the executor's value model (`values.py`), on their
-`canon` keys, with one exception: in a real column, one that holds a
-float at any depth in either result, numbers compare with `close`, so
-tolerance applies inside arrays too.
+Cells compare under the executor's value model (`values.py`), with one
+exception: in a real column, one that holds a float at any depth in
+either result, numbers compare with `close`, inside arrays too. Rows
+compare as they are unless a column mixes booleans with numbers, and
+on `canon` keys, real numbers masked, only where that cannot decide.
 """
 
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from itertools import chain
 
 from .errors import SqleqError
 from .executor import execute
 from .parser import parse_sql
 from .records import Frozen
 from .values import (
-    REAL_ABS_TOL, REAL_REL_TOL, canon, canon_masked, canon_row, close,
+    REAL_ABS_TOL, REAL_REL_TOL, canon, canon_masked, cell_types, close,
+    raw_keys_exact,
 )
 
 
@@ -50,32 +51,36 @@ def compare_results(r1, r2):
     if len(r1.rows) != len(r2.rows):
         return Comparison(False,
                           f"row count differs ({len(r1.rows)} vs {len(r2.rows)})")
-    rows1, rows2 = r1.rows, r2.rows
-    real = [any(_holds_float(row[i]) for row in chain(rows1, rows2))
-            for i in range(r1.column_count)]
-    if r1.ordered and r2.ordered:
-        for (key1, numbers1), (key2, numbers2) in zip(
-                _row_keys(rows1, real), _row_keys(rows2, real)):
-            if key1 != key2 or not all(map(close, numbers1, numbers2)):
-                return Comparison(False, "row order differ")
-        return Comparison(True)
+    ordered = r1.ordered and r2.ordered
     if r1.ordered != r2.ordered:
         warnings.warn("comparing an ordered result against an unordered "
                       "one as multisets", stacklevel=2)
-    if not any(real):
-        same = Counter(map(canon_row, rows1)) == Counter(map(canon_row, rows2))
-    else:
-        # the tolerance is not transitive, so rows are not sorted and
-        # zipped: they group on their keys, and within each group the
-        # numbers of the real columns must pair off one to one
-        groups = {}
-        for side, rows in enumerate((rows1, rows2)):
-            for key, numbers in _row_keys(rows, real):
-                groups.setdefault(key, ([], []))[side].append(numbers)
-        same = all(_pair_off(left, right) for left, right in groups.values())
-    if same:
+    if _same_rows(r1.rows, r2.rows, ordered):
         return Comparison(True)
-    return Comparison(False, "multiset contents differ")
+    return Comparison(False, "row order differ" if ordered
+                      else "multiset contents differ")
+
+
+def _same_rows(rows1, rows2, ordered):
+    """Whether two row lists are equal, in order or as multisets."""
+    types = [cell_types(column) for column in zip(*rows1, *rows2)]
+    real = [float in column for column in types]
+    if raw_keys_exact(types):
+        same = rows1 == rows2 if ordered else Counter(rows1) == Counter(rows2)
+        if same or not any(real):
+            return same
+    keyed = _row_keys(rows1, real), _row_keys(rows2, real)
+    if ordered:
+        return all(key1 == key2 and all(map(close, numbers1, numbers2))
+                   for (key1, numbers1), (key2, numbers2) in zip(*keyed))
+    # the tolerance is not transitive, so rows are not sorted and
+    # zipped: they group on their keys, and within each group the
+    # numbers of the real columns must pair off one to one
+    groups = {}
+    for side, keys in enumerate(keyed):
+        for key, numbers in keys:
+            groups.setdefault(key, ([], []))[side].append(numbers)
+    return all(_pair_off(left, right) for left, right in groups.values())
 
 
 def oracle_check(sql1, sql2, instances):
@@ -112,11 +117,6 @@ def oracle_check(sql1, sql2, instances):
 
 def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
-
-
-def _holds_float(value):
-    return type(value) is float or \
-        type(value) is tuple and any(map(_holds_float, value))
 
 
 def _row_keys(rows, real):

@@ -7,6 +7,15 @@ equals 1, and arrays are equal element by element. The keys also order
 cells, null < booleans < numbers < text < arrays, so `sort_key` is
 `canon`. Only the oracle, comparing two results, matches reals within a
 tolerance (`close`); `=` in a query is exact.
+
+Python's own `==` and `hash` on the cells agree with `canon` equality
+in all but one case, TRUE == 1 == 1.0; its `<` agrees with the order
+among numbers, among booleans and among text. So the steps that key
+whole columns (the executor's GROUP BY, DISTINCT and set operations,
+the oracle's comparison) key rows on themselves unless a column holds
+both a boolean and a number at any array depth (`row_keys`), and ORDER
+BY sorts a key column on its cells where `sorts_raw` allows. Results
+are the same either way; only the `canon` keys are not built.
 """
 
 import math
@@ -57,6 +66,42 @@ sort_key = canon
 
 def canon_row(row):
     return tuple(map(canon, row))
+
+
+def cell_types(values):
+    """The exact types of `values` and of the cells inside the arrays
+    among them, at any depth."""
+    types = set(map(type, values))
+    if tuple in types:
+        for value in values:
+            if type(value) is tuple:
+                types |= cell_types(value)
+    return types
+
+
+def raw_keys_exact(column_types):
+    """Whether cells keyed on themselves meet exactly when their `canon`
+    keys do, given the `cell_types` of each column: unless a column
+    mixes booleans with numbers."""
+    return not any(bool in types and (int in types or float in types)
+                   for types in column_types)
+
+
+def row_keys(rows):
+    """Keys of `rows` that are equal exactly when their `canon_row` keys
+    are: the rows themselves when `raw_keys_exact` holds, else the
+    `canon_row` of each."""
+    if raw_keys_exact(map(cell_types, zip(*rows))):
+        return rows
+    return [canon_row(row) for row in rows]
+
+
+def sorts_raw(types):
+    """Whether cells of these exact types, NULLs set aside, sort by
+    Python's own order as they do by `sort_key`: all numbers, all
+    booleans or all text."""
+    types = types - {type(None)}
+    return types <= {int, float} or types == {bool} or types == {str}
 
 
 def canon_masked(value, numbers):

@@ -321,6 +321,23 @@ class TestOracleCommand:
         assert after["status"] == "refuted"
 
 
+    def test_no_instance_at_all_is_a_usage_error(self, tmp_path, capsys):
+        data = write_jsonl(tmp_path / "pairs.jsonl",
+                           datafix.question_records()[:1])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        code = main(["oracle", "--dataset", str(data),
+                     "--schemas", str(schemas),
+                     "--instances", str(empty), str(empty)])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == \
+            "error: the --instances files hold no instance"
+
+
 class TestMalformedFiles:
     """A malformed input file is a usage error (exit 64) naming the file,
     never an internal error."""

@@ -681,6 +681,78 @@ def test_arrays_compare_element_by_element(nums):
     assert rows == [(False, True, False)]
 
 
+class TestBooleansBesideNumbers:
+    """Where one column holds both TRUE and 1, every keyed step keeps
+    them apart (Python's == would not), inside arrays too; 1 and 1.0
+    still meet, the first one seen kept."""
+
+    @pytest.fixture
+    def mixed(self):
+        schema = SchemaDef(tables=(TableDef("t", ("id", "v")),))
+        return make_instance(schema, t=[
+            [1, True], [2, 1], [3, 1.0], [4, None], [5, True], [6, False],
+            [7, 0]])
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT DISTINCT v FROM t",
+         "[(True,), (1,), (None,), (False,), (0,)]"),
+        ("SELECT DISTINCT ARRAY[v], 0 FROM t",
+         "[((True,), 0), ((1,), 0), ((None,), 0), ((False,), 0), "
+         "((0,), 0)]"),
+        ("SELECT v, COUNT(*) FROM t GROUP BY v",
+         "[(True, 2), (1, 2), (None, 1), (False, 1), (0, 1)]"),
+        ("SELECT MIN(id), COUNT(*) FROM t GROUP BY ARRAY[v]",
+         "[(1, 2), (2, 2), (4, 1), (6, 1), (7, 1)]"),
+        ("SELECT v FROM t WHERE id <= 2 UNION SELECT v FROM t WHERE id > 2",
+         "[(True,), (1,), (None,), (False,), (0,)]"),
+        ("SELECT v FROM t WHERE id IN (1, 6) "
+         "INTERSECT SELECT v FROM t WHERE id IN (2, 7)", "[]"),
+        ("SELECT ARRAY[v] FROM t WHERE id IN (1, 6) "
+         "INTERSECT ALL SELECT ARRAY[v] FROM t WHERE id IN (2, 7)", "[]"),
+        ("SELECT v FROM t WHERE id IN (1, 6) "
+         "EXCEPT SELECT v FROM t WHERE id IN (2, 7)", "[(True,), (False,)]"),
+        ("SELECT v FROM t WHERE id IN (1, 5, 6) "
+         "EXCEPT ALL SELECT v FROM t WHERE id IN (2, 3, 7)",
+         "[(True,), (True,), (False,)]"),
+        ("SELECT id FROM t ORDER BY v, id",
+         "[(4,), (6,), (1,), (5,), (7,), (2,), (3,)]"),
+        ("SELECT id FROM t ORDER BY v DESC",
+         "[(2,), (3,), (7,), (1,), (5,), (6,), (4,)]"),
+        ("SELECT id FROM t ORDER BY ARRAY[v] DESC, id DESC",
+         "[(3,), (2,), (7,), (5,), (1,), (6,), (4,)]"),
+    ])
+    def test_keyed_steps(self, mixed, sql, expected):
+        assert repr(run(sql, mixed).rows) == expected
+
+    def test_primary_key(self):
+        schema = SchemaDef(tables=(TableDef("t", ("k",)),),
+                           primary_keys=("t.k",))
+        instance_from_dict({"tables": {"t": {
+            "columns": ["k"], "rows": [[True], [1], [False], [0]]}}}, schema)
+        with pytest.raises(InstanceError, match="duplicate primary key"):
+            instance_from_dict({"tables": {"t": {
+                "columns": ["k"], "rows": [[True], [1], [1.0]]}}}, schema)
+
+
+@pytest.mark.parametrize("order", ["x, id", "x DESC, id", "x DESC, id DESC",
+                                   "x + 0, id DESC", "k DESC, x, id"])
+def test_order_over_ints_reals_and_nulls_matches_sqlite(order):
+    """Ties between 1 and 1.0 and between NULLs, over rows stored out of
+    key order, so each pass of the sort must keep the order it got."""
+    rng = random.Random(3)
+    rows = [[i, rng.randrange(3),
+             rng.choice([None, None, 0, 0.0, -0.0, 1, 1.0, 2, 2.5, -1,
+                         10 ** 18, 1e18])] for i in range(200)]
+    rng.shuffle(rows)
+    schema = SchemaDef(tables=(TableDef("m", ("id", "k", "x")),))
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE m (id, k, x)")
+    conn.executemany("INSERT INTO m VALUES (?, ?, ?)", rows)
+    sql = f"SELECT id FROM m ORDER BY {order}"
+    assert run(sql, make_instance(schema, m=rows)).rows == \
+        conn.execute(sql).fetchall()
+
+
 class TestErrorsRaiseOnlyWhereEvaluated:
     """Expressions compile once per execute, but each error is raised by
     the row that reaches it: never over an empty table, and with the

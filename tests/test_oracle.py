@@ -169,6 +169,30 @@ class TestCompareResults:
         assert compare_results(r1, r2).identical
         assert not compare_results(r1, table([(0.3, "b"), (0.4, "a")])).identical
 
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("rows1,rows2,identical", [
+        ([(True,)], [(1,)], False),
+        ([(True, "a"), (1, "a")], [(1, "a"), (True, "a")], None),
+        ([(True,), (1,)], [(1.0,), (1,)], False),
+        ([((True,),)], [((1,),)], False),
+        ([((1, False),), ((True, 0),)], [((1, False),), ((True, 0),)], True),
+        ([(True, 0.3), (1, 0.5)], [(True, 0.1 + 0.2), (1, 0.5)], True),
+        ([(True, 0.3), (1, 0.5)], [(1, 0.1 + 0.2), (True, 0.5)], False),
+    ])
+    def test_booleans_stay_apart_from_numbers(self, rows1, rows2,
+                                              identical, ordered):
+        """Python's == takes TRUE for 1; a column holding both keeps them
+        apart, ordered or not, inside arrays too. None: identical only as
+        multisets."""
+        if identical is None:
+            identical = not ordered
+        outcome = compare_results(table(rows1, ordered=ordered),
+                                  table(rows2, ordered=ordered))
+        assert outcome.identical == identical
+        if not identical:
+            assert outcome.reason == ("row order differ" if ordered
+                                      else "multiset contents differ")
+
     @given(st.lists(st.tuples(st.sampled_from(["x", "y", None]),
                               _REALS, _REALS), max_size=8),
            st.lists(st.floats(-4e-10, 4e-10), min_size=16, max_size=16),

@@ -1,10 +1,20 @@
 """Smoke tests for the runnable scripts (subprocess, real entry points)."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child_env():
+    """The caller's environment (its bytecode setting included) without
+    the toolkit's own settings, importing the package from `src`."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("SQLEQ_CONFIG", "SQLEQ_API_KEY")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return env
 
 
 def run_script(name, *args):
@@ -55,6 +65,6 @@ def test_fixtures_drive_the_cli_oracle(tmp_path):
          "--instances", str(tmp_path / "witness_instance.json"),
          "--format", "json"],
         capture_output=True, text=True, timeout=60,
-        cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin"})
+        cwd=ROOT, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert '"status": "refuted"' in result.stdout
