@@ -28,7 +28,7 @@ from .errors import (
 )
 from .executor import instance_from_dict
 from .features import extract_features
-from .oracle import OracleOutcome, oracle_check
+from .oracle import oracle_check
 from .parser import parse_sql
 from .pipeline import (
     LABEL_EQUIVALENT, LABEL_NON_EQUIVALENT, ONE_PROMPT_STRATEGIES,
@@ -434,16 +434,13 @@ def cmd_oracle(args):
         raise UsageError("the --instances files hold no instance")
 
     refuted = consistent = inconclusive = 0
-    loaded = {}  # schema name -> (valid instances, load errors)
+    loaded = {}  # schema name -> instances, or their load errors
     for pair in dataset.pairs:
         if pair.schema_name not in loaded:
-            loaded[pair.schema_name] = _validated_instances(
+            loaded[pair.schema_name] = _loaded_instances(
                 raw_instances, dataset.schema_for(pair))
-        instances, load_errors = loaded[pair.schema_name]
-        if instances:
-            outcome = oracle_check(pair.sql1, pair.sql2, instances)
-        else:
-            outcome = OracleOutcome("inconclusive", errors=load_errors)
+        outcome = oracle_check(pair.sql1, pair.sql2,
+                               loaded[pair.schema_name])
         if outcome.status == "refuted":
             refuted += 1
         elif outcome.status == "consistent":
@@ -471,15 +468,16 @@ def cmd_oracle(args):
     return 0
 
 
-def _validated_instances(raw_instances, schema):
+def _loaded_instances(raw_instances, schema):
+    """The instances in file order, each one that does not load replaced
+    by its error."""
     instances = []
-    load_errors = []
-    for i, raw in enumerate(raw_instances):
+    for raw in raw_instances:
         try:
             instances.append(instance_from_dict(raw, schema))
         except SqleqError as exc:
-            load_errors.append(f"instance {i}: {exc}")
-    return instances, tuple(load_errors)
+            instances.append(exc)
+    return instances
 
 
 if __name__ == "__main__":

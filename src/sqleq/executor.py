@@ -26,6 +26,21 @@ resolved while compiling, and the closures run on every row. Compiling
 raises nothing; each error is raised by the row that reaches it, so an
 expression that no row reaches raises nothing, over an empty table too.
 
+A few shapes take a fast path, chosen once per execute from the bound
+tree; each gives exactly the values and errors of the general closure:
+- a projection (when no grouping, HAVING or hidden key needs row
+  contexts), GROUP BY keys or an aggregate's argument made only of
+  columns of the working row (depth 0) read them straight from the row
+  list with `itemgetter`, building no row context (`_read_columns`);
+- `=`, `<>`, `<`, `<=`, `>`, `>=` between such a column and a non-NULL
+  literal read the cell and, when it has the literal's exact type,
+  apply Python's operator, as the value model does for two cells of one
+  scalar type (`_build_column_vs_literal`);
+- AND and OR check their operands inline, the left before the right
+  runs.
+Instances are validated column by column; a faulty one is checked
+again row by row, so its first fault in row order is the one reported.
+
 Joins and subqueries probe hash indexes where a condition's top-level
 AND conjuncts include `x = y` with one side reading only a fixed row
 source and the other only the probing row or enclosing rows (`_Index`):
@@ -136,30 +151,49 @@ def instance_from_dict(data, schema):
             raise InstanceError(
                 f"table {name!r} columns {columns} do not match schema "
                 f"{declared}")
-        rows = []
-        for row in spec["rows"]:
-            if not isinstance(row, (list, tuple)):
-                raise InstanceError(
-                    f"table {name!r} row {row!r} is not a list")
-            if len(row) != len(columns):
-                raise InstanceError(
-                    f"table {name!r} row arity {len(row)} != {len(columns)}")
-            for cell in row:
-                if not _valid_cell(cell):
-                    raise InstanceError(
-                        f"table {name!r} cell {cell!r} is not null, a "
-                        f"boolean, a number, or text")
-            rows.append(tuple(row))
+        rows = spec["rows"]
+        width = len(columns)
+        # whole columns first; on any fault the row-by-row check finds
+        # the first one in row-major order
+        if all(type(row) is list and len(row) == width for row in rows) \
+                and all(map(_valid_column, zip(*rows))):
+            rows = list(map(tuple, rows))
+        else:
+            rows = [_checked_row(name, row, width) for row in rows]
         tables[name.lower()] = (columns, rows)
     instance = DatabaseInstance(schema=schema, tables=tables)
     _check_primary_keys(instance)
     return instance
 
 
+_CELL_TYPES = frozenset((type(None), bool, int, float, str))
+
+
+def _valid_column(cells):
+    types = set(map(type, cells))
+    if not types <= _CELL_TYPES:
+        return False
+    return float not in types or \
+        all(math.isfinite(cell) for cell in cells if type(cell) is float)
+
+
+def _checked_row(name, row, width):
+    if not isinstance(row, (list, tuple)):
+        raise InstanceError(f"table {name!r} row {row!r} is not a list")
+    if len(row) != width:
+        raise InstanceError(f"table {name!r} row arity {len(row)} != {width}")
+    for cell in row:
+        if not _valid_cell(cell):
+            raise InstanceError(
+                f"table {name!r} cell {cell!r} is not null, a boolean, a "
+                f"number, or text")
+    return tuple(row)
+
+
 def _valid_cell(cell):
     if type(cell) is float:
         return math.isfinite(cell)
-    return cell is None or is_scalar(cell)
+    return type(cell) in _CELL_TYPES
 
 
 def _check_primary_keys(instance):
@@ -205,9 +239,11 @@ class _Env:
     """Instance, the statement's binding, CTE results by id(Cte), what
     runs once per execute (`memo`: uncorrelated subquery results, IN
     value sets, indexes of correlated cores), the equality keys found
-    in each condition (`keys`) and the closure of each expression
-    compiled so far (`fns`), all keyed by id() of AST nodes."""
-    __slots__ = ("instance", "binding", "ctes", "memo", "keys", "fns")
+    in each condition (`keys`), the closure of each expression compiled
+    so far (`fns`), all keyed by id() of AST nodes, and the row-list
+    reader of each list of expressions (`reads`, keyed by their ids)."""
+    __slots__ = ("instance", "binding", "ctes", "memo", "keys", "fns",
+                 "reads")
 
     def __init__(self, instance, binding):
         self.instance = instance
@@ -216,6 +252,7 @@ class _Env:
         self.memo = {}
         self.keys = {}
         self.fns = {}
+        self.reads = {}
 
 
 class _Ctx:
@@ -316,7 +353,6 @@ def _exec_core(core, env, outer_ctx, hidden):
         rows = kept
 
     exprs = [item.expr for item in env.binding.items[id(core)]]
-    project = _row_fn([_compile(e, env) for e in exprs])
     if id(core) in env.binding.grouped:
         ctxs = _group(rows, core.group_by, env, outer_ctx)
     elif core.having is not None or hidden:
@@ -326,14 +362,19 @@ def _exec_core(core, env, outer_ctx, hidden):
     if core.having is not None:
         having = _compile(core.having, env)
         ctxs = [c for c in ctxs if having(c) is True]
-    if ctxs is not None:
-        out = [project(ctx) for ctx in ctxs]
+    read = None if ctxs is not None else _read_columns(exprs, env)
+    if read is not None:
+        out = read(rows)
     else:
-        ctx = _Ctx(None, outer_ctx)  # reused: no later clause reads it
-        out = []
-        for row in rows:
-            ctx.row = row
-            out.append(project(ctx))
+        project = _row_fn([_compile(e, env) for e in exprs])
+        if ctxs is not None:
+            out = [project(ctx) for ctx in ctxs]
+        else:
+            ctx = _Ctx(None, outer_ctx)  # reused: no later clause reads it
+            out = []
+            for row in rows:
+                ctx.row = row
+                out.append(project(ctx))
 
     if core.distinct:  # a distinct row has no one context for hidden keys
         out = _dedupe(out, row_keys(out))
@@ -424,12 +465,16 @@ def _group(rows, group_by, env, outer_ctx):
     if not group_by:
         rep = rows[0] if rows else _NoRow()
         return [_Ctx(rep, outer_ctx, group=rows)]
-    key_of = _row_fn([_compile(e, env) for e in group_by])
-    ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
-    keys = []
-    for row in rows:
-        ctx.row = row
-        keys.append(key_of(ctx))
+    read = _read_columns(group_by, env)
+    if read is not None:
+        keys = read(rows)
+    else:
+        key_of = _row_fn([_compile(e, env) for e in group_by])
+        ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
+        keys = []
+        for row in rows:
+            ctx.row = row
+            keys.append(key_of(ctx))
     buckets = {}
     for key, row in zip(row_keys(keys), rows):
         buckets.setdefault(key, []).append(row)
@@ -627,10 +672,8 @@ def _truthy(value):
     raise RuntimeExecError("NOT needs a boolean operand")
 
 
-def _bool3(value):
-    if value is None or isinstance(value, bool):
-        return value
-    raise RuntimeExecError("AND/OR need boolean operands")
+def _not_boolean():
+    return RuntimeExecError("AND/OR need boolean operands")
 
 
 def _and3(a, b):
@@ -669,6 +712,11 @@ _COMPARISONS = {
     "<": _ordering(operator.lt), "<=": _ordering(operator.le),
     ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
 }
+_PLAIN_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv, "%": operator.mod}
 
@@ -730,6 +778,37 @@ def _row_fn(fns):
     return lambda ctx: tuple([fn(ctx) for fn in fns])
 
 
+def _read_columns(exprs, env):
+    """A function from a list of working rows to the tuple of `exprs`'
+    values in each, when every expression is a column of the working row
+    itself: it reads the rows with `itemgetter`, building no row context.
+    None when an expression is anything else. Decided once per execute."""
+    key = tuple(map(id, exprs))
+    if key not in env.reads:
+        slots = [_own_slot(expr, env) for expr in exprs]
+        env.reads[key] = _reader(slots) if slots and None not in slots \
+            else None
+    return env.reads[key]
+
+
+def _reader(slots):
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda rows: [(row[slot],) for row in rows]
+    get = operator.itemgetter(*slots)
+    return lambda rows: list(map(get, rows))
+
+
+def _own_slot(expr, env):
+    """The slot of `expr` when it is a column of the working row itself
+    (depth 0), else None."""
+    if type(expr) is ColumnRef:
+        depth, slot = env.binding.slots[id(expr)]
+        if depth == 0:
+            return slot
+    return None
+
+
 def _build_unknown(expr, env):
     name = type(expr).__name__
 
@@ -781,20 +860,33 @@ def _build_unary(expr, env):
 
 def _build_binary(expr, env):
     op = expr.op
+    if op in _COMPARISONS:
+        fast = _build_column_vs_literal(expr, env)
+        if fast is not None:
+            return fast
     left = _compile(expr.left, env)
     right = _compile(expr.right, env)
+    # a value that is not None, True or False is not a boolean
     if op == "AND":
         def and_(ctx):
-            a = _bool3(left(ctx))
-            b = _bool3(right(ctx))
+            a = left(ctx)
+            if a is not True and a is not False and a is not None:
+                raise _not_boolean()
+            b = right(ctx)
+            if b is not True and b is not False and b is not None:
+                raise _not_boolean()
             if a is False or b is False:
                 return False
             return None if a is None or b is None else True
         return and_
     if op == "OR":
         def or_(ctx):
-            a = _bool3(left(ctx))
-            b = _bool3(right(ctx))
+            a = left(ctx)
+            if a is not True and a is not False and a is not None:
+                raise _not_boolean()
+            b = right(ctx)
+            if b is not True and b is not False and b is not None:
+                raise _not_boolean()
             if a is True or b is True:
                 return True
             return None if a is None or b is None else False
@@ -819,6 +911,35 @@ def _build_binary(expr, env):
             return _text(a) + _text(b)
         return concat
     return _build_arithmetic(op, left, right)
+
+
+def _build_column_vs_literal(expr, env):
+    """The comparison of a column of the working row with a non-NULL
+    scalar literal, on either side (mirrored when on the left); None for
+    any other comparison. A cell of the literal's exact type compares
+    with Python's operator, as `values_equal` and `_ordering` would; any
+    other cell through `_COMPARISONS`."""
+    op, column, literal = expr.op, expr.left, expr.right
+    if type(column) is Literal:
+        op, column, literal = _MIRRORED[op], literal, column
+    if type(literal) is not Literal or not is_scalar(literal.value):
+        return None
+    slot = _own_slot(column, env)
+    if slot is None:
+        return None
+    value = literal.value
+    kind = type(value)
+    plain = _PLAIN_COMPARISONS[op]
+    compare = _COMPARISONS[op]
+
+    def column_vs_literal(ctx):
+        cell = ctx.row[slot]
+        if cell is None:
+            return None
+        if type(cell) is kind:
+            return plain(cell, value)
+        return compare(cell, value)
+    return column_vs_literal
 
 
 def _build_arithmetic(op, left, right):
@@ -893,12 +1014,15 @@ def _build_between(expr, env):
     low = _compile(expr.low, env)
     high = _compile(expr.high, env)
     negated = expr.negated
+    le = _COMPARISONS["<="]
 
     def between(ctx):
         value = operand(ctx)
         lo = low(ctx)
         hi = high(ctx)
-        result = _and3(_compare("<=", lo, value), _compare("<=", value, hi))
+        above = None if lo is None or value is None else le(lo, value)
+        below = None if value is None or hi is None else le(value, hi)
+        result = _and3(above, below)
         return _negate3(result) if negated else result
     return between
 
@@ -1111,21 +1235,33 @@ def _build_aggregate(call, env):
                 raise RuntimeExecError(outside)
             raise RuntimeExecError(f"{name} takes exactly one argument")
         return wrong_arity
-    arg = _compile(call.args[0], env)
     finish = _AGGREGATES[call.name]
     distinct = call.distinct
+    slot = _own_slot(call.args[0], env)
+    if slot is not None:
+        cell = operator.itemgetter(slot)
+
+        def values_of(members, outer):
+            return [value for value in map(cell, members)
+                    if value is not None]
+    else:
+        arg = _compile(call.args[0], env)
+
+        def values_of(members, outer):
+            member = _Ctx(None, outer)
+            values = []
+            for row in members:
+                member.row = row
+                value = arg(member)
+                if value is not None:
+                    values.append(value)
+            return values
 
     def aggregate(ctx):
         members = ctx.group
         if members is None:
             raise RuntimeExecError(outside)
-        member = _Ctx(None, ctx.outer)
-        values = []
-        for row in members:
-            member.row = row
-            value = arg(member)
-            if value is not None:
-                values.append(value)
+        values = values_of(members, ctx.outer)
         if distinct:
             values = _dedupe(values, map(canon, values))
         return finish(values)

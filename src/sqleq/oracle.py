@@ -86,9 +86,11 @@ def _same_rows(rows1, rows2, ordered):
 def oracle_check(sql1, sql2, instances):
     """Run the pair over each instance until one refutes.
 
-    Instances carry their schema. Returns refuted(witness index) on the
-    first differing instance, consistent when all agree, inconclusive
-    when executions erred and none refuted.
+    Instances carry their schema; one that did not load is given as the
+    SqleqError loading it raised, and counts as that instance's error.
+    Returns refuted(witness index) on the first differing instance,
+    consistent when all agree, inconclusive when an instance erred and
+    none refuted. Indexes are positions in `instances`.
     """
     if not instances:
         raise ValueError("oracle_check needs at least one instance")
@@ -99,6 +101,9 @@ def oracle_check(sql1, sql2, instances):
     except SqleqError as exc:
         return OracleOutcome("inconclusive", errors=(_describe(exc),))
     for index, instance in enumerate(instances):
+        if isinstance(instance, SqleqError):
+            errors.append(f"instance {index}: {instance}")
+            continue
         try:
             r1 = execute(ast1, instance)
             r2 = execute(ast2, instance)

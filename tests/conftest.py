@@ -1,10 +1,16 @@
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# the checkout's package, unless PYTHONPATH names a directory holding
+# one (such as another copy under test)
+if not any((Path(entry) / "sqleq" / "__init__.py").is_file()
+           for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+           if entry):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sqleq.schema import SchemaDef, TableDef  # noqa: E402
 

@@ -265,6 +265,45 @@ class TestOracleCommand:
         assert outcome["errors"][0].startswith("instance 0: ")
 
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_instance_indexes_count_the_ones_that_did_not_load(
+            self, tmp_path, capsys, fmt):
+        # instance 0 does not load; instance 1 refutes the first pair
+        # and agrees on the second
+        data = write_jsonl(tmp_path / "pairs.jsonl", [
+            {"id": pid, "sql1": s1, "sql2": s2, "schema": "s",
+             "label": "NEQ"} for pid, s1, s2 in [
+                ("differ", "SELECT a FROM t", "SELECT a + 1 FROM t"),
+                ("agree", "SELECT a FROM t", "SELECT a * 1 FROM t")]])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps({"s": {
+            "tables": [{"name": "t", "columns": ["a"]}]}}))
+        instances = tmp_path / "instances.json"
+        instances.write_text(json.dumps(
+            [5, {"tables": {"t": {"columns": ["a"], "rows": [[1]]}}}]))
+        code = main(["oracle", "--dataset", str(data),
+                     "--schemas", str(schemas),
+                     "--instances", str(instances), "--format", fmt])
+        assert code == 0
+        captured = capsys.readouterr()
+        load_error = "instance 0: instance must be a JSON object"
+        if fmt == "json":
+            differ, agree = [json.loads(line) for line in
+                             captured.out.strip().split("\n")]
+            assert differ == {"pair_id": "differ", "status": "refuted",
+                              "witness_index": 1,
+                              "reason": "multiset contents differ",
+                              "errors": [load_error]}
+            assert agree == {"pair_id": "agree", "status": "inconclusive",
+                             "witness_index": None, "reason": None,
+                             "errors": [load_error]}
+        else:
+            assert captured.out == (
+                "differ: Refuted (instance 1: multiset contents differ)\n"
+                f"agree: Inconclusive ({load_error})\n")
+        assert captured.err == \
+            "refuted 1, consistent 0, inconclusive 1\n"
+
     def test_pair_that_cannot_evaluate_is_inconclusive_and_run_goes_on(
             self, tmp_path, capsys):
         pairs = [("round-text", "SELECT ROUND(a, 'x') FROM t",

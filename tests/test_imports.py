@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sqleq"
+import sqleq
+
+PACKAGE = Path(sqleq.__file__).resolve().parent
 
 
 def _private_imports(path):
@@ -41,7 +43,7 @@ def test_no_private_names_imported_across_modules(path):
 # the benchmark's thread pool and the csv report writer.
 SINGLE_PATH_STDLIB = ("urllib.request", "http.client", "ssl",
                       "concurrent.futures", "csv")
-TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _loaded(setup, names):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpusqueries as corpus
+from sqleq.errors import InstanceError
 from sqleq.executor import ResultTable, instance_from_dict
 from sqleq.oracle import Comparison, compare_results, oracle_check
 from sqleq.schema import SchemaDef, TableDef
@@ -257,6 +258,22 @@ class TestOracleCheck:
                                [single, witness])
         assert outcome.status == "refuted"
         assert outcome.witness_index == 1
+
+    def test_an_instance_that_did_not_load_keeps_its_index(
+            self, witness_schema):
+        single = baseball_instance(witness_schema, [["p1", 2000, 2]])
+        witness = baseball_instance(
+            witness_schema, [["p1", 2000, 2], ["p1", 2001, 3]])
+        broken = InstanceError("instance must be a JSON object")
+        outcome = oracle_check(corpus.CAUGHT_STEALING_CTE,
+                               corpus.CAUGHT_STEALING_JOIN,
+                               [single, broken, witness])
+        assert (outcome.status, outcome.witness_index, outcome.errors) == \
+            ("refuted", 2, ("instance 1: instance must be a JSON object",))
+        outcome = oracle_check(corpus.CAUGHT_STEALING_CTE,
+                               corpus.CAUGHT_STEALING_JOIN, [broken, single])
+        assert (outcome.status, outcome.errors) == \
+            ("inconclusive", ("instance 0: instance must be a JSON object",))
 
     def test_like_percent_matches_a_newline(self):
         schema = SchemaDef(tables=(TableDef("t", ("id", "s")),))

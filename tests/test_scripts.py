@@ -5,15 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sqleq
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _child_env():
     """The caller's environment (its bytecode setting included) without
-    the toolkit's own settings, importing the package from `src`."""
+    the toolkit's own settings, importing the package the tests import."""
     env = {key: value for key, value in os.environ.items()
            if key not in ("SQLEQ_CONFIG", "SQLEQ_API_KEY")}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env["PYTHONPATH"] = str(Path(sqleq.__file__).resolve().parent.parent)
     return env
 
 
