@@ -19,27 +19,26 @@ context, and the sort cuts it off again. A set operation, a
 parenthesized statement or a DISTINCT core cannot, and raises if it has
 rows.
 
-Each expression compiles once per execute, on first use, to a closure
-over the row context (`_compile`): column slots, operators, function,
-aggregate and cast names, literal LIKE patterns and literal IN lists are
-resolved while compiling, and the closures run on every row. Compiling
-raises nothing; each error is raised by the row that reaches it, so an
-expression that no row reaches raises nothing, over an empty table too.
+Each expression compiles once per execute, on first use: column slots,
+operators, function, aggregate and cast names, literal LIKE patterns and
+literal IN lists are resolved while compiling. Compiling raises nothing;
+each error is raised by the row that reaches it, so an expression that
+no row reaches raises nothing, over an empty table too.
 
-A few shapes take a fast path, chosen once per execute from the bound
-tree; each gives exactly the values and errors of the general closure:
-- a projection (when no grouping, HAVING or hidden key needs row
-  contexts), GROUP BY keys or an aggregate's argument made only of
-  columns of the working row (depth 0) read them straight from the row
-  list with `itemgetter`, building no row context (`_read_columns`);
-- `=`, `<>`, `<`, `<=`, `>`, `>=` between such a column and a non-NULL
-  literal read the cell and, when it has the literal's exact type,
-  apply Python's operator, as the value model does for two cells of one
-  scalar type (`_build_column_vs_literal`);
-- AND and OR check their operands inline, the left before the right
-  runs.
-Instances are validated column by column; a faulty one is checked
-again row by row, so its first fault in row order is the one reported.
+An expression that reads only columns of the working row (depth 0) and
+holds no subquery or aggregate is row-local: it compiles to a row
+function `f(row)` (`_compile_row`), a column to an `itemgetter`. Every
+per-row step (WHERE, HAVING without grouping, select items, hidden
+ORDER BY keys, GROUP BY keys, aggregate arguments, a join's ON) maps it
+straight over its row list (`_on_rows`). Any other expression compiles
+to a closure over the row context (`_compile`), run in one context
+reused from row to row; a row-local part of it runs its row function on
+`ctx.row`. A comparison with a non-NULL literal applies Python's
+operator when the other side has the literal's exact type, as the value
+model does for two cells of one scalar type; AND and OR check each
+operand inline, the left before the right runs. Instances are validated
+column by column; a faulty one is checked again row by row, so its
+first fault in row order is the one reported.
 
 Joins and subqueries probe hash indexes where a condition's top-level
 AND conjuncts include `x = y` with one side reading only a fixed row
@@ -238,12 +237,13 @@ def execute(ast, instance):
 class _Env:
     """Instance, the statement's binding, CTE results by id(Cte), what
     runs once per execute (`memo`: uncorrelated subquery results, IN
-    value sets, indexes of correlated cores), the equality keys found
-    in each condition (`keys`), the closure of each expression compiled
-    so far (`fns`), all keyed by id() of AST nodes, and the row-list
-    reader of each list of expressions (`reads`, keyed by their ids)."""
+    value sets, indexes of correlated cores with the closures that probe
+    them), the equality keys found
+    in each condition (`keys`), and what is compiled so far: the context
+    closure of each expression (`fns`) and the row function of each
+    row-local one (`row_fns`), all keyed by id() of AST nodes."""
     __slots__ = ("instance", "binding", "ctes", "memo", "keys", "fns",
-                 "reads")
+                 "row_fns")
 
     def __init__(self, instance, binding):
         self.instance = instance
@@ -252,7 +252,7 @@ class _Env:
         self.memo = {}
         self.keys = {}
         self.fns = {}
-        self.reads = {}
+        self.row_fns = {}
 
 
 class _Ctx:
@@ -343,44 +343,31 @@ def _exec_core(core, env, outer_ctx, hidden):
     else:
         rows = _probe_from(core, env, outer_ctx)
     if core.where is not None:
-        where = _compile(core.where, env)
-        ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
-        kept = []
-        for row in rows:
-            ctx.row = row
-            if where(ctx) is True:
-                kept.append(row)
-        rows = kept
+        where = _on_rows(core.where, env, outer_ctx)
+        rows = [row for row in rows if where(row) is True]
 
-    exprs = [item.expr for item in env.binding.items[id(core)]]
-    if id(core) in env.binding.grouped:
-        ctxs = _group(rows, core.group_by, env, outer_ctx)
-    elif core.having is not None or hidden:
-        ctxs = [_Ctx(row, outer_ctx) for row in rows]
-    else:
-        ctxs = None
+    # grouped, the steps below map group contexts instead of rows
+    grouped = id(core) in env.binding.grouped
+    if grouped:
+        rows = _group(rows, core.group_by, env, outer_ctx)
+
+    def tuple_on(exprs):
+        if grouped:
+            return _tuple_of([_compile(expr, env) for expr in exprs])
+        return _tuple_on_rows(exprs, env, outer_ctx)
+
     if core.having is not None:
-        having = _compile(core.having, env)
-        ctxs = [c for c in ctxs if having(c) is True]
-    read = None if ctxs is not None else _read_columns(exprs, env)
-    if read is not None:
-        out = read(rows)
-    else:
-        project = _row_fn([_compile(e, env) for e in exprs])
-        if ctxs is not None:
-            out = [project(ctx) for ctx in ctxs]
-        else:
-            ctx = _Ctx(None, outer_ctx)  # reused: no later clause reads it
-            out = []
-            for row in rows:
-                ctx.row = row
-                out.append(project(ctx))
+        having = _compile(core.having, env) if grouped \
+            else _on_rows(core.having, env, outer_ctx)
+        rows = [row for row in rows if having(row) is True]
+    exprs = [item.expr for item in env.binding.items[id(core)]]
+    out = list(map(tuple_on(exprs), rows))
 
     if core.distinct:  # a distinct row has no one context for hidden keys
         out = _dedupe(out, row_keys(out))
     elif hidden:  # a second pass: every select item runs before any key
-        keys = _row_fn([_compile(e, env) for e in hidden])
-        out = [row + keys(ctx) for row, ctx in zip(out, ctxs)]
+        keys = map(tuple_on(hidden), rows)
+        out = [row + key for row, key in zip(out, keys)]
 
     return len(exprs), out
 
@@ -401,31 +388,30 @@ def _exec_from(item, env, outer_ctx):
         left_width, left = _exec_from(item.left, env, outer_ctx)
         right_width, right = _exec_from(item.right, env, outer_ctx)
         condition = None if item.kind == "cross" else item.condition
-        ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
-        index = None
+        keep = probe = None
         if condition is not None:
-            keep = _compile(condition, env)
+            keep = _on_rows(condition, env, outer_ctx)
             if left and right:
                 keys = _equi_keys(condition, env, lambda depth, slot:
                                   depth == 0 and slot >= left_width)
                 if keys is not None:
-                    index = _Index(right, keys, ctx, (None,) * left_width)
+                    fixed, probing = keys
+                    index = _Index(right, fixed, (None,) * left_width)
+                    probe = _tuple_on_rows(probing, env, outer_ctx)
         candidates = range(len(right))
         out = []
         matched_right = [False] * len(right)
         for lrow in left:
             any_match = False
-            if index is not None:
-                ctx.row = lrow
-                candidates = index.probe(ctx)
+            if probe is not None:
+                candidates = index.probe(probe(lrow))
             for j in candidates:
-                rrow = right[j]
-                ctx.row = lrow + rrow
-                if condition is not None and keep(ctx) is not True:
+                row = lrow + right[j]
+                if keep is not None and keep(row) is not True:
                     continue
                 any_match = True
                 matched_right[j] = True
-                out.append(ctx.row)
+                out.append(row)
             if not any_match and item.kind in ("left", "full"):
                 out.append(lrow + (None,) * right_width)
         if item.kind in ("right", "full"):
@@ -449,14 +435,17 @@ def _probe_from(core, env, outer_ctx):
     keys = _equi_keys(core.where, env, lambda depth, slot: depth == 0)
     if keys is None:
         return _exec_from(core.from_item, env, outer_ctx)[1]
-    index = env.memo.get(id(core))
-    if index is None:
+    entry = env.memo.get(id(core))
+    if entry is None:
+        fixed, probing = keys
         rows = _exec_from(core.from_item, env, outer_ctx)[1]
-        index = env.memo[id(core)] = _Index(rows, keys,
-                                            _Ctx(None, outer_ctx))
+        entry = env.memo[id(core)] = (
+            _Index(rows, fixed), [_compile(expr, env) for expr in probing])
+    index, probe_fns = entry
     if not index.rows:
         return []
-    return [index.rows[i] for i in index.probe(_Ctx(None, outer_ctx))]
+    ctx = _Ctx(None, outer_ctx)
+    return [index.rows[i] for i in index.probe([f(ctx) for f in probe_fns])]
 
 
 def _group(rows, group_by, env, outer_ctx):
@@ -465,16 +454,7 @@ def _group(rows, group_by, env, outer_ctx):
     if not group_by:
         rep = rows[0] if rows else _NoRow()
         return [_Ctx(rep, outer_ctx, group=rows)]
-    read = _read_columns(group_by, env)
-    if read is not None:
-        keys = read(rows)
-    else:
-        key_of = _row_fn([_compile(e, env) for e in group_by])
-        ctx = _Ctx(None, outer_ctx)  # reused: rows, not contexts, escape
-        keys = []
-        for row in rows:
-            ctx.row = row
-            keys.append(key_of(ctx))
+    keys = list(map(_tuple_on_rows(group_by, env, outer_ctx), rows))
     buckets = {}
     for key, row in zip(row_keys(keys), rows):
         buckets.setdefault(key, []).append(row)
@@ -531,28 +511,28 @@ def _limit_value(expr, env, what):
 
 class _Index:
     """Fixed rows bucketed on the values of the fixed sides of equality
-    conjuncts; `probe` returns the positions of the rows whose key equals
-    the probing sides' values, in row order.
+    conjuncts, row functions given `pad + row`; `probe` returns the
+    positions of the rows whose key equals the probing sides' `values`,
+    in row order.
 
     Keys are `canon` values, so 1 and 1.0 meet and TRUE stays apart
     from 1, as with `=`; a NULL key matches nothing. The buckets only
     narrow the candidates: the caller still runs the whole condition on
     each one.
     """
-    __slots__ = ("rows", "probe_fns", "buckets")
+    __slots__ = ("rows", "buckets")
 
-    def __init__(self, rows, keys, ctx, pad=()):
-        fixed_fns, self.probe_fns = keys
+    def __init__(self, rows, fixed_fns, pad=()):
         self.rows = rows
         self.buckets = {}
         for i, row in enumerate(rows):
-            ctx.row = pad + row
-            key = _key([f(ctx) for f in fixed_fns])
+            row = pad + row
+            key = _key([f(row) for f in fixed_fns])
             if key is not None:
                 self.buckets.setdefault(key, []).append(i)
 
-    def probe(self, ctx):
-        key = _key([f(ctx) for f in self.probe_fns])
+    def probe(self, values):
+        key = _key(values)
         return () if key is None else self.buckets.get(key, ())
 
 
@@ -563,12 +543,12 @@ def _key(values):
 
 
 def _equi_keys(condition, env, is_fixed):
-    """Closures of ([fixed sides], [probing sides]) of the `x = y`
-    conjuncts of `condition` where one side reads only fixed slots and
-    the other only other ones, neither holding a subquery or an
-    aggregate; None when no conjunct qualifies. `is_fixed(depth, slot)`
-    tells the slots apart, and does so the same way on every call for a
-    given condition.
+    """([row functions of the fixed sides], [probing sides]) of the
+    `x = y` conjuncts of `condition` where one side reads only fixed
+    slots and the other only other ones, neither holding a subquery or
+    an aggregate; None when no conjunct qualifies. `is_fixed(depth,
+    slot)` tells the slots apart, holds only at depth 0, and does so the
+    same way on every call for a given condition.
     """
     if id(condition) not in env.keys:
         fixed, probing = [], []
@@ -581,8 +561,8 @@ def _equi_keys(condition, env, is_fixed):
                 sides = sides[::-1]
             elif not (reads[0] == {True} and reads[1] == {False}):
                 continue
-            fixed.append(_compile(sides[0], env))
-            probing.append(_compile(sides[1], env))
+            fixed.append(_compile_row(sides[0], env))
+            probing.append(sides[1])
         env.keys[id(condition)] = (fixed, probing) if fixed else None
     return env.keys[id(condition)]
 
@@ -600,15 +580,22 @@ def _conjuncts(condition):
 
 
 def _reads(expr, binding, is_fixed):
-    """{is_fixed(depth, slot)} over the column references of `expr`; an
-    empty set for a subquery or an aggregate, which never make a key."""
+    """{is_fixed(depth, slot)} over the column references of `expr`; None
+    when it holds a subquery or an aggregate."""
     reads = set()
     for node in select_level(expr):
         if isinstance(node, SelectStmt) or is_aggregate_call(node):
-            return set()
+            return None
         if isinstance(node, ColumnRef):
             reads.add(is_fixed(*binding.slots[id(node)]))
     return reads
+
+
+def _row_local(expr, env):
+    """Whether `expr` reads only columns of the working row and holds no
+    subquery or aggregate."""
+    reads = _reads(expr, env.binding, lambda depth, slot: depth == 0)
+    return reads is not None and False not in reads
 
 
 class _ValueSet:
@@ -748,81 +735,102 @@ def _like_regex(pattern):
 
 # --- expression compilation ---
 #
-# Each expression becomes a closure `fn(ctx)` the first time a clause
-# needs it in an execute. What depends only on the tree is decided here:
-# column slots, operators, function and aggregate names, cast targets,
-# literal LIKE patterns and literal IN lists. Errors are raised by the
-# closures, on the row that meets them, never while compiling, so an
-# expression no row reaches raises nothing.
+# One builder per node type serves both targets: it compiles its
+# operands with `sub`, the compile function of its target, and its
+# function takes `x`, the row or the context, and hands it on. Only
+# columns, subqueries and aggregates read a context itself. Errors are
+# raised by the compiled functions, on the row that meets them, never
+# while compiling.
 
 def _compile(expr, env):
-    """The closure of `expr` in this execute, built on first use."""
+    """The context closure of `expr` in this execute, built on first use.
+    A row-local expression runs its row function on `ctx.row`, except a
+    lone column or literal, which keeps its direct read; its row function
+    is built too, for `_on_rows`."""
     fn = env.fns.get(id(expr))
     if fn is None:
-        build = _BUILDERS.get(type(expr), _build_unknown)
-        fn = env.fns[id(expr)] = build(expr, env)
+        row_fn = _compile_row(expr, env) if _row_local(expr, env) else None
+        if row_fn is not None and type(expr) not in (ColumnRef, Literal):
+            fn = lambda ctx: row_fn(ctx.row)
+        else:
+            build = _BUILDERS.get(type(expr), _build_unknown)
+            fn = build(expr, env, _compile)
+        env.fns[id(expr)] = fn
     return fn
 
 
-def _row_fn(fns):
-    """Closure building the output tuple of a row from column closures.
-    One and two columns skip the list comprehension, which costs a frame
-    per row: measured, they save about a fifth of `oracle-scan`'s
-    executor time."""
+def _compile_row(expr, env):
+    """The row function of row-local `expr` in this execute, built on
+    first use; a column is `itemgetter(slot)`."""
+    fn = env.row_fns.get(id(expr))
+    if fn is None:
+        if type(expr) is ColumnRef:
+            fn = operator.itemgetter(env.binding.slots[id(expr)][1])
+        else:
+            build = _BUILDERS.get(type(expr), _build_unknown)
+            fn = build(expr, env, _compile_row)
+        env.row_fns[id(expr)] = fn
+    return fn
+
+
+def _on_rows(expr, env, outer_ctx):
+    """Function from a working row below `outer_ctx` to the value of
+    `expr` in it: the row function of a row-local expression, else the
+    context closure run in one context reused from row to row, since
+    rows, not contexts, escape a step."""
+    fn = env.fns.get(id(expr)) or _compile(expr, env)
+    row_fn = env.row_fns.get(id(expr))
+    if row_fn is not None:
+        return row_fn
+    ctx = _Ctx(None, outer_ctx)
+
+    def on_row(row):
+        ctx.row = row
+        return fn(ctx)
+    return on_row
+
+
+def _tuple_on_rows(exprs, env, outer_ctx):
+    """`_on_rows` of the tuple of `exprs`' values; when they are all
+    columns of the working row, one `itemgetter` reads them."""
+    slots = [env.binding.slots[id(expr)] for expr in exprs
+             if type(expr) is ColumnRef]
+    if len(slots) == len(exprs) and all(depth == 0 for depth, _ in slots):
+        if len(slots) == 1:
+            ((_, slot),) = slots
+            return operator.itemgetter(slice(slot, slot + 1))
+        return operator.itemgetter(*[slot for _, slot in slots])
+    return _tuple_of([_on_rows(expr, env, outer_ctx) for expr in exprs])
+
+
+def _tuple_of(fns):
+    """Function building the tuple of the values of `fns`. One and two
+    functions skip the list comprehension, which costs a frame per row:
+    measured, they save about a fifth of `oracle-scan`'s executor
+    time."""
     if len(fns) == 1:
         (only,) = fns
-        return lambda ctx: (only(ctx),)
+        return lambda x: (only(x),)
     if len(fns) == 2:
         first, second = fns
-        return lambda ctx: (first(ctx), second(ctx))
-    return lambda ctx: tuple([fn(ctx) for fn in fns])
+        return lambda x: (first(x), second(x))
+    return lambda x: tuple([fn(x) for fn in fns])
 
 
-def _read_columns(exprs, env):
-    """A function from a list of working rows to the tuple of `exprs`'
-    values in each, when every expression is a column of the working row
-    itself: it reads the rows with `itemgetter`, building no row context.
-    None when an expression is anything else. Decided once per execute."""
-    key = tuple(map(id, exprs))
-    if key not in env.reads:
-        slots = [_own_slot(expr, env) for expr in exprs]
-        env.reads[key] = _reader(slots) if slots and None not in slots \
-            else None
-    return env.reads[key]
-
-
-def _reader(slots):
-    if len(slots) == 1:
-        (slot,) = slots
-        return lambda rows: [(row[slot],) for row in rows]
-    get = operator.itemgetter(*slots)
-    return lambda rows: list(map(get, rows))
-
-
-def _own_slot(expr, env):
-    """The slot of `expr` when it is a column of the working row itself
-    (depth 0), else None."""
-    if type(expr) is ColumnRef:
-        depth, slot = env.binding.slots[id(expr)]
-        if depth == 0:
-            return slot
-    return None
-
-
-def _build_unknown(expr, env):
+def _build_unknown(expr, env, sub):
     name = type(expr).__name__
 
-    def unknown(ctx):
+    def unknown(x):
         raise RuntimeExecError(f"cannot evaluate {name}")
     return unknown
 
 
-def _build_literal(expr, env):
+def _build_literal(expr, env, sub):
     value = expr.value
-    return lambda ctx: value
+    return lambda x: value
 
 
-def _build_column(expr, env):
+def _build_column(expr, env, sub):
     # the hottest closure: reads of the row and of the enclosing row
     # skip the loop, which measured a fifth of `oracle-scan`'s executor time
     depth, slot = env.binding.slots[id(expr)]
@@ -838,18 +846,18 @@ def _build_column(expr, env):
     return column
 
 
-def _build_unary(expr, env):
-    operand = _compile(expr.operand, env)
+def _build_unary(expr, env, sub):
+    operand = sub(expr.operand, env)
     op = expr.op
     if op == "NOT":
-        def not_(ctx):
-            value = operand(ctx)
+        def not_(x):
+            value = operand(x)
             return None if value is None else (not _truthy(value))
         return not_
     negate = op == "-"
 
-    def sign(ctx):
-        value = operand(ctx)
+    def sign(x):
+        value = operand(x)
         if value is None:
             return None
         if not is_number(value):
@@ -858,21 +866,21 @@ def _build_unary(expr, env):
     return sign
 
 
-def _build_binary(expr, env):
+def _build_binary(expr, env, sub):
     op = expr.op
     if op in _COMPARISONS:
-        fast = _build_column_vs_literal(expr, env)
-        if fast is not None:
-            return fast
-    left = _compile(expr.left, env)
-    right = _compile(expr.right, env)
+        versus = _build_versus_literal(expr, env, sub)
+        if versus is not None:
+            return versus
+    left = sub(expr.left, env)
+    right = sub(expr.right, env)
     # a value that is not None, True or False is not a boolean
     if op == "AND":
-        def and_(ctx):
-            a = left(ctx)
+        def and_(x):
+            a = left(x)
             if a is not True and a is not False and a is not None:
                 raise _not_boolean()
-            b = right(ctx)
+            b = right(x)
             if b is not True and b is not False and b is not None:
                 raise _not_boolean()
             if a is False or b is False:
@@ -880,11 +888,11 @@ def _build_binary(expr, env):
             return None if a is None or b is None else True
         return and_
     if op == "OR":
-        def or_(ctx):
-            a = left(ctx)
+        def or_(x):
+            a = left(x)
             if a is not True and a is not False and a is not None:
                 raise _not_boolean()
-            b = right(ctx)
+            b = right(x)
             if b is not True and b is not False and b is not None:
                 raise _not_boolean()
             if a is True or b is True:
@@ -894,15 +902,15 @@ def _build_binary(expr, env):
     if op in _COMPARISONS:
         compare = _COMPARISONS[op]
 
-        def comparison(ctx):
-            a = left(ctx)
-            b = right(ctx)
+        def comparison(x):
+            a = left(x)
+            b = right(x)
             return None if a is None or b is None else compare(a, b)
         return comparison
     if op == "||":
-        def concat(ctx):
-            a = left(ctx)
-            b = right(ctx)
+        def concat(x):
+            a = left(x)
+            b = right(x)
             if isinstance(a, tuple) or isinstance(b, tuple):
                 return (a if isinstance(a, tuple) else (a,)) + \
                     (b if isinstance(b, tuple) else (b,))
@@ -913,42 +921,40 @@ def _build_binary(expr, env):
     return _build_arithmetic(op, left, right)
 
 
-def _build_column_vs_literal(expr, env):
-    """The comparison of a column of the working row with a non-NULL
-    scalar literal, on either side (mirrored when on the left); None for
-    any other comparison. A cell of the literal's exact type compares
-    with Python's operator, as `values_equal` and `_ordering` would; any
-    other cell through `_COMPARISONS`."""
-    op, column, literal = expr.op, expr.left, expr.right
-    if type(column) is Literal:
-        op, column, literal = _MIRRORED[op], literal, column
+def _build_versus_literal(expr, env, sub):
+    """The comparison of an operand with a non-NULL scalar literal, on
+    either side (mirrored when on the left); None for any other
+    comparison. A value of the literal's exact type compares with
+    Python's operator, as `values_equal` and `_ordering` would; any
+    other value through `_COMPARISONS`."""
+    op, operand, literal = expr.op, expr.left, expr.right
+    if type(operand) is Literal:
+        op, operand, literal = _MIRRORED[op], literal, operand
     if type(literal) is not Literal or not is_scalar(literal.value):
         return None
-    slot = _own_slot(column, env)
-    if slot is None:
-        return None
+    value_of = sub(operand, env)
     value = literal.value
     kind = type(value)
     plain = _PLAIN_COMPARISONS[op]
     compare = _COMPARISONS[op]
 
-    def column_vs_literal(ctx):
-        cell = ctx.row[slot]
-        if cell is None:
+    def versus_literal(x):
+        a = value_of(x)
+        if a is None:
             return None
-        if type(cell) is kind:
-            return plain(cell, value)
-        return compare(cell, value)
-    return column_vs_literal
+        if type(a) is kind:
+            return plain(a, value)
+        return compare(a, value)
+    return versus_literal
 
 
 def _build_arithmetic(op, left, right):
     apply = _ARITHMETIC.get(op)
     by_zero = {"/": "division by zero", "%": "modulo by zero"}.get(op)
 
-    def arithmetic(ctx):
-        a = left(ctx)
-        b = right(ctx)
+    def arithmetic(x):
+        a = left(x)
+        b = right(x)
         if a is None or b is None:
             return None
         if not is_number(a) or not is_number(b):
@@ -964,33 +970,33 @@ def _build_arithmetic(op, left, right):
     return arithmetic
 
 
-def _build_is_null(expr, env):
-    operand = _compile(expr.operand, env)
+def _build_is_null(expr, env, sub):
+    operand = sub(expr.operand, env)
     negated = expr.negated
-    return lambda ctx: (operand(ctx) is None) is not negated
+    return lambda x: (operand(x) is None) is not negated
 
 
-def _build_in_list(expr, env):
-    operand = _compile(expr.operand, env)
+def _build_in_list(expr, env, sub):
+    operand = sub(expr.operand, env)
     negated = expr.negated
     if all(isinstance(item, Literal) for item in expr.items):
         members = _ValueSet([item.value for item in expr.items])
 
-        def in_literals(ctx):
-            result = members.contains(operand(ctx))
+        def in_literals(x):
+            result = members.contains(operand(x))
             return _negate3(result) if negated else result
         return in_literals
-    items = [_compile(item, env) for item in expr.items]
+    items = [sub(item, env) for item in expr.items]
 
-    def in_list(ctx):
-        value = operand(ctx)
-        result = _ValueSet([item(ctx) for item in items]).contains(value)
+    def in_list(x):
+        value = operand(x)
+        result = _ValueSet([item(x) for item in items]).contains(value)
         return _negate3(result) if negated else result
     return in_list
 
 
-def _build_in_subquery(expr, env):
-    operand = _compile(expr.operand, env)
+def _build_in_subquery(expr, env, sub):
+    operand = sub(expr.operand, env)
     query = expr.query
     negated = expr.negated
     correlated = id(query) in env.binding.correlated
@@ -1009,17 +1015,17 @@ def _build_in_subquery(expr, env):
     return in_subquery
 
 
-def _build_between(expr, env):
-    operand = _compile(expr.operand, env)
-    low = _compile(expr.low, env)
-    high = _compile(expr.high, env)
+def _build_between(expr, env, sub):
+    operand = sub(expr.operand, env)
+    low = sub(expr.low, env)
+    high = sub(expr.high, env)
     negated = expr.negated
     le = _COMPARISONS["<="]
 
-    def between(ctx):
-        value = operand(ctx)
-        lo = low(ctx)
-        hi = high(ctx)
+    def between(x):
+        value = operand(x)
+        lo = low(x)
+        hi = high(x)
         above = None if lo is None or value is None else le(lo, value)
         below = None if value is None or hi is None else le(value, hi)
         result = _and3(above, below)
@@ -1027,26 +1033,26 @@ def _build_between(expr, env):
     return between
 
 
-def _build_like(expr, env):
-    operand = _compile(expr.operand, env)
+def _build_like(expr, env, sub):
+    operand = sub(expr.operand, env)
     negated = expr.negated
     if isinstance(expr.pattern, Literal) and \
             isinstance(expr.pattern.value, str):
         match = re.compile(_like_regex(expr.pattern.value)).fullmatch
 
-        def like_literal(ctx):
-            value = operand(ctx)
+        def like_literal(x):
+            value = operand(x)
             if value is None:
                 return None
             if not isinstance(value, str):
                 raise RuntimeExecError("LIKE needs text operands")
             return (match(value) is not None) is not negated
         return like_literal
-    pattern_of = _compile(expr.pattern, env)
+    pattern_of = sub(expr.pattern, env)
 
-    def like(ctx):
-        value = operand(ctx)
-        pattern = pattern_of(ctx)
+    def like(x):
+        value = operand(x)
+        pattern = pattern_of(x)
         if value is None or pattern is None:
             return None
         if not isinstance(value, str) or not isinstance(pattern, str):
@@ -1056,12 +1062,12 @@ def _build_like(expr, env):
     return like
 
 
-def _build_exists(expr, env):
+def _build_exists(expr, env, sub):
     query = expr.query
     return lambda ctx: bool(_subquery_rows(query, env, ctx)[1])
 
 
-def _build_subquery(expr, env):
+def _build_subquery(expr, env, sub):
     query = expr.query
 
     def scalar(ctx):
@@ -1073,22 +1079,22 @@ def _build_subquery(expr, env):
     return scalar
 
 
-def _build_quantified(expr, env):
-    left = _compile(expr.left, env)
+def _build_quantified(expr, env, sub):
+    left = sub(expr.left, env)
     op = expr.op
     any_ = expr.quantifier == "ANY"
     if isinstance(expr.operand, Subquery):
         query = expr.operand.query
         operand = None
     else:
-        operand = _compile(expr.operand, env)
+        operand = sub(expr.operand, env)
 
-    def quantified(ctx):
-        value = left(ctx)
-        if operand is None:
-            values = _column(query, env, ctx, "quantified")
+    def quantified(x):
+        value = left(x)
+        if operand is None:  # a subquery: `x` is a context
+            values = _column(query, env, x, "quantified")
         else:
-            array = operand(ctx)
+            array = operand(x)
             if array is None:
                 return None
             if not isinstance(array, tuple):
@@ -1105,51 +1111,51 @@ def _build_quantified(expr, env):
     return quantified
 
 
-def _build_case(expr, env):
-    whens = [(_compile(cond, env), _compile(result, env))
+def _build_case(expr, env, sub):
+    whens = [(sub(cond, env), sub(result, env))
              for cond, result in expr.whens]
-    else_ = None if expr.else_ is None else _compile(expr.else_, env)
+    else_ = None if expr.else_ is None else sub(expr.else_, env)
     if expr.operand is None:
-        def searched(ctx):
+        def searched(x):
             for cond, result in whens:
-                if cond(ctx) is True:
-                    return result(ctx)
-            return None if else_ is None else else_(ctx)
+                if cond(x) is True:
+                    return result(x)
+            return None if else_ is None else else_(x)
         return searched
-    subject_of = _compile(expr.operand, env)
+    subject_of = sub(expr.operand, env)
 
-    def simple(ctx):
-        subject = subject_of(ctx)
+    def simple(x):
+        subject = subject_of(x)
         for cond, result in whens:
-            if _compare("=", subject, cond(ctx)) is True:
-                return result(ctx)
-        return None if else_ is None else else_(ctx)
+            if _compare("=", subject, cond(x)) is True:
+                return result(x)
+        return None if else_ is None else else_(x)
     return simple
 
 
-def _build_call(call, env):
+def _build_call(call, env, sub):
     if call.is_aggregate:
         return _build_aggregate(call, env)
     name = call.name
-    args = [_compile(arg, env) for arg in call.args]
+    args = [sub(arg, env) for arg in call.args]
     if name == "coalesce":
-        def coalesce(ctx):
-            for value in [arg(ctx) for arg in args]:
+        def coalesce(x):
+            for value in [arg(x) for arg in args]:
                 if value is not None:
                     return value
             return None
         return coalesce
     if name == "nullif":
-        def nullif(ctx):
-            values = [arg(ctx) for arg in args]
+        def nullif(x):
+            values = [arg(x) for arg in args]
             if len(values) != 2:
                 raise RuntimeExecError("NULLIF takes two arguments")
             return None if _compare("=", *values) is True else values[0]
         return nullif
     builtin = _SCALAR_BUILTINS.get(name)
 
-    def scalar_call(ctx):
-        values = [arg(ctx) for arg in args]
+    def scalar_call(x):
+        values = [arg(x) for arg in args]
         if builtin is None:
             raise RuntimeExecError(f"unknown function {name!r}")
         if any(value is None for value in values):
@@ -1237,31 +1243,15 @@ def _build_aggregate(call, env):
         return wrong_arity
     finish = _AGGREGATES[call.name]
     distinct = call.distinct
-    slot = _own_slot(call.args[0], env)
-    if slot is not None:
-        cell = operator.itemgetter(slot)
-
-        def values_of(members, outer):
-            return [value for value in map(cell, members)
-                    if value is not None]
-    else:
-        arg = _compile(call.args[0], env)
-
-        def values_of(members, outer):
-            member = _Ctx(None, outer)
-            values = []
-            for row in members:
-                member.row = row
-                value = arg(member)
-                if value is not None:
-                    values.append(value)
-            return values
+    arg = call.args[0]
 
     def aggregate(ctx):
         members = ctx.group
         if members is None:
             raise RuntimeExecError(outside)
-        values = values_of(members, ctx.outer)
+        value_of = _on_rows(arg, env, ctx.outer)
+        values = [value for value in map(value_of, members)
+                  if value is not None]
         if distinct:
             values = _dedupe(values, map(canon, values))
         return finish(values)
@@ -1303,14 +1293,14 @@ _AGGREGATES = {
 }
 
 
-def _build_cast(expr, env):
-    operand = _compile(expr.operand, env)
+def _build_cast(expr, env, sub):
+    operand = sub(expr.operand, env)
     type_name = expr.type_name
     base = type_name.split("(")[0].strip().lower()
     convert = _CASTS.get(base)
 
-    def cast(ctx):
-        value = operand(ctx)
+    def cast(x):
+        value = operand(x)
         if value is None:
             return None
         if convert is None:
@@ -1359,9 +1349,9 @@ _CASTS = {
 }
 
 
-def _build_array(expr, env):
-    items = [_compile(item, env) for item in expr.items]
-    return lambda ctx: tuple([item(ctx) for item in items])
+def _build_array(expr, env, sub):
+    items = [sub(item, env) for item in expr.items]
+    return lambda x: tuple([item(x) for item in items])
 
 
 def _subquery_rows(query, env, ctx):

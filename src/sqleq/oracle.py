@@ -66,7 +66,10 @@ def _same_rows(rows1, rows2, ordered):
     types = [cell_types(column) for column in zip(*rows1, *rows2)]
     real = [float in column for column in types]
     if raw_keys_exact(types):
-        same = rows1 == rows2 if ordered else Counter(rows1) == Counter(rows2)
+        # dict equality: Counters built from lists hold no zero counts,
+        # and Counter's own == walks every key in Python
+        same = rows1 == rows2 if ordered \
+            else dict.__eq__(Counter(rows1), Counter(rows2))
         if same or not any(real):
             return same
     keyed = _row_keys(rows1, real), _row_keys(rows2, real)

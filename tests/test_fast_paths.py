@@ -1,6 +1,9 @@
-"""The executor's fast paths give exactly what the general closures give:
-a column compared with a literal, AND/OR, plain-column projections,
-group keys and aggregate arguments, and instances validated by column."""
+"""The executor's two compile targets give the same values and errors:
+an expression of the working row runs as a row function, one inside a
+correlated subquery as a closure over the row context. Also pinned: a
+comparison with a literal, AND/OR, plain-column projections, group keys
+and aggregate arguments, the order in which per-row steps run, and
+instances validated by column."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,17 +48,18 @@ def run(sql, instance):
        st.booleans())
 def test_column_versus_literal_matches_the_value_model(cells, op, literal,
                                                        literal_first):
+    # the bare column and an expression around it compare alike
     value = _LITERALS[literal]
     if literal_first:
-        fast, general = f"{literal} {op} a", f"{literal} {op} COALESCE(a, a)"
+        bare, wrapped = f"{literal} {op} a", f"{literal} {op} COALESCE(a, a)"
         expected = [None if cell is None else _OPS[op](value, cell)
                     for cell in cells]
     else:
-        fast, general = f"a {op} {literal}", f"COALESCE(a, a) {op} {literal}"
+        bare, wrapped = f"a {op} {literal}", f"COALESCE(a, a) {op} {literal}"
         expected = [None if cell is None else _OPS[op](cell, value)
                     for cell in cells]
     instance = table(cells)
-    got = run(f"SELECT {fast}, {general} FROM t", instance)
+    got = run(f"SELECT {bare}, {wrapped} FROM t", instance)
     assert got == [(result, result) for result in expected]
     assert [type(first) for first, _ in got] == \
         [type(result) for result in expected]
@@ -77,7 +81,7 @@ def test_column_versus_literal_matches_the_value_model(cells, op, literal,
     ("SELECT id FROM t WHERE a < 0", [(0,)]),
     ("SELECT id FROM t WHERE a >= FALSE",
      [(0,), (1,), (2,), (3,), (4,), (5,)]),
-    # a NULL literal takes the general path and matches nothing
+    # a comparison with NULL is unknown, so it matches nothing
     ("SELECT id FROM t WHERE a = NULL", []),
 ])
 def test_column_versus_literal_pinned(sql, expected):
@@ -119,6 +123,106 @@ def test_and_or_three_valued():
     assert rows == [(True, False, None, True, True, True),
                     (False, False, False, True, False, None),
                     (None, False, None, True, None, None)]
+
+
+TWO_COLUMNS = SchemaDef(tables=(TableDef("t", ("id", "a", "b")),))
+_LOOK_ALIKE = [None, True, False, 0, 1, 1.0, -0.0, 2.5, "x", "1"]
+# each shape once with every operand a column of t
+_SHAPES = [
+    "{a} = 1", "1 < {a}", "{a} >= 'x'", "2.5 > {a}", "TRUE <> {a}",
+    "{a} <= FALSE", "'1' = {a}", "{a} = {b}", "{a} < {b}",
+    "{a} AND {b}", "{a} OR {b}", "NOT {a}", "{a} AND {b} = 1",
+    "{a} + {b}", "{a} - 1", "2 * {a}", "{a} / {b}", "{a} % {b}", "-{a}",
+    "{a} || {b}", "{a} || 'y'",
+    "{a} IS NULL", "{b} IS NOT NULL",
+    "{a} IN (1, 'x', NULL)", "{a} NOT IN (0, {b})", "{a} IN (TRUE, 2.5)",
+    "{a} BETWEEN 0 AND {b}", "{a} NOT BETWEEN {b} AND 2",
+    "{a} LIKE 'x%'", "{a} LIKE {b}",
+    "CASE WHEN {a} THEN 1 WHEN {b} THEN 2 ELSE 3 END",
+    "CASE {a} WHEN 1 THEN 'one' WHEN {b} THEN 'b' END",
+    "COALESCE({a}, {b}, 0)", "NULLIF({a}, {b})",
+    "CAST({a} AS INT)", "CAST({a} AS TEXT)", "CAST({a} AS REAL)",
+    "CAST({a} AS BOOLEAN)",
+    "ARRAY[{a}, {b}]", "ARRAY[{a}] = ARRAY[{b}]", "ARRAY[{a}] < {b}",
+]
+
+
+def outcome(sql, instance):
+    """The rows by repr, so their types too, or the error raised."""
+    try:
+        return repr(run(sql, instance))
+    except RuntimeExecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_LOOK_ALIKE),
+                          st.sampled_from(_LOOK_ALIKE)), max_size=5),
+       st.sampled_from(_SHAPES), st.booleans())
+def test_row_functions_match_context_closures(rows, shape, in_where):
+    """Each shape runs at depth 0 (a row function) and in a scalar
+    subquery reading t as its enclosing row (a context closure)."""
+    instance = instance_from_dict({"tables": {"t": {
+        "columns": ["id", "a", "b"],
+        "rows": [[i, a, b] for i, (a, b) in enumerate(rows)]}}}, TWO_COLUMNS)
+    own = shape.format(a="a", b="b")
+    outer = shape.format(a="t.a", b="t.b")
+    if in_where:
+        sqls = (f"SELECT id FROM t WHERE {own}",
+                f"SELECT id FROM t WHERE (SELECT {outer})")
+    else:
+        sqls = f"SELECT {own} FROM t", f"SELECT (SELECT {outer}) FROM t"
+    assert outcome(sqls[0], instance) == outcome(sqls[1], instance)
+
+
+class TestEvaluationOrder:
+    """Each per-row step runs over all its rows before the next step
+    starts, so the error raised is the earlier step's."""
+
+    @pytest.fixture
+    def instance(self):
+        # row 0 divides by zero, row 1 adds text
+        return instance_from_dict({"tables": {"t": {
+            "columns": ["id", "a", "b"],
+            "rows": [[0, 0, 1], [1, "x", 0]]}}}, TWO_COLUMNS)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT 10 / a FROM t HAVING a + 1 > 0",
+        "SELECT 10 / (SELECT t.a) FROM t HAVING (SELECT t.a) + 1 > 0",
+    ])
+    def test_having_filters_every_row_before_any_item(self, instance, sql):
+        with pytest.raises(RuntimeExecError,
+                           match="^operator \\+ needs numeric operands$"):
+            run(sql, instance)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a + 1 FROM t ORDER BY 10 / a",
+        "SELECT (SELECT t.a + 1) FROM t ORDER BY (SELECT 10 / t.a)",
+    ])
+    def test_every_item_runs_before_any_hidden_key(self, instance, sql):
+        with pytest.raises(RuntimeExecError,
+                           match="^operator \\+ needs numeric operands$"):
+            run(sql, instance)
+
+    def test_items_raise_in_row_order(self, instance):
+        with pytest.raises(RuntimeExecError, match="^division by zero$"):
+            run("SELECT a + 1, 10 / a FROM t", instance)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM t x JOIN t y ON x.id = y.id AND 1 / y.b = 1",
+        "SELECT * FROM t x JOIN t y ON x.id < y.id + 1 AND 1 / y.b = 1",
+        "SELECT (SELECT COUNT(*) FROM t x JOIN t y "
+        "ON x.id = y.id AND 1 / o.b = 1) FROM t o",
+    ])
+    def test_on_raises_on_a_pair_the_loop_reaches(self, instance, sql):
+        with pytest.raises(RuntimeExecError, match="^division by zero$"):
+            run(sql, instance)
+
+    def test_on_skips_pairs_the_keys_rule_out(self, instance):
+        # y.b = 0 only in row 1, which the one row of x does not meet
+        rows = run("SELECT x.id FROM (SELECT * FROM t WHERE id = 0) x "
+                   "JOIN t y ON x.id = y.id AND 1 / y.b = 1", instance)
+        assert rows == [(0,)]
 
 
 class TestPlainColumnSteps:

@@ -129,6 +129,13 @@ class TestCompareResults:
         assert not compare_results(table([(1,), (1,)]),
                                    table([(1,)])).identical
 
+    @pytest.mark.parametrize("a,b", [((1,), (2,)), (("x", 1), ("x", 2)),
+                                     ((True,), (1,))])
+    def test_multiplicities_matter_with_equal_row_sets(self, a, b):
+        outcome = compare_results(table([a, a, b]), table([a, b, b]))
+        assert not outcome.identical
+        assert outcome.reason == "multiset contents differ"
+
     def test_nulls_equal_in_results(self):
         assert compare_results(table([(None,)]), table([(None,)])).identical
 

@@ -70,3 +70,11 @@ def test_fixtures_drive_the_cli_oracle(tmp_path):
         cwd=ROOT, env=_child_env())
     assert result.returncode == 0, result.stderr
     assert '"status": "refuted"' in result.stdout
+
+
+def test_diff_executor_finds_no_difference_with_itself():
+    result = run_script("diff_executor.py", str(ROOT / "src"),
+                        "--cases", "20", "--tiny")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].endswith(" 0 differences")
+    assert not result.stdout.startswith("DIFF")
