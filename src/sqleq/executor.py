@@ -28,12 +28,13 @@ no row reaches raises nothing, over an empty table too.
 An expression that reads only columns of the working row (depth 0) and
 holds no subquery or aggregate is row-local: it compiles to a row
 function `f(row)` (`_compile_row`), a column to an `itemgetter`. Every
-per-row step (WHERE, HAVING without grouping, select items, hidden
-ORDER BY keys, GROUP BY keys, aggregate arguments, a join's ON) maps it
-straight over its row list (`_on_rows`). Any other expression compiles
-to a closure over the row context (`_compile`), run in one context
-reused from row to row; a row-local part of it runs its row function on
-`ctx.row`. A comparison with a non-NULL literal applies Python's
+per-row step (WHERE, a join's ON, GROUP BY keys, aggregate arguments,
+and in a core that is not grouped HAVING, select items and hidden ORDER
+BY keys) maps it straight over its row list (`_on_rows`). Any other
+expression compiles to a closure over the row context (`_compile`),
+which such a step runs in one context reused from row to row, and a
+grouped core over its group contexts; a row-local part of it runs its
+row function on `ctx.row`. A comparison with a non-NULL literal applies Python's
 operator when the other side has the literal's exact type, as the value
 model does for two cells of one scalar type; AND and OR check each
 operand inline, the left before the right runs. Instances are validated
