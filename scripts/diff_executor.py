@@ -1,19 +1,19 @@
 """Compare this checkout's executor with another checkout's.
 
 Usage:
-    python scripts/diff_executor.py OTHER_SRC [--cases N] [--seed S] [--tiny]
+    python scripts/diff_executor.py OTHER_SRC [--cases N] [--tiny]
 
 OTHER_SRC is the `src` directory of another checkout. Its package loads
 under the name `sqleq_other`, beside this checkout's `sqleq`, and both
 parse and run the same statements on the same instances:
-- N random `tests/queryfam.py` cases of seed S (defaults 6000 and 3),
+- N random `tests/queryfam.py` cases of seed 3 (default 6000),
   every second one with look-alike cells (NULL, TRUE, FALSE, 0, 1, 1.0,
   -0.0, 2.5, 'x', '1') mixed into its instance; each runs on its
   instance and on the instance with every table's rows reversed;
 - every string constant of `tests/*.py` that parses as a statement, on
   three small look-alike instances of a schema made up from the tables
   and columns it names;
-- the pairs of the `perfbench` oracle sets of seed S on their
+- the pairs of the `perfbench` oracle sets of seed 3 on their
   instances (the benchmark's tiny sizes with --tiny), and the
   multi-clause corpus on look-alike instances of its schema.
 
@@ -23,12 +23,16 @@ of the error raised, loading the instance included. For each pair of
 runs (the two orders of a queryfam case, the two statements of a pair,
 consecutive test constants) it compares what `compare_results` gives.
 Every difference is printed; the exit status is 1 when there is one.
+
+`sqleq` is this checkout's package unless a PYTHONPATH entry holds one,
+as in the tests.
 """
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import os
 import random
 import sys
 import warnings
@@ -37,7 +41,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
-sys.path.insert(0, str(ROOT / "src"))
+if not any((Path(entry) / "sqleq" / "__init__.py").is_file()
+           for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+           if entry):
+    sys.path.insert(0, str(ROOT / "src"))
 
 import queryfam  # noqa: E402
 import workloads  # noqa: E402
@@ -47,6 +54,7 @@ from sqleq.parser import parse_sql  # noqa: E402
 
 LOOK_ALIKE = [None, True, False, 0, 1, 1.0, -0.0, 2.5, "x", "1"]
 MODULES = ("executor", "oracle", "parser", "schema")
+SEED = 3
 
 
 def load_package(src, name):
@@ -228,9 +236,6 @@ def main(argv=None):
                         "checkout")
     parser.add_argument("--cases", type=int, default=6000,
                         help="queryfam cases (default 6000)")
-    parser.add_argument("--seed", type=int, default=3,
-                        help="seed of the queryfam cases and the perfbench "
-                        "inputs (default 3)")
     parser.add_argument("--tiny", action="store_true",
                         help="the benchmark's tiny instance sizes")
     args = parser.parse_args(argv)
@@ -238,9 +243,9 @@ def main(argv=None):
             for module in MODULES}
     differ = Differ(this, load_package(args.other_src, "sqleq_other"))
     warnings.simplefilter("ignore")  # compare_results on mixed orderings
-    queryfam_cases(differ, args.cases, args.seed)
+    queryfam_cases(differ, args.cases, SEED)
     constant_cases(differ)
-    perfbench_cases(differ, args.seed, args.tiny)
+    perfbench_cases(differ, SEED, args.tiny)
     for where, sql, mine, theirs in differ.differences:
         print(f"DIFF {where}: {sql}\n  this:  {mine}\n  other: {theirs}")
     print(f"{differ.runs} runs, {differ.comparisons} comparisons, "

@@ -48,14 +48,16 @@ def run(sql, instance):
        st.booleans())
 def test_column_versus_literal_matches_the_value_model(cells, op, literal,
                                                        literal_first):
-    # the bare column and an expression around it compare alike
+    # a bare literal takes the literal comparison, one wrapped in
+    # COALESCE the generic one; both agree with the value model
     value = _LITERALS[literal]
+    wrapped_literal = f"COALESCE({literal}, {literal})"
     if literal_first:
-        bare, wrapped = f"{literal} {op} a", f"{literal} {op} COALESCE(a, a)"
+        bare, wrapped = f"{literal} {op} a", f"{wrapped_literal} {op} a"
         expected = [None if cell is None else _OPS[op](value, cell)
                     for cell in cells]
     else:
-        bare, wrapped = f"a {op} {literal}", f"COALESCE(a, a) {op} {literal}"
+        bare, wrapped = f"a {op} {literal}", f"a {op} {wrapped_literal}"
         expected = [None if cell is None else _OPS[op](cell, value)
                     for cell in cells]
     instance = table(cells)
@@ -130,7 +132,8 @@ _LOOK_ALIKE = [None, True, False, 0, 1, 1.0, -0.0, 2.5, "x", "1"]
 # each shape once with every operand a column of t
 _SHAPES = [
     "{a} = 1", "1 < {a}", "{a} >= 'x'", "2.5 > {a}", "TRUE <> {a}",
-    "{a} <= FALSE", "'1' = {a}", "{a} = {b}", "{a} < {b}",
+    "{a} <= FALSE", "'1' = {a}", "{a} + 0 = 1", "2.5 > -{b}",
+    "{a} = {b}", "{a} < {b}",
     "{a} AND {b}", "{a} OR {b}", "NOT {a}", "{a} AND {b} = 1",
     "{a} + {b}", "{a} - 1", "2 * {a}", "{a} / {b}", "{a} % {b}", "-{a}",
     "{a} || {b}", "{a} || 'y'",
@@ -144,6 +147,9 @@ _SHAPES = [
     "CAST({a} AS INT)", "CAST({a} AS TEXT)", "CAST({a} AS REAL)",
     "CAST({a} AS BOOLEAN)",
     "ARRAY[{a}, {b}]", "ARRAY[{a}] = ARRAY[{b}]", "ARRAY[{a}] < {b}",
+    # an uncorrelated subquery reads no row: it runs once, in either
+    "{a} IN (SELECT 1)", "{a} = (SELECT 2.5)", "EXISTS (SELECT 1) AND {a}",
+    "{a} = (SELECT 1 UNION ALL SELECT 2)",
 ]
 
 
@@ -217,6 +223,13 @@ class TestEvaluationOrder:
     def test_on_raises_on_a_pair_the_loop_reaches(self, instance, sql):
         with pytest.raises(RuntimeExecError, match="^division by zero$"):
             run(sql, instance)
+
+    def test_probe_runs_as_each_left_row_comes(self, instance):
+        # row 0 of x probes with 1, meets row 1 of y and divides by zero
+        # in ON before row 1 of x probes with 'x' + 1
+        with pytest.raises(RuntimeExecError, match="^division by zero$"):
+            run("SELECT * FROM t x JOIN t y "
+                "ON x.a + 1 = y.id AND 1 / y.b = 1", instance)
 
     def test_on_skips_pairs_the_keys_rule_out(self, instance):
         # y.b = 0 only in row 1, which the one row of x does not meet

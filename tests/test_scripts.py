@@ -73,8 +73,11 @@ def test_fixtures_drive_the_cli_oracle(tmp_path):
 
 
 def test_diff_executor_finds_no_difference_with_itself():
-    result = run_script("diff_executor.py", str(ROOT / "src"),
-                        "--cases", "20", "--tiny")
+    src = Path(sqleq.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "diff_executor.py"),
+         str(src), "--cases", "20", "--tiny"],
+        capture_output=True, text=True, timeout=180, env=_child_env())
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].endswith(" 0 differences")
     assert not result.stdout.startswith("DIFF")
