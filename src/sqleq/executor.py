@@ -764,18 +764,20 @@ def _on_rows(expr, env, outer_ctx):
     when it returns, and no expression runs itself."""
     entry = env.on_rows.get(id(expr))
     if entry is None:
-        entry = env.on_rows[id(expr)] = (
-            (_compile_row(expr, env), None) if _row_local(expr, env)
-            else _in_context(_compile(expr, env)))
+        entry = env.on_rows[id(expr)] = _row_entry(expr, env)
     fn, ctx = entry
     if ctx is not None:
         ctx.outer = outer_ctx
     return fn
 
 
-def _in_context(fn):
-    """(`fn`, a context closure, as a function of the working row; the
-    context it runs in)."""
+def _row_entry(expr, env):
+    """(`expr` as a function of the working row; None, or the context its
+    context closure runs in, which the caller points at the enclosing
+    row)."""
+    if _row_local(expr, env):
+        return _compile_row(expr, env), None
+    fn = _compile(expr, env)
     ctx = _Ctx(None)
 
     def on_row(row):
@@ -1245,13 +1247,14 @@ def _build_aggregate(call, env):
         return wrong_arity
     finish = _AGGREGATES[call.name]
     distinct = call.distinct
-    arg = call.args[0]
+    value_of, member = _row_entry(call.args[0], env)
 
     def aggregate(ctx):
         members = ctx.group
         if members is None:
             raise RuntimeExecError(outside)
-        value_of = _on_rows(arg, env, ctx.outer)
+        if member is not None:
+            member.outer = ctx.outer
         values = [value for value in map(value_of, members)
                   if value is not None]
         if distinct:
