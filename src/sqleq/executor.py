@@ -82,7 +82,7 @@ from .ast_nodes import (
     ArrayLit, Between, Binary, Case, Cast, ColumnRef, Cte, DerivedTable,
     Exists, FuncCall, InList, InSubquery, IsNull, Join, Like, Literal,
     Quantified, SelectStmt, SetOp, Subquery, TableRef, Unary,
-    is_aggregate_call, select_level, walk,
+    children, is_aggregate_call, select_level, walk,
 )
 from .binder import bind
 from .errors import InstanceError, RuntimeExecError, UnsupportedFeature
@@ -235,12 +235,11 @@ def execute(ast, instance):
 # --- internal machinery ---
 
 class _Env:
-    """Instance, the statement's binding, CTE results by id(Cte), what
-    runs once per execute (`memo`: uncorrelated subquery results, IN
-    value sets, indexes of correlated cores), the equality keys found
-    in each condition (`keys`), and what is compiled so far: the context
-    closure of each expression (`fns`), the row function of each
-    row-local one (`row_fns`) and what `_on_rows` hands out
+    """Instance, the statement's binding, CTE results by id(Cte), what runs
+    once per execute (`memo`: uncorrelated subquery results, IN value
+    sets, indexes of correlated cores), the equality keys of each
+    condition (`keys`), and what is compiled so far: context closures
+    (`fns`), row functions (`row_fns`) and what `_on_rows` hands out
     (`on_rows`), all keyed by id() of AST nodes."""
     __slots__ = ("instance", "binding", "ctes", "memo", "keys", "fns",
                  "row_fns", "on_rows")
@@ -586,11 +585,19 @@ def _reads(expr, binding, is_fixed):
 def _row_local(expr, env):
     """Whether `expr` reads only columns of the working row and holds no
     aggregate and no correlated subquery."""
-    for node in select_level(expr):
-        if isinstance(node, SelectStmt) and id(node) in env.binding.correlated \
-                or is_aggregate_call(node) or \
-                type(node) is ColumnRef and env.binding.slots[id(node)][0]:
+    stack = [expr]  # its select level, walked as `select_level` does
+    while stack:
+        node = stack.pop()
+        if type(node) is ColumnRef:
+            if env.binding.slots[id(node)][0]:
+                return False
+        elif isinstance(node, SelectStmt):
+            if id(node) in env.binding.correlated:
+                return False
+        elif is_aggregate_call(node):
             return False
+        else:
+            stack += children(node)
     return True
 
 
@@ -772,9 +779,8 @@ def _on_rows(expr, env, outer_ctx):
 
 
 def _row_entry(expr, env):
-    """(`expr` as a function of the working row; None, or the context its
-    context closure runs in, which the caller points at the enclosing
-    row)."""
+    """(`expr` as a function of the working row; None, or the context
+    its context closure runs in, whose `outer` the caller sets)."""
     if _row_local(expr, env):
         return _compile_row(expr, env), None
     fn = _compile(expr, env)
@@ -795,12 +801,10 @@ def _fns(exprs, env, outer_ctx, grouped):
 
 
 def _tuples(fns, rows):
-    """The tuples of `fns`' values in `rows`, lazily. `zip` takes one
-    value from each map in turn, so they run row by row and left to
-    right, as one function per row building the tuple would. Measured
-    on 3000 rows, one column takes as long as a comprehension building
-    1-tuples, two take 40% and three 13% of the time of such a
-    function."""
+    """The tuples of `fns`' values in `rows`, lazily, run row by row and
+    left to right: `zip` takes one value from each map in turn. On 3000
+    rows, two columns take 40% and three 13% of the time of a function
+    building each tuple, one as long as a comprehension of 1-tuples."""
     if len(fns) == 1:  # no comprehension: a correlated core runs often
         return zip(map(fns[0], rows))
     return zip(*[map(fn, rows) for fn in fns]) if fns else [()] * len(rows)
@@ -923,14 +927,12 @@ def _build_versus_literal(expr, env, sub):
         op, operand, literal = _MIRRORED[op], literal, operand
     if type(literal) is not Literal or not is_scalar(literal.value):
         return None
-    value_of = sub(operand, env)
     value = literal.value
     kind = type(value)
     plain = _PLAIN_COMPARISONS[op]
     compare = _COMPARISONS[op]
     if sub is _compile_row and type(operand) is ColumnRef:
-        # the cell read inline, not through `itemgetter`: measured,
-        # several percent faster on a WHERE of such comparisons
+        # read inline: an `itemgetter` call costs such a WHERE a few %
         slot = env.binding.slots[id(operand)][1]
 
         def column_versus_literal(row):
@@ -941,6 +943,7 @@ def _build_versus_literal(expr, env, sub):
                 return plain(a, value)
             return compare(a, value)
         return column_versus_literal
+    value_of = sub(operand, env)
 
     def versus_literal(x):
         a = value_of(x)
