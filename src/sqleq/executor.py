@@ -23,7 +23,10 @@ Each expression compiles once per execute, on first use: column slots,
 operators, function, aggregate and cast names, literal LIKE patterns and
 literal IN lists are resolved while compiling. Compiling raises nothing;
 each error is raised by the row that reaches it, so an expression that
-no row reaches raises nothing, over an empty table too.
+no row reaches raises nothing, over an empty table too. The compiled
+closures and the per-execute caches that hold them are let go when
+`execute` returns or raises, so a run leaves no reference cycles behind
+for the cyclic garbage collector.
 
 An expression that reads only columns of the working row (depth 0) and
 holds no aggregate and no correlated subquery is row-local: it compiles
@@ -227,7 +230,14 @@ def execute(ast, instance):
         if isinstance(node, FuncCall) and node.is_window:
             raise UnsupportedFeature("window function")
     env = _Env(instance, bind(ast, instance.schema))
-    width, rows = _exec_stmt(ast, env, None)
+    try:
+        width, rows = _exec_stmt(ast, env, None)
+    finally:
+        # compiled closures hold the env that caches them: break the
+        # cycles so the run leaves no garbage for the cyclic collector
+        for cache in (env.ctes, env.memo, env.keys, env.fns, env.row_fns,
+                      env.on_rows):
+            cache.clear()
     return ResultTable(column_count=width, rows=rows,
                        ordered=bool(ast.order_by))
 

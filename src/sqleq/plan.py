@@ -46,14 +46,14 @@ def build_plan(ast, schema):
 
 def render_plan(plan):
     lines = []
-
-    def rec(node, depth):
-        lines.append("  " * depth + f"Logical{node.op}({node.args})")
-        for child in node.children:
-            rec(child, depth + 1)
-
-    rec(plan, 0)
+    _render_lines(plan, 0, lines)
     return "\n".join(lines)
+
+
+def _render_lines(node, depth, lines):
+    lines.append("  " * depth + f"Logical{node.op}({node.args})")
+    for child in node.children:
+        _render_lines(child, depth + 1, lines)
 
 
 def plan_or_placeholder(text, schema):

@@ -12,6 +12,7 @@ if not any((Path(entry) / "sqleq" / "__init__.py").is_file()
            if entry):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import sqleq  # noqa: E402
 from sqleq.schema import SchemaDef, TableDef  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -71,3 +72,13 @@ def write_jsonl(path, records):
         for record in records:
             f.write(json.dumps(record) + "\n")
     return path
+
+
+def child_env():
+    """The caller's environment (its bytecode setting included) without
+    the toolkit's own settings, for a child process that imports the
+    package the tests import."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("SQLEQ_CONFIG", "SQLEQ_API_KEY")}
+    env["PYTHONPATH"] = str(Path(sqleq.__file__).resolve().parent.parent)
+    return env

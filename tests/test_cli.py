@@ -1,11 +1,15 @@
+import gc
 import json
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import datafix
-from conftest import GOLDEN, FIXTURES, write_jsonl
-from sqleq.cli import _build_parser, main, resolve_config
+from conftest import GOLDEN, FIXTURES, child_env, write_jsonl
+from sqleq.cli import GC_THRESHOLD, _build_parser, main, resolve_config
 from sqleq.pipeline import STRATEGIES
 
 GOLDEN_PAIR_ARGS = ["--sql1", "SELECT playerid FROM people",
@@ -635,3 +639,54 @@ class TestConfigResolution:
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 64
+
+
+class TestProcessEntryPoint:
+    """`run` (the `sqleq` script, `python -m sqleq.cli`) sets the
+    process's collector for an acyclic heap; `main` leaves it alone."""
+
+    @staticmethod
+    def child(*args):
+        return subprocess.run([sys.executable, *args], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("args", [
+        ["features", "--sql", "SELECT a FROM t"],
+        ["features", "--sql", "SELECT FROM"],
+        [],
+    ])
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, args):
+        before = gc.get_threshold(), gc.get_freeze_count()
+        main(args)
+        assert (gc.get_threshold(), gc.get_freeze_count()) == before
+
+    def test_run_freezes_the_heap_and_raises_the_threshold(self):
+        done = self.child(
+            "-c", "import gc, sqleq.cli\n"
+            "code = sqleq.cli.run(['features', '--sql', 'SELECT 1'])\n"
+            "print(code, gc.get_threshold()[0], gc.get_freeze_count(), "
+            "len(gc.get_objects()))")
+        code, threshold, frozen, tracked = map(
+            int, done.stdout.splitlines()[-1].split())
+        assert (code, threshold) == (0, GC_THRESHOLD)
+        assert GC_THRESHOLD > 700 and frozen > 0
+        # frozen again after main: teardown has next to nothing to sweep
+        assert tracked < 100
+
+    @pytest.mark.parametrize("args,code", [
+        ([], 64),
+        (["plan", "--sql", "SELECT 1", "--schema", "missing.json"], 64),
+        (["features", "--sql", "SELECT FROM"], 65),
+    ])
+    def test_run_exits_as_main_does(self, capsys, args, code):
+        assert main(args) == code
+        err = capsys.readouterr().err
+        done = self.child("-m", "sqleq.cli", *args)
+        assert done.returncode == code
+        if code == 65:
+            assert done.stderr == err
+
+    def test_console_script_names_run(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        assert 'sqleq = "sqleq.cli:run"' in pyproject.read_text(
+            encoding="utf-8").splitlines()

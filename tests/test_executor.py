@@ -1,4 +1,5 @@
 import enum
+import gc
 import random
 import sqlite3
 from collections import Counter
@@ -352,6 +353,48 @@ class TestSubqueries:
         _, inst = pair_tables
         rows = run("WITH l AS (SELECT 99 AS k) SELECT k FROM l", inst).rows
         assert rows == [(99,)]
+
+
+class TestNoCyclicGarbage:
+    """`execute` leaves no reference cycles behind, so a run never waits
+    on the cyclic collector; subquery statements compile closures that
+    the run's caches hold."""
+
+    STATEMENTS = [
+        "SELECT v FROM l WHERE EXISTS "
+        "(SELECT 1 FROM r WHERE r.k = l.k AND r.k{div} = 1)",
+        "SELECT v FROM l WHERE NOT EXISTS "
+        "(SELECT 1 FROM r WHERE r.k = l.k AND r.k{div} = 1)",
+        "SELECT v, (SELECT COUNT(*) FROM r WHERE r.k = l.k AND r.k{div} > 0)"
+        " FROM l",
+        "SELECT v, (SELECT MAX(r.k{div}) FROM r WHERE r.k = l.k) FROM l",
+        "SELECT v FROM l WHERE k IN (SELECT r.k{div} FROM r)",
+        "SELECT v FROM l WHERE k NOT IN (SELECT r.k{div} FROM r)",
+        "SELECT v FROM l WHERE k IN "
+        "(SELECT r.k{div} FROM r WHERE r.w > l.v)",
+    ]
+
+    @staticmethod
+    def run_then_collect(sql, instance):
+        """Whether `sql` raised, and what the cyclic collector then finds."""
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                run(sql, instance)
+                raised = False
+            except RuntimeExecError:
+                raised = True
+            return raised, gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("template", STATEMENTS)
+    @pytest.mark.parametrize("div", ["", " / 0"])
+    def test_run_leaves_no_cycles(self, pair_tables, template, div):
+        _, inst = pair_tables
+        assert self.run_then_collect(template.format(div=div), inst) == \
+            (bool(div), 0)
 
 
 class TestErrorsAndValidation:

@@ -1,22 +1,13 @@
 """Smoke tests for the runnable scripts (subprocess, real entry points)."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import sqleq
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _child_env():
-    """The caller's environment (its bytecode setting included) without
-    the toolkit's own settings, importing the package the tests import."""
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("SQLEQ_CONFIG", "SQLEQ_API_KEY")}
-    env["PYTHONPATH"] = str(Path(sqleq.__file__).resolve().parent.parent)
-    return env
 
 
 def run_script(name, *args):
@@ -67,7 +58,7 @@ def test_fixtures_drive_the_cli_oracle(tmp_path):
          "--instances", str(tmp_path / "witness_instance.json"),
          "--format", "json"],
         capture_output=True, text=True, timeout=60,
-        cwd=ROOT, env=_child_env())
+        cwd=ROOT, env=child_env())
     assert result.returncode == 0, result.stderr
     assert '"status": "refuted"' in result.stdout
 
@@ -77,7 +68,7 @@ def test_diff_executor_finds_no_difference_with_itself():
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "diff_executor.py"),
          str(src), "--cases", "20", "--tiny"],
-        capture_output=True, text=True, timeout=180, env=_child_env())
+        capture_output=True, text=True, timeout=180, env=child_env())
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].endswith(" 0 differences")
     assert not result.stdout.startswith("DIFF")
