@@ -19,6 +19,7 @@ empty.
 import io
 import json
 import math
+import threading
 import warnings
 
 from .errors import DatasetParseError, DuplicateId, MissingSchema
@@ -30,8 +31,8 @@ from .pipeline import (
 from .records import Frozen
 from .schema import load_schemas
 
-# concurrent.futures, csv and datetime are imported by the functions that
-# use them: `sqleq oracle` loads this module but runs none of those.
+# csv and datetime are imported by the functions that use them: `sqleq
+# oracle` loads this module but runs neither.
 
 DIFFICULTIES = ("Easy", "Medium", "Hard", "ExtraHard", "Unlabeled")
 UNKNOWN_POLICIES = ("as_neq", "always_wrong")
@@ -227,23 +228,21 @@ def run_benchmark(dataset, strategy, plans_enabled, backend, cfg,
                   score_exact_matches=False, extra_config=None):
     """Check every pair and aggregate metrics plus breakdowns.
 
-    Pair fan-out is bounded by `parallelism`; aggregation sorts by pair
-    id so reports do not depend on scheduling. Exemplar pairs (for
-    few-shot) are dropped from the run entirely.
+    Pairs run on `_check_pairs`'s worker threads, at most `parallelism`
+    at a time; aggregation sorts by pair id so reports do not depend on
+    scheduling. Exemplar pairs (for few-shot) are dropped from the run
+    entirely.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     excluded = set()
     if cfg.exemplars is not None:
         excluded = set(cfg.exemplars.excluded_ids)
     pairs = [p for p in dataset.pairs if p.id not in excluded]
 
     started = _now()
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        verdicts = list(pool.map(
-            lambda p: check_pair(p, dataset.schema_for(p), strategy,
-                                 plans_enabled, backend, cfg),
-            pairs))
+    verdicts = _check_pairs(
+        pairs, lambda p: check_pair(p, dataset.schema_for(p), strategy,
+                                    plans_enabled, backend, cfg),
+        parallelism)
     finished = _now()
 
     verdicts.sort(key=lambda v: v.pair_id)
@@ -269,6 +268,53 @@ def run_benchmark(dataset, strategy, plans_enabled, backend, cfg,
     report.by_difficulty = breakdown(report, "difficulty")
     report.by_question = breakdown(report, "question")
     return report
+
+
+def _check_pairs(pairs, check, parallelism):
+    """[check(p) for p in pairs], run on min(parallelism, len(pairs))
+    worker threads that take the next pair, in input order, from one
+    shared cursor. The calling thread only joins them, so every check runs
+    on a worker.
+
+    After the first failure no worker starts another pair; the running
+    ones finish and the exception of the lowest-index failing pair is
+    raised. If the join itself is interrupted (Ctrl-C), the workers start
+    no further pair either.
+    """
+    if parallelism < 1:
+        raise ValueError("parallelism must be positive")
+    results = [None] * len(pairs)
+    failures = {}
+    cursor = iter(range(len(pairs)))
+    lock = threading.Lock()
+
+    def work():
+        nonlocal cursor
+        while True:
+            with lock:
+                index = next(cursor, None)
+            if index is None:
+                return
+            try:
+                results[index] = check(pairs[index])
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    failures[index] = exc
+                    cursor = iter(())
+
+    workers = [threading.Thread(target=work)
+               for _ in range(min(parallelism, len(pairs)))]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        with lock:
+            cursor = iter(())
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def breakdown(report, axis):

@@ -1,7 +1,8 @@
 """Tokenizer for the SELECT-only SQL dialect, and SQL's lexical rules.
 
-The pattern strings `GAP`, `STRING` and `QUOTED_IDENT` define once how
-SQL text splits; `normalize.py` builds its scanner from them too.
+The pattern strings `GAP` (whitespace or a `COMMENT`), `STRING` and
+`QUOTED_IDENT` define once how SQL text splits; `normalize.py` builds
+its scanner from them too.
 Whitespace and comments (`--` to the end of the line, `/* */`) separate
 tokens. A string literal ('...') or quoted identifier ("...") runs to
 its closing quote, and a doubled quote inside stands for one quote.
@@ -31,8 +32,9 @@ OPERATORS = (
     "(", ")", "[", "]", ",", ".", ";",
 )
 
-# Whitespace, a line comment, or a block comment that closes.
-GAP = r"\s+|--[^\n]*\n?|/\*(?s:.*?)\*/"
+# A line comment, or a block comment that closes.
+COMMENT = r"--[^\n]*\n?|/\*(?s:.*?)\*/"
+GAP = rf"\s+|{COMMENT}"
 # A quoted run that closes; the lookahead keeps an escaped quote from
 # closing it.
 STRING = r"'[^']*(?:''[^']*)*'(?!')"

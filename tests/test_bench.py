@@ -1,11 +1,16 @@
 import json
 import math
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import datafix
-from conftest import write_jsonl
+from conftest import child_env, write_jsonl
 from sqleq.backend import GenConfig, MockBackend, MockRule
 from sqleq.bench import (
     CoverageReport, QueryPair, breakdown, compute_metrics,
@@ -352,6 +357,214 @@ class TestRunAndReports:
         assert not {v.pair_id for v in report.verdicts} & excluded
         assert not report.scored_ids & excluded
         assert report.metrics.eq_total + report.metrics.neq_total == 8
+
+
+class _HookBackend(MockBackend):
+    """A mock whose first call of each pair (the strategy prompt) runs
+    `hook(pair_id)` before answering; the classify call runs no hook."""
+
+    def __init__(self, hook):
+        super().__init__(rules=[MockRule(response="Equivalent")])
+        self.hook = hook
+
+    def complete(self, bundle, cfg):
+        if bundle.strategy == "basic":
+            self.hook(bundle.meta.get("pair_id"))
+        return super().complete(bundle, cfg)
+
+
+class PairFailed(Exception):
+    pass
+
+
+WAIT_S = 10
+
+
+class TestFanOut:
+    """run_benchmark's worker threads: bounded, in input order, off the
+    calling thread, and stopped by the first failure or by an interrupted
+    join."""
+
+    def _run(self, tmp_path, backend, parallelism, count=10):
+        records = [
+            {"id": f"p{i:02d}", "sql1": f"SELECT a FROM t WHERE b = {i}",
+             "sql2": f"SELECT a FROM t WHERE b = {i + 50}",
+             "schema": "toy", "label": "EQ"}
+            for i in range(count)
+        ]
+        data, schemas = dataset_paths(tmp_path, records)
+        cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"))
+        return run_benchmark(load_dataset(data, schemas), "basic", False,
+                             backend, cfg, parallelism=parallelism)
+
+    def test_exception_of_the_earliest_failing_pair_is_raised(self,
+                                                               tmp_path):
+        later_failed = threading.Event()
+
+        def hook(pair_id):
+            if pair_id == "p05":
+                later_failed.set()
+                raise PairFailed(pair_id)
+            if pair_id == "p03":
+                assert later_failed.wait(WAIT_S)
+                raise PairFailed(pair_id)
+
+        with pytest.raises(PairFailed) as caught:
+            self._run(tmp_path, _HookBackend(hook), parallelism=4)
+        assert caught.value.args == ("p03",)
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_no_pair_starts_after_a_failure(self, tmp_path, parallelism):
+        started = []
+        failed = threading.Event()
+
+        def hook(pair_id):
+            started.append(pair_id)
+            if pair_id == "p02":
+                failed.set()
+                raise PairFailed(pair_id)
+            if parallelism > 1:
+                # the pairs in flight when p02 fails finish after it
+                assert failed.wait(WAIT_S)
+                time.sleep(0.05)
+
+        with pytest.raises(PairFailed):
+            self._run(tmp_path, _HookBackend(hook), parallelism, count=20)
+        assert started == ["p00", "p01", "p02"]
+
+    def test_parallelism_pairs_in_flight_and_never_more(self, tmp_path):
+        barrier = threading.Barrier(3, timeout=WAIT_S)
+        lock = threading.Lock()
+        in_flight = []
+        most = 0
+        started = []
+
+        def hook(pair_id):
+            nonlocal most
+            with lock:
+                started.append(pair_id)
+                in_flight.append(pair_id)
+                most = max(most, len(in_flight))
+            barrier.wait()
+            with lock:
+                in_flight.remove(pair_id)
+
+        report = self._run(tmp_path, _HookBackend(hook), parallelism=3,
+                           count=9)
+        assert most == 3
+        assert len(report.verdicts) == 9
+        # pairs start in input order, one barrier round at a time
+        rounds = [sorted(started[i:i + 3]) for i in (0, 3, 6)]
+        assert rounds == [["p00", "p01", "p02"], ["p03", "p04", "p05"],
+                          ["p06", "p07", "p08"]]
+
+    def test_more_workers_than_pairs(self, tmp_path):
+        threads = set()
+
+        def hook(pair_id):
+            threads.add(threading.current_thread())
+
+        report = self._run(tmp_path, _HookBackend(hook), parallelism=8,
+                           count=3)
+        assert [v.pair_id for v in report.verdicts] == ["p00", "p01", "p02"]
+        assert 1 <= len(threads) <= 3
+        assert threading.main_thread() not in threads
+
+    def test_every_pair_checked_once_under_frequent_switches(self):
+        # more workers than cores, switching threads every microsecond,
+        # and checks short enough that handing out the next pair is a
+        # large share of the work: a lost update of the shared cursor
+        # would check a pair twice or skip one
+        seen = []
+        ready = threading.Barrier(8, timeout=WAIT_S)
+        local = threading.local()
+
+        def check(x):
+            if not hasattr(local, "ready"):
+                local.ready = ready.wait()   # all workers contend from here
+            seen.append(x)
+            return -x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = bench._check_pairs(range(20_000), check, parallelism=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(20_000))
+        assert results == [-x for x in range(20_000)]
+
+    def test_empty_dataset(self, tmp_path):
+        report = self._run(tmp_path, MockBackend(), parallelism=4, count=0)
+        assert report.verdicts == []
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_zero_parallelism_rejected(self, tmp_path, count):
+        with pytest.raises(ValueError):
+            self._run(tmp_path, MockBackend(), parallelism=0, count=count)
+
+    def test_interrupted_join_stops_the_workers(self, tmp_path,
+                                                monkeypatch):
+        started = []
+        workers = []
+        both_started = threading.Event()
+        release = threading.Event()
+        lock = threading.Lock()
+
+        def hook(pair_id):
+            with lock:
+                started.append(pair_id)
+                workers.append(threading.current_thread())
+                if len(started) == 2:
+                    both_started.set()
+            assert release.wait(WAIT_S)
+
+        join = threading.Thread.join
+
+        def interrupted_join(thread, timeout=None):
+            assert both_started.wait(WAIT_S)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        with pytest.raises(KeyboardInterrupt):
+            self._run(tmp_path, _HookBackend(hook), parallelism=2)
+        monkeypatch.undo()
+        release.set()
+        for worker in workers:
+            join(worker, WAIT_S)
+            assert not worker.is_alive()
+        assert sorted(started) == ["p00", "p01"]
+
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_traced_pairs_are_children_of_the_run_span(tmp_path):
+    # perfbench/tracer.py parents a worker thread's first span on the
+    # span the main thread is in: the main thread must only wait inside
+    # run_benchmark, never check a pair itself
+    data = write_jsonl(tmp_path / "pairs.jsonl",
+                       datafix.question_records()[:60])
+    schemas = tmp_path / "schemas.json"
+    schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+    script = tmp_path / "mock.json"
+    script.write_text(json.dumps(datafix.scripted_question_rules()))
+    spans_path = tmp_path / "spans.jsonl"
+    subprocess.run(
+        [sys.executable, str(TRACER), str(spans_path), "bench",
+         "--dataset", str(data), "--schemas", str(schemas),
+         "--strategy", "basic", "--with-plans", "--parallelism", "2",
+         "--out", str(tmp_path / "report.json"),
+         "--mock-script", str(script)],
+        env=child_env(), capture_output=True, text=True, check=True,
+        timeout=120)
+    head, *lines = spans_path.read_text().splitlines()
+    assert json.loads(head) == {"absent": []}
+    spans = [json.loads(line) for line in lines]
+    [run] = [s["id"] for s in spans if s["name"] == "bench.run_benchmark"]
+    checks = [s for s in spans if s["name"] == "pipeline.check_pair"]
+    assert len(checks) == 60
+    assert {s["parent"] for s in checks} == {run}
 
 
 class TestCoverage:

@@ -39,10 +39,10 @@ def test_no_private_names_imported_across_modules(path):
     assert _private_imports(path) == []
 
 
-# Standard-library modules that only one path needs: the HTTP client,
-# the benchmark's thread pool and the csv report writer.
-SINGLE_PATH_STDLIB = ("urllib.request", "http.client", "ssl",
-                      "concurrent.futures", "csv")
+# Standard-library modules that only one path needs: the HTTP client
+# and the csv report writer; and two that no path needs.
+SINGLE_PATH_STDLIB = ("urllib.request", "http.client", "ssl", "csv",
+                      "concurrent.futures", "logging")
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -85,6 +85,25 @@ def test_oracle_run_leaves_the_http_stack_unloaded(tmp_path):
     setup = ("from sqleq.cli import main\n"
              f"assert main({argv!r}) == 0")
     assert _loaded(setup, ["http.client"]) == []
+
+
+def test_mock_bench_run_loads_no_executor_pool_or_logging(tmp_path):
+    # run_benchmark's workers are plain threads: concurrent.futures, and
+    # the logging it imports, would cost every bench process their import
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps({
+        "id": f"p{i}", "sql1": "SELECT a FROM t",
+        "sql2": f"SELECT a FROM t WHERE a = {i}", "schema": "s",
+        "label": "NEQ"}) + "\n" for i in range(4)))
+    schemas = tmp_path / "schemas.json"
+    schemas.write_text(json.dumps({"s": {
+        "tables": [{"name": "t", "columns": ["a"]}]}}))
+    argv = ["bench", "--dataset", str(pairs), "--schemas", str(schemas),
+            "--strategy", "basic", "--backend", "mock", "--parallelism",
+            "2", "--out", str(tmp_path / "report.json")]
+    setup = ("from sqleq.cli import main\n"
+             f"assert main({argv!r}) == 0")
+    assert _loaded(setup, ["concurrent.futures", "logging"]) == []
 
 
 def test_building_an_http_backend_loads_the_http_stack():

@@ -1,11 +1,14 @@
 """Normalization, exact-match, and schema serialization."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import corpusqueries as corpus
+import normalize_reference
 from sqleq.errors import SchemaError
 from sqleq.normalize import exact_match, normalize_query
 from sqleq.schema import (
@@ -62,6 +65,64 @@ class TestNormalize:
             for j, b in enumerate(texts):
                 assert exact_match(a, b) == exact_match(b, a)
                 assert exact_match(a, b) == (canon[i] == canon[j])
+
+
+# Pieces that start, end or escape a comment or a quote, whitespace the
+# lexer's `\s` and str.split both take (\x1c included), and letters whose
+# lower case depends on their neighbours (the final sigma) or is not ASCII.
+_TRICKY = ["Σ", "σ", "ς", ".", "'", '"', "--", "/*", "*/", "''", '""',
+           "\t", "\n", "\x1c", " ", "É", "A", "b", ";", "-", "/", "*",
+           "SELECT", "x1"]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_texts(seed):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    texts = []
+    for make in (workloads.difficulty_corpus, workloads.question_corpus,
+                 workloads.multi_clause_corpus):
+        for record in make(seed).records:
+            texts += [record["sql1"], record["sql2"]]
+    return texts
+
+
+class TestNormalizeAgainstReference:
+    """`normalize_query` gives what the earlier per-piece loop in
+    `normalize_reference` gives."""
+
+    @settings(max_examples=1000)
+    @given(st.lists(st.sampled_from(_TRICKY), max_size=16).map("".join))
+    def test_tricky_pieces(self, text):
+        assert normalize_query(text) == normalize_reference.normalize_query(
+            text)
+
+    @given(st.text(max_size=80))
+    def test_any_text(self, text):
+        assert normalize_query(text) == normalize_reference.normalize_query(
+            text)
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_perfbench_corpora(self, seed):
+        texts = _perfbench_texts(seed)
+        assert len(texts) > 1000
+        assert [normalize_query(t) for t in texts] == \
+            [normalize_reference.normalize_query(t) for t in texts]
+
+    @pytest.mark.parametrize("text,canonical", [
+        ("SELECT AΣ", "select aς"),
+        ("SELECT AΣ B", "select aς b"),
+        ("SELECT AΣ\x1cB", "select aς b"),
+        ("SELECT AΣ/**/B", "select aς b"),
+        ("SELECT AΣ'x'", "select aς'x'"),
+        ("SELECT AΣB", "select aσb"),
+    ])
+    def test_final_sigma_ends_at_a_gap_or_quote(self, text, canonical):
+        assert normalize_query(text) == canonical
+        assert normalize_reference.normalize_query(text) == canonical
 
 
 class TestSchema:
