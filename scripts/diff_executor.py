@@ -9,7 +9,9 @@ parse and run the same statements on the same instances:
 - N random `tests/queryfam.py` cases of seed 3 (default 6000),
   every second one with look-alike cells (NULL, TRUE, FALSE, 0, 1, 1.0,
   -0.0, 2.5, 'x', '1') mixed into its instance; each runs on its
-  instance and on the instance with every table's rows reversed;
+  instance and on the instance with every table's rows reversed, and,
+  on its instance, as the FROM item of a correlated scalar subquery,
+  keyed on its first output column (`= t.a`) and unkeyed (`> t.a`);
 - every string constant of `tests/*.py` that parses as a statement, on
   three small look-alike instances of a schema made up from the tables
   and columns it names;
@@ -48,9 +50,13 @@ if not any((Path(entry) / "sqleq" / "__init__.py").is_file()
 
 import queryfam  # noqa: E402
 import workloads  # noqa: E402
-from sqleq.ast_nodes import ColumnRef, Cte, TableRef, walk  # noqa: E402
+from sqleq.ast_nodes import (  # noqa: E402
+    ColumnRef, Cte, SelectCore, SetOp, TableRef, walk,
+)
+from sqleq.binder import bind, output_name  # noqa: E402
 from sqleq.errors import SqleqError  # noqa: E402
 from sqleq.parser import parse_sql  # noqa: E402
+from sqleq.schema import schema_from_dict  # noqa: E402
 
 LOOK_ALIKE = [None, True, False, 0, 1, 1.0, -0.0, 2.5, "x", "1"]
 MODULES = ("executor", "oracle", "parser", "schema")
@@ -142,9 +148,31 @@ def random_instance(rng, schema):
         for table in schema["tables"]}}
 
 
+def first_output_name(sql, schema_def):
+    """The name of the first output column of `sql`, None when it does
+    not bind."""
+    tree = parse_sql(sql)
+    try:
+        binding = bind(tree, schema_def)
+    except SqleqError:
+        return None
+    body = tree.body
+    while not isinstance(body, SelectCore):
+        body = body.left if isinstance(body, SetOp) else body.body
+    return output_name(binding.items[id(body)][0], 0)
+
+
+def nested(sql, column, op):
+    """`sql` as the FROM item of a scalar subquery correlated with t0
+    on `q.<column> <op> t.a`."""
+    return (f"SELECT t.a, (SELECT COUNT(*) FROM ({sql}) q "
+            f"WHERE q.{column} {op} t.a) FROM t0 t")
+
+
 def queryfam_cases(differ, count, seed):
     rng = random.Random(seed)
     schema = queryfam.schema_dict()
+    schema_def = schema_from_dict(schema)
     for i in range(count):
         instance, _, sql = queryfam.random_case(rng)
         if i % 2:
@@ -154,6 +182,11 @@ def queryfam_cases(differ, count, seed):
         second = differ.execute(where + " (rows reversed)", sql, schema,
                                 reversed_rows(instance))
         differ.compare(where + " (the two orders)", sql, first, second)
+        column = first_output_name(sql, schema_def)
+        if column is not None:
+            for op, how in (("=", "keyed"), (">", "unkeyed")):
+                differ.execute(f"{where} (nested, {how})",
+                               nested(sql, column, op), schema, instance)
 
 
 def statements_of_tests():

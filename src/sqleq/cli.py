@@ -233,9 +233,7 @@ def resolve_config(args):
         merged.update(_read_file(path, "config", _load_config))
     if os.environ.get(API_KEY_ENV):
         merged["api_key"] = os.environ[API_KEY_ENV]
-    for key in ("backend", "endpoint", "model", "classifier_model",
-                "api_key", "mock_script", "exemplars", "seed", "parallelism",
-                "unknown_policy"):
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value

@@ -43,21 +43,22 @@ inline, the left before the right runs. Instances are validated column
 by column; a faulty one is checked again row by row, so its first fault
 in row order is the one reported.
 
-Joins and subqueries probe hash indexes where a condition's top-level
-AND conjuncts include `x = y` with one side reading only a fixed row
-source and the other only the probing row or enclosing rows (`_Index`):
-- a join hashes its right side on the ON keys, probed by each left row;
-- a correlated subquery core whose FROM item reads no enclosing row
-  (`Binding.correlated`) builds its FROM rows and their index once per
-  execute, probed with the outer sides of its WHERE keys;
-- an uncorrelated expression subquery runs once per execute, on first
-  use; IN looks values up in a `_ValueSet`.
-The full condition still runs on every candidate and rows keep the
-nested loop's order, so results equal the nested loop's whenever it
-succeeds; key expressions are evaluated only where it would have
-evaluated the condition. Pairs of rows a key equality rules out are not
-evaluated further, so a residual conjunct that would raise only on such
-pairs no longer raises (PostgreSQL takes the same freedom).
+What reads no enclosing row runs once per execute, on first use, and
+its result is kept (`_run_once`): every CTE, and each subquery and FROM
+item not in `Binding.correlated`, inside a correlated subquery too; IN
+looks values up in a `_ValueSet`. One function builds and probes every
+hash index (`_hash_probe`), on the top-level AND conjuncts `x = y` of a
+condition with one side reading only a fixed row source and the other
+only the probing row or enclosing rows: a join hashes its right side on
+its ON keys, probed by each left row, and a core its FROM rows on its
+WHERE keys, probed by the enclosing row. An index is built again only
+over other rows, so once over kept rows and per run over a correlated
+FROM item's. The full condition still runs on every candidate and rows
+keep the nested loop's order, so results equal the nested loop's
+whenever it succeeds; key expressions are evaluated only where it would
+have evaluated the condition. Pairs of rows a key equality rules out are
+not evaluated further, so a residual conjunct that would raise only on
+such pairs no longer raises (PostgreSQL takes the same freedom).
 
 Semantics notes:
 - values compare, group and sort by the value model of `values.py`,
@@ -235,8 +236,7 @@ def execute(ast, instance):
     finally:
         # compiled closures hold the env that caches them: break the
         # cycles so the run leaves no garbage for the cyclic collector
-        for cache in (env.ctes, env.memo, env.keys, env.fns, env.row_fns,
-                      env.on_rows):
+        for cache in (env.memo, env.keys, env.fns, env.row_fns, env.on_rows):
             cache.clear()
     return ResultTable(column_count=width, rows=rows,
                        ordered=bool(ast.order_by))
@@ -245,19 +245,18 @@ def execute(ast, instance):
 # --- internal machinery ---
 
 class _Env:
-    """Instance, the statement's binding, CTE results by id(Cte), what runs
-    once per execute (`memo`: uncorrelated subquery results, IN value
-    sets, indexes of correlated cores), the equality keys of each
-    condition (`keys`), and what is compiled so far: context closures
-    (`fns`), row functions (`row_fns`) and what `_on_rows` hands out
-    (`on_rows`), all keyed by id() of AST nodes."""
-    __slots__ = ("instance", "binding", "ctes", "memo", "keys", "fns",
-                 "row_fns", "on_rows")
+    """Instance, the statement's binding, the results of what runs once
+    per execute (`memo`, see `_run_once`, and IN value sets), the
+    equality keys of each condition and the index last built on them
+    (`keys`, see `_hash_probe`), and what is compiled so far: context
+    closures (`fns`), row functions (`row_fns`) and what `_on_rows`
+    hands out (`on_rows`), all keyed by id() of AST nodes."""
+    __slots__ = ("instance", "binding", "memo", "keys", "fns", "row_fns",
+                 "on_rows")
 
     def __init__(self, instance, binding):
         self.instance = instance
         self.binding = binding
-        self.ctes = {}
         self.memo = {}
         self.keys = {}
         self.fns = {}
@@ -286,11 +285,10 @@ class _NoRow:
 def _exec_stmt(stmt, env, outer_ctx):
     """Returns (width, rows)."""
     for cte in stmt.ctes:
-        width, rows = _exec_stmt(cte.query, env, None)
+        width, _ = _run_once(cte.query, _exec_stmt, env, None)
         if cte.columns and len(cte.columns) != width:
             raise RuntimeExecError(
                 f"CTE {cte.name!r} column list arity mismatch")
-        env.ctes[id(cte)] = (width, rows)
 
     order = env.binding.order.get(id(stmt), ())
     hidden = [item.expr for index, item in zip(order, stmt.order_by)
@@ -346,13 +344,14 @@ def _exec_setop(op, env, outer_ctx):
 
 
 def _exec_core(core, env, outer_ctx, hidden):
-    if core.from_item is None:
-        rows = [()]
-    elif core.where is None or id(core.from_item) in env.binding.correlated:
-        rows = _exec_from(core.from_item, env, outer_ctx)[1]
-    else:
-        rows = _probe_from(core, env, outer_ctx)
+    rows = [()]
+    if core.from_item is not None:
+        rows = _run_once(core.from_item, _exec_from, env, outer_ctx)[1]
     if core.where is not None:
+        probe = _hash_probe(core.where, 0, rows, env, outer_ctx)
+        if probe is not None:  # the probing row is the enclosing one
+            index, fns = probe
+            rows = [rows[i] for i in index.probe([f(()) for f in fns])]
         where = _on_rows(core.where, env, outer_ctx)
         rows = [row for row in rows if where(row) is True]
 
@@ -374,12 +373,24 @@ def _exec_core(core, env, outer_ctx, hidden):
     return len(exprs), out
 
 
+def _run_once(node, run, env, outer_ctx):
+    """`run(node, env, outer_ctx)` for a statement or FROM item in
+    `Binding.correlated`. Any other reads no enclosing row, so it runs
+    once per execute, on first use, and its result is kept in `memo`."""
+    if id(node) in env.binding.correlated:
+        return run(node, env, outer_ctx)
+    result = env.memo.get(id(node))
+    if result is None:
+        result = env.memo[id(node)] = run(node, env, None)
+    return result
+
+
 def _exec_from(item, env, outer_ctx):
     """Returns (row width, flat rows) of a FROM item."""
     if isinstance(item, TableRef):
         cte = env.binding.ctes.get(id(item))
         if cte is not None:
-            return env.ctes[id(cte)]
+            return env.memo[id(cte.query)]
         columns, rows = env.instance.table(item.name)
         return len(columns), rows
 
@@ -387,25 +398,25 @@ def _exec_from(item, env, outer_ctx):
         return _exec_stmt(item.query, env, outer_ctx)
 
     if isinstance(item, Join):
-        left_width, left = _exec_from(item.left, env, outer_ctx)
-        right_width, right = _exec_from(item.right, env, outer_ctx)
+        left_width, left = _run_once(item.left, _exec_from, env, outer_ctx)
+        right_width, right = _run_once(item.right, _exec_from, env,
+                                       outer_ctx)
         condition = None if item.kind == "cross" else item.condition
-        keep = probes = None
+        keep = probe = None
         if condition is not None:
             keep = _on_rows(condition, env, outer_ctx)
-            if left and right:
-                keys = _equi_keys(condition, env, lambda depth, slot:
-                                  depth == 0 and slot >= left_width)
-                if keys is not None:
-                    index = _Index(right, keys[0], (None,) * left_width)
-                    probes = _tuples(
-                        _fns(keys[1], env, outer_ctx, False), left)
+            if left:
+                probe = _hash_probe(condition, left_width, right, env,
+                                    outer_ctx)
+        if probe is not None:
+            index, fns = probe
+            probes = _tuples(fns, left)
         candidates = range(len(right))
         out = []
         matched_right = [False] * len(right)
         for lrow in left:
             any_match = False
-            if probes is not None:  # run as each left row comes
+            if probe is not None:  # run as each left row comes
                 candidates = index.probe(next(probes))
             for j in candidates:
                 row = lrow + right[j]
@@ -424,29 +435,6 @@ def _exec_from(item, env, outer_ctx):
         return left_width + right_width, out
 
     raise RuntimeExecError(f"cannot evaluate FROM item {item!r}")
-
-
-def _probe_from(core, env, outer_ctx):
-    """FROM rows of a core whose FROM item reads no enclosing row.
-
-    When WHERE has `inner = outer` conjuncts, the rows and their index
-    are built once per execute, and the enclosing row picks its
-    candidates by probing with the outer sides; WHERE still runs on
-    each candidate.
-    """
-    keys = _equi_keys(core.where, env, lambda depth, slot: depth == 0)
-    if keys is None:
-        return _exec_from(core.from_item, env, outer_ctx)[1]
-    entry = env.memo.get(id(core))
-    if entry is None:
-        rows = _exec_from(core.from_item, env, outer_ctx)[1]
-        entry = env.memo[id(core)] = (
-            _Index(rows, keys[0]), [_compile(expr, env) for expr in keys[1]])
-    index, probe_fns = entry
-    if not index.rows:
-        return []
-    ctx = _Ctx(None, outer_ctx)
-    return [index.rows[i] for i in index.probe([f(ctx) for f in probe_fns])]
 
 
 def _group(rows, group_by, env, outer_ctx):
@@ -523,7 +511,7 @@ class _Index:
     """
     __slots__ = ("rows", "buckets")
 
-    def __init__(self, rows, fixed_fns, pad=()):
+    def __init__(self, rows, fixed_fns, pad):
         self.rows = rows
         self.buckets = {}
         for i, row in enumerate(rows):
@@ -538,34 +526,39 @@ class _Index:
 
 
 def _key(values):
-    if any(value is None for value in values):
-        return None
-    return canon_row(values)
+    # no cell but NULL itself equals None
+    return None if None in values else canon_row(values)
 
 
-def _equi_keys(condition, env, is_fixed):
-    """([row functions of the fixed sides], [probing sides]) of the
-    `x = y` conjuncts of `condition` where one side reads only fixed
-    slots and the other only other ones, neither holding a subquery or
-    an aggregate; None when no conjunct qualifies. `is_fixed(depth,
-    slot)` tells the slots apart, holds only at depth 0, and does so the
-    same way on every call for a given condition.
-    """
-    if id(condition) not in env.keys:
+def _hash_probe(condition, width, right, env, outer_ctx):
+    """(`_Index` of `right`, functions of the probing sides from `_fns`)
+    on the `x = y` conjuncts of `condition` with one side reading only
+    fixed slots (depth 0, past the probing row's `width` columns) and the
+    other only other ones, neither holding a subquery or an aggregate;
+    None without such a conjunct or without rows in `right`. The keys
+    and the last index are kept in `env.keys`; the index is built again
+    only over another `right` list."""
+    entry = env.keys.get(id(condition))
+    if entry is None:
         fixed, probing = [], []
         for conjunct in _conjuncts(condition):
             if not (isinstance(conjunct, Binary) and conjunct.op == "="):
                 continue
             sides = (conjunct.left, conjunct.right)
-            reads = [_reads(side, env.binding, is_fixed) for side in sides]
+            reads = [_reads(side, env.binding, width) for side in sides]
             if reads[1] == {True} and reads[0] == {False}:
                 sides = sides[::-1]
             elif not (reads[0] == {True} and reads[1] == {False}):
                 continue
             fixed.append(_compile_row(sides[0], env))
             probing.append(sides[1])
-        env.keys[id(condition)] = (fixed, probing) if fixed else None
-    return env.keys[id(condition)]
+        entry = env.keys[id(condition)] = [fixed, probing, None]
+    fixed, probing, index = entry
+    if not fixed or not right:
+        return None
+    if index is None or index.rows is not right:
+        index = entry[2] = _Index(right, fixed, (None,) * width)
+    return index, _fns(probing, env, outer_ctx, False)
 
 
 def _conjuncts(condition):
@@ -580,15 +573,16 @@ def _conjuncts(condition):
     return out
 
 
-def _reads(expr, binding, is_fixed):
-    """{is_fixed(depth, slot)} over the column references of `expr`; an
-    empty set for a subquery or an aggregate, which never make a key."""
+def _reads(expr, binding, width):
+    """{whether the slot is fixed} over the column references of `expr`;
+    an empty set for a subquery or an aggregate, which make no key."""
     reads = set()
     for node in select_level(expr):
         if isinstance(node, SelectStmt) or is_aggregate_call(node):
             return set()
         if isinstance(node, ColumnRef):
-            reads.add(is_fixed(*binding.slots[id(node)]))
+            depth, slot = binding.slots[id(node)]
+            reads.add(depth == 0 and slot >= width)
     return reads
 
 
@@ -1081,7 +1075,7 @@ def _build_like(expr, env, sub):
 
 def _build_exists(expr, env, sub):
     query = expr.query
-    return lambda x: bool(_subquery_rows(query, env, x)[1])
+    return lambda x: bool(_run_once(query, _exec_stmt, env, x)[1])
 
 
 def _build_subquery(expr, env, sub):
@@ -1372,21 +1366,11 @@ def _build_array(expr, env, sub):
     return lambda x: tuple([item(x) for item in items])
 
 
-def _subquery_rows(query, env, x):
-    """(width, rows) of an expression subquery run for the row of context
-    `x`; an uncorrelated one reads no enclosing row, so `x` may be a row
-    function's row, and runs once per execute, on first use."""
-    if id(query) in env.binding.correlated:
-        return _exec_stmt(query, env, x)
-    result = env.memo.get(id(query))
-    if result is None:
-        result = env.memo[id(query)] = _exec_stmt(query, env, None)
-    return result
-
-
 def _column(query, env, x, what):
-    """Values of a subquery that must return one column."""
-    width, rows = _subquery_rows(query, env, x)
+    """Values of a subquery that must return one column; `x` is the
+    context it runs for, or a row function's row when it is not
+    correlated (`_run_once`)."""
+    width, rows = _run_once(query, _exec_stmt, env, x)
     if width != 1:
         raise RuntimeExecError(f"{what} subquery must return one column")
     return [row[0] for row in rows]

@@ -133,7 +133,7 @@ def _plan_core(core, binding):
 
     if core.group_by or aggregates:
         group = ", ".join(render_expression(e) for e in core.group_by)
-        aggs = ", ".join(_dedupe(render_expression(a) for a in aggregates))
+        aggs = ", ".join(dict.fromkeys(map(render_expression, aggregates)))
         plan = PlanNode("Aggregate", f"group=[{group}], aggs=[{aggs}]", [plan])
 
     if core.having is not None:
@@ -171,11 +171,3 @@ def _plan_from(item, binding):
         args += f", {render_expression(item.condition)}"
     return PlanNode("Join", args, [_plan_from(item.left, binding),
                                    _plan_from(item.right, binding)])
-
-
-def _dedupe(texts):
-    seen = []
-    for text in texts:
-        if text not in seen:
-            seen.append(text)
-    return seen

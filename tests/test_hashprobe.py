@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import queryfam
 from sqleq import executor
 from sqleq.ast_nodes import (
-    DerivedTable, Exists, InSubquery, Join, SelectCore, Subquery, TableRef,
-    walk,
+    Cte, DerivedTable, Exists, InSubquery, Join, SelectCore, Subquery,
+    TableRef, walk,
 )
 from sqleq.binder import bind
 from sqleq.errors import RuntimeExecError
@@ -175,6 +175,45 @@ class TestRunOnce:
         assert execute(ast, lr_instance(*self.INST)).rows == [(1,)]
         assert built == [3]
 
+    def test_cte_in_a_correlated_subquery_runs_once(self, monkeypatch):
+        ast = parse_sql("SELECT k FROM l WHERE EXISTS (WITH c AS "
+                        "(SELECT k FROM r WHERE w <> 'y') "
+                        "SELECT 1 FROM c WHERE c.k = l.k)")
+        (cte,) = [node for node in walk(ast) if isinstance(node, Cte)]
+        runs = count_runs(monkeypatch, cte.query)
+        assert execute(ast, lr_instance(*self.INST)).rows == [(1,)]
+        assert runs() == 1
+
+    def test_uncorrelated_derived_table_of_a_correlated_core_runs_once(
+            self, monkeypatch):
+        ast = parse_sql("SELECT k FROM l WHERE EXISTS (SELECT 1 FROM "
+                        "(SELECT k FROM r) x WHERE x.k > l.k)")
+        (derived,) = [item for item in from_items(ast)
+                      if isinstance(item, DerivedTable)]
+        runs = count_runs(monkeypatch, derived.query)
+        assert execute(ast, lr_instance(*self.INST)).rows == [(1,), (2,)]
+        assert runs() == 1
+
+    def test_uncorrelated_join_of_a_correlated_core_builds_once(
+            self, monkeypatch):
+        ast = parse_sql("SELECT k FROM l WHERE EXISTS (SELECT 1 FROM r "
+                        "JOIN r AS r2 ON r.k = r2.k WHERE r2.k > l.k)")
+        built = record_index_builds(monkeypatch)
+        assert execute(ast, lr_instance(*self.INST)).rows == [(1,), (2,)]
+        assert built == [3]
+
+    def test_correlated_derived_table_probes_an_index_per_outer_row(
+            self, monkeypatch):
+        # l = (1, a), (2, b), (NULL, n): the derived table keeps r's rows
+        # 1 and 3, all three for b; only l's key 1 meets one of them
+        ast = parse_sql("SELECT l.k, (SELECT COUNT(*) FROM (SELECT r.k "
+                        "FROM r WHERE r.w <> 'y' OR l.v = 'b') x "
+                        "WHERE x.k = l.k) FROM l")
+        built = record_index_builds(monkeypatch)
+        assert execute(ast, lr_instance(*self.INST)).rows == [
+            (1, 1), (2, 0), (None, 0)]
+        assert built == [2, 3, 2]
+
 
     @pytest.mark.parametrize("op", ["AND", "OR"])
     def test_non_boolean_left_operand_raises_before_right_runs(
@@ -238,6 +277,19 @@ SQLITE_QUERIES = [
     "FROM dept d",
     "SELECT d.name, (SELECT COUNT(*) FROM emp e "
     "WHERE e.dept = d.did AND e.grade = d.grade) FROM dept d",
+    # FROM items of correlated subqueries
+    "SELECT e.eid FROM emp e WHERE EXISTS (WITH x AS (SELECT did FROM dept "
+    "WHERE budget > 20) SELECT 1 FROM x WHERE x.did = e.dept)",
+    "SELECT d.did, (SELECT COUNT(*) FROM (SELECT dept FROM emp "
+    "WHERE salary > 30) x WHERE x.dept = d.did) FROM dept d",
+    "SELECT e.eid FROM emp e WHERE EXISTS (SELECT 1 FROM dept d "
+    "JOIN emp e2 ON e2.dept = d.did "
+    "WHERE d.did = e.dept AND e2.grade = e.grade)",
+    "SELECT e.eid FROM emp e WHERE e.grade IN (SELECT x.grade FROM "
+    "(SELECT did, grade FROM dept WHERE budget < 70) x "
+    "WHERE x.did = e.dept)",
+    "SELECT d.did, (SELECT MAX(x.salary) FROM (SELECT salary FROM emp "
+    "WHERE grade > 0) x WHERE x.salary > d.budget) FROM dept d",
 ]
 
 
