@@ -1,0 +1,130 @@
+"""Compare the reports `sqleq bench` writes in this checkout with another
+checkout's.
+
+Usage:
+    python scripts/diff_reports.py OTHER_SRC [--tiny]
+
+OTHER_SRC is the `src` directory of another checkout. Both packages run
+`sqleq bench --backend mock` as separate processes, as users run it,
+over the three `perfbench` pipeline corpora of seed 3 (the benchmark's
+tiny scale with --tiny), for every strategy, with plans off and on, in
+the json, csv and markdown formats, at --parallelism 1 and 2. For each
+run the report, stdout, stderr and exit code of the two sides are
+compared byte for byte; only the values of `started_at` and
+`finished_at` in a JSON report are left out. Every difference is
+printed, and the last line counts the runs, those of this checkout that
+exited non-zero, and the differences; the exit status is 1 when there
+is a difference.
+"""
+
+import argparse
+import itertools
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+SEED = 3
+TINY_SCALE = 0.05
+FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
+PARALLELISM = (1, 2)
+_TIMESTAMP = re.compile(r'^(  "(?:started|finished)_at": )"[^"\n]*"', re.M)
+
+
+def runs(directory, scale):
+    """(name, sqleq arguments) of every run; each writes `report.<ext>`
+    in its working directory."""
+    exemplars = workloads.write_exemplars(directory)
+    for corpus in (workloads.difficulty_corpus(SEED, scale),
+                   workloads.question_corpus(SEED, scale),
+                   workloads.multi_clause_corpus(SEED, scale)):
+        paths = corpus.write(directory)
+        for strategy, plans, (fmt, ext), parallelism in itertools.product(
+                workloads.STRATEGIES, (False, True), FORMATS.items(),
+                PARALLELISM):
+            args = ["bench", "--dataset", str(paths["dataset"]),
+                    "--schemas", str(paths["schemas"]),
+                    "--strategy", strategy,
+                    "--out", f"report.{ext}", "--format", fmt,
+                    "--parallelism", str(parallelism),
+                    "--backend", "mock",
+                    "--mock-script", str(paths["mock_script"])]
+            if plans:
+                args.append("--with-plans")
+            if strategy == "fewshot":
+                args += ["--exemplars-file", str(exemplars)]
+            yield (f"{corpus.name}-{strategy}-{'lp' if plans else 'nolp'}"
+                   f"-{fmt}-p{parallelism}"), args
+
+
+def run(src, args, directory):
+    """What one `sqleq` run in `directory` gives: exit code, stdout,
+    stderr and the report, each as text (the report None if none was
+    written)."""
+    directory.mkdir(parents=True)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SQLEQ_CONFIG", "SQLEQ_API_KEY")}
+    env["PYTHONPATH"] = str(src)
+    result = subprocess.run([sys.executable, "-m", "sqleq.cli", *args],
+                            cwd=directory, env=env, capture_output=True,
+                            text=True, stdin=subprocess.DEVNULL, timeout=300)
+    reports = list(directory.glob("report.*"))
+    report = reports[0].read_text(encoding="utf-8") if reports else None
+    if report is not None:
+        report = _TIMESTAMP.sub(r'\1""', report)
+    return {"exit code": result.returncode, "stdout": result.stdout,
+            "stderr": result.stderr, "report": report}
+
+
+def first_difference(mine, theirs):
+    """The first line on which two texts differ, for the message."""
+    if not isinstance(mine, str) or not isinstance(theirs, str):
+        return f"this: {mine!r}\n  other: {theirs!r}"
+    lines = zip(mine.splitlines(), theirs.splitlines())
+    for number, (a, b) in enumerate(lines, start=1):
+        if a != b:
+            return f"line {number}\n  this:  {a!r}\n  other: {b!r}"
+    return (f"{len(mine.splitlines())} against "
+            f"{len(theirs.splitlines())} lines")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("other_src", help="the src directory of the other "
+                        "checkout")
+    parser.add_argument("--tiny", action="store_true",
+                        help="the benchmark's tiny corpus sizes")
+    args = parser.parse_args(argv)
+    sides = (ROOT / "src", Path(args.other_src).resolve())
+    differences = failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        planned = list(runs(tmp, TINY_SCALE if args.tiny else 1.0))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                (name, [pool.submit(run, src, sqleq_args,
+                                    tmp / side / name)
+                        for side, src in zip(("this", "other"), sides)])
+                for name, sqleq_args in planned]
+            for name, (mine, theirs) in futures:
+                mine, theirs = mine.result(), theirs.result()
+                failed += mine["exit code"] != 0
+                for what in mine:
+                    if mine[what] != theirs[what]:
+                        differences += 1
+                        print(f"DIFF {name} {what}: "
+                              f"{first_difference(mine[what], theirs[what])}")
+    print(f"{len(planned)} runs, {failed} failed, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,6 +21,7 @@ import json
 import math
 import threading
 import warnings
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DatasetParseError, DuplicateId, MissingSchema
 from .normalize import exact_match
@@ -471,7 +472,17 @@ def _pair_rows(report):
 
 
 def _emit_json(report):
-    payload = {
+    """The report payload as `json.dumps(payload, indent=2,
+    sort_keys=True)` writes it, plus a newline; `_write_json` gives that
+    text exactly."""
+    out = []
+    _write_json(_report_payload(report), out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _report_payload(report):
+    return {
         "strategy": report.strategy,
         "plans": report.plans_enabled,
         "unknown_policy": report.unknown_policy,
@@ -487,7 +498,99 @@ def _emit_json(report):
         },
         "pairs": _pair_rows(report),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(value, out, newline):
+    """Append to `out` the text of `json.dumps(value, indent=2,
+    sort_keys=True)`, with `newline` (a line break and the indent of the
+    enclosing level) starting each line of it.
+
+    The text is exactly that of `json.dumps`, failures included, for
+    values made of dicts, lists, tuples, str, int, float, bool and None
+    (subclasses too), without the pure-Python encoder's generator per
+    container, which `json.dumps` falls back to whenever it indents.
+    Strings go through the same C escaper, ints through `int.__repr__`
+    and floats through `_json_float`, and a scalar in a container is
+    written there without a call of this function. The one exception:
+    a container that holds itself raises RecursionError where
+    `json.dumps` raises ValueError.
+    """
+    scalars = _JSON_SCALARS
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            text = scalars.get(item.__class__)
+            if text is None:
+                out.append(separator)
+                _write_json(item, out, inner)
+            else:
+                out.append(separator + text(item))
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            key = _json_str(key if key.__class__ is str else _json_key(key))
+            text = scalars.get(item.__class__)
+            if text is None:
+                out.append(f"{separator}{key}: ")
+                _write_json(item, out, inner)
+            else:
+                out.append(f"{separator}{key}: {text(item)}")
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_json_scalar(value))
+
+
+def _json_scalar(value):
+    text = _JSON_SCALARS.get(value.__class__)
+    if text is not None:
+        return text(value)
+    for kind in (str, int, float):  # a subclass; bool and None have none
+        if isinstance(value, kind):
+            return _JSON_SCALARS[kind](value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_key(key):
+    """A dict key as `json.dumps` turns it into text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _json_scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_float(value):
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The text of a scalar of each exact type, by a call in C where there is
+# one: `json.dumps` writes these types with these functions.
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _emit_csv(report):

@@ -11,6 +11,10 @@ Unquoted identifiers and keywords are case-folded (keywords upper,
 identifiers lower); quoted identifiers and string literals keep their
 exact contents. Numbers are `1`, `1.5`, `.5`, `1e5` or `1.5E-3`; an
 exponent needs a digit, so `1e+` is `1`, `e`, `+`.
+
+`tokenize` scans a text with one `re.split` of a (gaps, token) pattern,
+done in C, and classifies each token by its first character; the loop
+over tokens builds no match object and does not see the gaps.
 """
 
 import re
@@ -40,69 +44,84 @@ GAP = rf"\s+|{COMMENT}"
 STRING = r"'[^']*(?:''[^']*)*'(?!')"
 QUOTED_IDENT = r'"[^"]*(?:""[^"]*)*"(?!")'
 
-# Tried in order at each position: GAP before '-' and '/', NUMBER before
-# '.'. WORD also starts on a non-decimal digit such as '²' or '½',
-# which `tokenize` rejects.
-_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
-    ("GAP", GAP),
-    ("STRING", STRING),
-    ("QIDENT", QUOTED_IDENT),
-    ("NUMBER", r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"),
-    ("WORD", r"[^\W\d]\w*"),
-    ("UNCLOSED", r"/\*|['\"]"),
-    ("OP", "|".join(map(re.escape, OPERATORS))),
-    ("MISMATCH", "."),
-)))
+# One scan step: the gaps before a token, then the token. After the
+# longest run of gaps some token form always matches (any character, or
+# `\Z` at the end of the text), so a token never starts inside a gap.
+# The forms are tried in order: NUMBER before '.'; a WORD
+# (`[^\W\d]\w*`) also starts on a non-decimal digit such as '²' or '½',
+# which `tokenize` rejects; an opening quote that no string closes is a
+# token of its own, and a `/*` that no comment closes takes the rest of
+# the text, as the scan would otherwise look for a `*/` again from each
+# later `/*`.
+_STEP = re.compile(
+    rf"((?:{GAP})*)({STRING}|{QUOTED_IDENT}"
+    r"|(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?|[^\W\d]\w*"
+    r"|/\*(?s:.*)|['\"]|" + "|".join(map(re.escape, OPERATORS)) + r"|.|\Z)")
 
+_OPERATORS = frozenset(OPERATORS)
+# by the first character of an unclosed comment or quote
 _UNCLOSED = {
-    "/*": ("unterminated block comment", "*/"),
+    "/": ("unterminated block comment", "*/"),
     "'": ("unterminated string literal", "'"),
     '"': ("unterminated quoted identifier", '"'),
 }
 
 
 class Token(Frozen):
-    def __init__(self, kind, value, raw, offset, _set=object.__setattr__):
+    def __init__(self, kind, value, raw, offset):
         # kind: KW, IDENT, QIDENT, STRING, NUMBER, OP, EOF; value: the
         # normalized text (keywords upper, identifiers lower); raw: the
         # exact source slice; offset: byte offset of the first character.
-        # `_set` is bound once, not looked up per field and token.
-        _set(self, "kind", kind)
-        _set(self, "value", value)
-        _set(self, "raw", raw)
-        _set(self, "offset", offset)
+        # The fields go straight into the instance dict, which costs
+        # about half of four `object.__setattr__` calls; a token is made
+        # once per token of every parsed text and read about twice.
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["value"] = value
+        fields["raw"] = raw
+        fields["offset"] = offset
 
 
 def tokenize(text):
-    """Return the token list for `text`, ending with an EOF token."""
+    """Return the token list for `text`, ending with an EOF token.
+
+    One `_STEP.split` cuts the whole text into (gaps, token) steps; each
+    token's kind follows from its first character, and its offset from
+    the lengths of the pieces before it.
+    """
     tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "GAP":
-            continue
-        raw = m.group()
-        start = m.start()
-        if kind == "WORD" and (raw[0].isalpha() or raw[0] == "_"):
+    append = tokens.append
+    pieces = iter(_STEP.split(text))
+    next(pieces)  # the empty text before the first step
+    offset = 0
+    # a step is (gaps, token, the empty text up to the next step)
+    for gaps, raw, _ in zip(pieces, pieces, pieces):
+        offset += len(gaps)
+        if not raw:  # the end of the text
+            break
+        first = raw[0]
+        if first.isalpha() or first == "_":
             upper = raw.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KW", upper, raw, start))
+                append(Token("KW", upper, raw, offset))
             else:
-                tokens.append(Token("IDENT", raw.lower(), raw, start))
-        elif kind == "OP":
-            tokens.append(Token("OP", raw, raw, start))
-        elif kind == "NUMBER":
-            tokens.append(Token("NUMBER", _number(raw, start), raw, start))
-        elif kind == "STRING":
-            tokens.append(Token("STRING", raw[1:-1].replace("''", "'"),
-                                raw, start))
-        elif kind == "QIDENT":
-            tokens.append(Token("QIDENT", raw[1:-1].replace('""', '"'),
-                                raw, start))
-        else:  # UNCLOSED, MISMATCH, or a WORD such as "²"
+                append(Token("IDENT", raw.lower(), raw, offset))
+        elif raw in _OPERATORS:
+            append(Token("OP", raw, raw, offset))
+        elif first.isdecimal() or first == ".":
+            append(Token("NUMBER", _number(raw, offset), raw, offset))
+        elif first == "'" and raw != "'":
+            append(Token("STRING", raw[1:-1].replace("''", "'"), raw,
+                         offset))
+        elif first == '"' and raw != '"':
+            append(Token("QIDENT", raw[1:-1].replace('""', '"'), raw,
+                         offset))
+        else:  # an unclosed quote or comment, or a stray character
             message, expected = _UNCLOSED.get(
-                raw, (f"unexpected character {raw[0]!r}", None))
-            raise SqlSyntaxError(message, start, expected)
-    tokens.append(Token("EOF", None, "", len(text)))
+                first, (f"unexpected character {first!r}", None))
+            raise SqlSyntaxError(message, offset, expected)
+        offset += len(raw)
+    append(Token("EOF", None, "", len(text)))
     return tokens
 
 

@@ -1,16 +1,22 @@
 """Prompt construction for the four strategies and the classifier stage.
 
-Templates live under templates/ with <<MARKER>> slots; substitution is
-single-pass, so inserted content is never rescanned (a query containing
-a marker or a section header stays verbatim). All bodies use LF newlines
-with exactly one blank line between sections, end with the Answer header
-plus a newline -- except the classifier prompt, which ends at the header.
+Templates live under templates/ with <<MARKER>> slots. Each template is
+read and split into literal pieces and marker names once per process,
+the first time it is used; filling one joins the pieces with the values
+of its markers in a single pass, so inserted content is never rescanned
+(a query containing a marker or a section header stays verbatim). The
+schema text of a `SchemaDef` and the example block of an `ExemplarSet`
+are rendered once per object, as the same text goes into every prompt
+of a run. All bodies use LF newlines with exactly one blank line between
+sections, end with the Answer header plus a newline -- except the
+classifier prompt, which ends at the header.
 """
 
 import functools
 import json
 import random
 import re
+import weakref
 from importlib import resources
 
 from .errors import BadExemplarSet, EmptyExplanation, InsufficientPairs
@@ -126,19 +132,8 @@ def build_cot(pair, schema, plans=None):
 def build_fewshot(pair, schema, plans=None, exemplars=None):
     if not isinstance(exemplars, ExemplarSet):
         raise BadExemplarSet("few-shot prompting requires an ExemplarSet")
-    blocks = []
-    for i, exemplar in enumerate(exemplars.exemplars, start=1):
-        label_text = EQUIVALENT_TEXT if exemplar.label == "EQ" \
-            else NON_EQUIVALENT_TEXT
-        blocks.append(_fill(_template("fewshot_example"), {
-            "NUMBER": str(i),
-            "SCHEMA": exemplar.schema_text,
-            "SQL_BLOCK": _sql_block(exemplar, None),
-            "LABEL": label_text,
-            "EXPLANATION": exemplar.explanation,
-        }).rstrip("\n"))
-    body = _fill(_template("fewshot"), {
-        "EXAMPLES": "\n\n".join(blocks),
+    body = _fill("fewshot", {
+        "EXAMPLES": _examples_text(exemplars),
         "SCHEMA": _schema_text(schema),
         "SQL_BLOCK": _sql_block(pair, plans),
     })
@@ -157,7 +152,7 @@ def build_explain(slot, pair, schema, plans=None):
     block = f"[SQL_{slot}] {sql}"
     if plan is not None:
         block += f"\n{plan}"
-    body = _fill(_template("explain"), {
+    body = _fill("explain", {
         "SLOT": f"SQL_{slot}",
         "SCHEMA": _schema_text(schema),
         "SQL_BLOCK": block,
@@ -170,7 +165,7 @@ def build_decide(pair, schema, plans=None, expl1="", expl2=""):
     """Stage 2 of multi-stage prompting: decide using stage-1 explanations."""
     if not expl1.strip() or not expl2.strip():
         raise EmptyExplanation("both stage-1 explanations are required")
-    body = _fill(_template("decide"), {
+    body = _fill("decide", {
         "SCHEMA": _schema_text(schema),
         "SQL_BLOCK": _sql_block(pair, plans),
         "EXPLANATION_1": expl1,
@@ -183,36 +178,85 @@ def build_classify(raw, meta=None):
     """Wrap strategy output in the three-way classification prompt."""
     if not raw:
         raise ValueError("classifier input must be non-empty")
-    body = _fill(_template("classify"), {"TEXT": raw})
+    body = _fill("classify", {"TEXT": raw})
     return PromptBundle("classify", body, meta=dict(meta or {}))
 
 
 # --- internals ---
 
 def _build_plain(strategy, pair, schema, plans):
-    body = _fill(_template(strategy), {
+    body = _fill(strategy, {
         "SCHEMA": _schema_text(schema),
         "SQL_BLOCK": _sql_block(pair, plans),
     })
     return PromptBundle(strategy, body, meta=_meta(pair))
 
 
+def _once_per_object(render):
+    """`render(obj)`, computed once per live object.
+
+    Records compare by value and are unhashable, so entries are keyed by
+    `id(obj)`; each holds the object only through a weak reference, a
+    hit must find that same object behind it, and the entry goes when
+    the object is freed. The object's own attributes are not touched.
+    """
+    entries = {}
+
+    def once(obj):
+        key = id(obj)
+        entry = entries.get(key)
+        if entry is not None and entry[0]() is obj:
+            return entry[1]
+        text = render(obj)
+        entries[key] = (weakref.ref(obj, lambda _: entries.pop(key, None)),
+                        text)
+        return text
+    return once
+
+
+_MARKER = re.compile(r"<<(\w+)>>")
+
+
 @functools.cache
 def _template(name):
-    return resources.files("sqleq").joinpath("templates", f"{name}.txt") \
+    """The template's pieces: literal text at even indexes, marker names
+    at odd ones."""
+    text = resources.files("sqleq").joinpath("templates", f"{name}.txt") \
         .read_text(encoding="utf-8")
+    return tuple(_MARKER.split(text))
 
 
-def _fill(template, mapping):
-    """Single-pass marker substitution; inserted text is never rescanned."""
-    pattern = re.compile("|".join(f"<<{key}>>" for key in mapping))
-    return pattern.sub(lambda m: mapping[m.group(0)[2:-2]], template)
+def _fill(name, mapping):
+    """Template `name` with each marker replaced by its value in
+    `mapping`; inserted text is never rescanned."""
+    pieces = list(_template(name))
+    pieces[1::2] = [mapping[marker] for marker in pieces[1::2]]
+    return "".join(pieces)
+
+
+@_once_per_object
+def _examples_text(exemplars):
+    blocks = []
+    for i, exemplar in enumerate(exemplars.exemplars, start=1):
+        label_text = EQUIVALENT_TEXT if exemplar.label == "EQ" \
+            else NON_EQUIVALENT_TEXT
+        blocks.append(_fill("fewshot_example", {
+            "NUMBER": str(i),
+            "SCHEMA": exemplar.schema_text,
+            "SQL_BLOCK": _sql_block(exemplar, None),
+            "LABEL": label_text,
+            "EXPLANATION": exemplar.explanation,
+        }).rstrip("\n"))
+    return "\n\n".join(blocks)
 
 
 def _schema_text(schema):
     if isinstance(schema, SchemaDef):
-        return serialize_schema(schema)
+        return _serialized(schema)
     return schema
+
+
+_serialized = _once_per_object(serialize_schema)
 
 
 def _check_plans(plans):

@@ -17,6 +17,7 @@ from sqleq.schema import SchemaDef, TableDef  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
@@ -82,3 +83,25 @@ def child_env():
            if key not in ("SQLEQ_CONFIG", "SQLEQ_API_KEY")}
     env["PYTHONPATH"] = str(Path(sqleq.__file__).resolve().parent.parent)
     return env
+
+
+def perfbench_workloads():
+    """The `perfbench/workloads.py` module, which generates the
+    benchmark's inputs."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+def perfbench_texts(seed):
+    """Every query text of the benchmark's three pipeline corpora."""
+    workloads = perfbench_workloads()
+    texts = []
+    for make in (workloads.difficulty_corpus, workloads.question_corpus,
+                 workloads.multi_clause_corpus):
+        for record in make(seed).records:
+            texts += [record["sql1"], record["sql2"]]
+    return texts

@@ -7,10 +7,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import datafix
-from conftest import child_env, write_jsonl
+from conftest import child_env, perfbench_workloads, write_jsonl
 from sqleq.backend import GenConfig, MockBackend, MockRule
 from sqleq.bench import (
     CoverageReport, QueryPair, breakdown, compute_metrics,
@@ -19,6 +19,7 @@ from sqleq.bench import (
 from sqleq import bench, normalize, pipeline
 from sqleq.errors import DatasetParseError, DuplicateId, MissingSchema
 from sqleq.pipeline import PipelineConfig
+from sqleq.prompts import exemplar_set_from_file
 
 
 def dataset_paths(tmp_path, records, schemas=None):
@@ -622,3 +623,99 @@ class TestCoverage:
     def test_as_dict(self):
         coverage = CoverageReport(2, 3, 1, 0)
         assert coverage.as_dict()["supported_total"] == 2
+
+
+def _written(value):
+    out = []
+    bench._write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _json_dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# Non-ASCII, line separators, lone surrogates, control characters and
+# every character with a short escape.
+_json_text = st.text() | st.sampled_from([
+    "", "é", "日本", "\u2028", "\u2029", "\ud800", "\udfff x",
+    "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "😀"])
+_json_scalars = (
+    st.none() | st.booleans() | _json_text
+    | st.integers() | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1e-7, math.nan, math.inf,
+                       -math.inf, 1.0, 0.1, -1.5e300]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    """`_write_json` writes what `json.dumps(indent=2, sort_keys=True)`
+    writes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_values)
+    def test_any_payload(self, value):
+        assert _written(value) == _json_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a", 2.5: "b", -3: "c"}, {True: 1, False: 2}, {None: 0},
+        {math.nan: [], math.inf: {}}, [], {}, [[], {}, [[{}]]],
+        [1, 2.0, True, None, "x"], 10 ** 100, -0.0, "\ud83d",
+    ], ids=["number-keys", "bool-keys", "none-key", "float-keys",
+            "empty-list", "empty-dict", "nested-empties", "mixed-list",
+            "big-int", "negative-zero", "lone-surrogate"])
+    def test_edge_values(self, value):
+        assert _written(value) == _json_dumps(value)
+
+    def test_subclasses_are_written_as_their_base(self):
+        class Text(str):
+            pass
+
+        class Number(int):
+            pass
+
+        class Real(float):
+            pass
+
+        value = {"a": [Text("v"), Number(7), Real(0.5), Real(math.nan)],
+                 Text("b"): {Text("c"): Number(-2)},
+                 "c": {Number(3): Real(1), Number(1): 0, Real(2.5): None}}
+        assert _written(value) == _json_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {"a": {1, 2}}, [object()], {(1, 2): "x"}, {"a": 1, 2: "b"},
+    ], ids=["set", "object", "tuple-key", "mixed-keys"])
+    def test_failures_match(self, value):
+        with pytest.raises(TypeError) as expected:
+            _json_dumps(value)
+        with pytest.raises(TypeError) as got:
+            _written(value)
+        assert str(got.value) == str(expected.value)
+
+    def test_reports_of_the_benchmark_corpora(self, tmp_path):
+        """Every strategy with plans off and on over the seed-3 pipeline
+        corpora of `perfbench`."""
+        workloads = perfbench_workloads()
+        exemplars = exemplar_set_from_file(
+            workloads.write_exemplars(tmp_path))
+        for corpus in (workloads.difficulty_corpus(3),
+                       workloads.question_corpus(3),
+                       workloads.multi_clause_corpus(3)):
+            paths = corpus.write(tmp_path)
+            dataset = load_dataset(paths["dataset"], paths["schemas"])
+            backend = MockBackend.from_file(paths["mock_script"])
+            cfg = PipelineConfig(GenConfig(model="mock"),
+                                 exemplars=exemplars, fail_soft=True)
+            for strategy in pipeline.STRATEGIES:
+                for plans in (False, True):
+                    report = run_benchmark(dataset, strategy, plans,
+                                           backend, cfg, parallelism=2)
+                    payload = bench._report_payload(report)
+                    assert emit_report(report, "json") == \
+                        _json_dumps(payload) + "\n"

@@ -1,9 +1,12 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpusqueries as corpus
+import lexer_reference
+from conftest import perfbench_texts
 from sqleq.ast_nodes import (
     Between, Binary, Cast, ColumnRef, Cte, FuncCall, InList, IsNull, Join,
     Like, Literal, Quantified, SelectCore, SelectStmt, Subquery, Unary, walk,
@@ -12,7 +15,7 @@ from sqleq.cli import main
 from sqleq.errors import SqleqError, SqlSyntaxError, UnsupportedConstruct
 from sqleq.executor import instance_from_dict
 from sqleq.features import extract_features
-from sqleq.lexer import tokenize
+from sqleq.lexer import OPERATORS, tokenize
 from sqleq.oracle import oracle_check
 from sqleq.parser import MAX_DEPTH, parse_sql
 from sqleq.plan import PLAN_ERROR_PLACEHOLDER, plan_or_placeholder
@@ -127,6 +130,65 @@ def test_lexer_and_parser_raise_only_toolkit_errors(text):
             step(text)
         except SqleqError:
             pass
+
+
+def _lexed(tokenize_text, text):
+    """The `(kind, value, raw, offset)` of each token, or the message,
+    offset and expected text of the syntax error."""
+    try:
+        tokens = tokenize_text(text)
+    except SqlSyntaxError as exc:
+        return ("error", str(exc), exc.offset, exc.expected)
+    return [token if isinstance(token, tuple)
+            else (token.kind, token.value, token.raw, token.offset)
+            for token in tokens]
+
+
+# Quotes and comments, closed, doubled and unterminated; characters that
+# are digits or letters only to some of Python's string predicates;
+# number forms and pieces; whitespace `\s` takes; every operator.
+_LEXER_PIECES = [
+    "'", '"', "''", '""', "'x'", '"Y"', "--", "/*", "*/", "/* c */",
+    "-- c\n", "²", "½", "٣", "Σ", "_", "a", "SELECT", "from", "x1", ".5",
+    "1e+", "1.5E-3", "e", "E", "0", "9", "9" * 5000, "\t", "\n", "\x1c",
+    " ", "!", ":", "|", "@", *OPERATORS,
+]
+
+
+class TestLexerAgainstReference:
+    """`tokenize` gives the tokens, or the error, that the earlier
+    finditer loop in `lexer_reference` gives."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=16)
+           .map("".join))
+    def test_tricky_pieces(self, text):
+        assert _lexed(tokenize, text) == \
+            _lexed(lexer_reference.tokenize, text)
+
+    @given(st.text(max_size=60))
+    def test_any_text(self, text):
+        assert _lexed(tokenize, text) == \
+            _lexed(lexer_reference.tokenize, text)
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_perfbench_corpora(self, seed):
+        texts = perfbench_texts(seed)
+        assert len(texts) > 1000
+        assert [_lexed(tokenize, t) for t in texts] == \
+            [_lexed(lexer_reference.tokenize, t) for t in texts]
+
+    def test_unclosed_comments_scan_in_linear_time(self):
+        """The scan ends at the first `/*` that no comment closes; it
+        does not look for a `*/` again from every later one (that took
+        1.3 s for 8,000 of them, and grows with their square)."""
+        text = "SELECT " + "/* " * 30_000
+        started = time.perf_counter()
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            tokenize(text)
+        assert time.perf_counter() - started < 2.0
+        assert excinfo.value.offset == 7
+        assert excinfo.value.expected == "*/"
 
 
 def _nested_parens(levels):

@@ -1,13 +1,16 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import GOLDEN, FIXTURES
+from conftest import GOLDEN, FIXTURES, Pair
 from sqleq.errors import BadExemplarSet, EmptyExplanation, InsufficientPairs
 from sqleq.prompts import (
     Exemplar, ExemplarSet, build_basic, build_classify, build_cot,
     build_decide, build_explain, build_fewshot, exemplar_set_from_file,
     select_exemplars,
 )
+from sqleq.schema import SchemaDef, TableDef
 
 PLANS = (
     "LogicalProject(playerid)\n  LogicalScan(people)",
@@ -171,6 +174,76 @@ class TestBundleShape:
         question_part = body.split("### Question")[1]
         assert question_part.count(golden_pair.sql1) == 1
         assert body.split("### Question")[0].count(golden_pair.sql1) == 0
+
+
+# Every marker a template fills, and a section header.
+MARKERS = "<<SCHEMA>> <<SQL_BLOCK>> <<EXPLANATION_2>> <<TEXT>> ### Answer"
+NEUTRAL = "inserted-text"
+
+
+def _all_builders(text):
+    """The body of every builder, with `text` in each query, plan,
+    explanation and exemplar field and as the text to classify."""
+    pair = Pair("p", f"SELECT '{text}' FROM t", f"SELECT a FROM t -- {text}")
+    schema = f"Table t, columns = [ *, a ] {text}"
+    plans = (f"Plan1({text})", f"Plan2({text})")
+    exemplars = ExemplarSet(tuple(
+        Exemplar(f"schema {i} {text}", f"SELECT {i} -- {text}",
+                 f"SELECT '{text}'", label, f"why {text}")
+        for i, label in enumerate(("EQ", "EQ", "NEQ", "NEQ"))))
+    bodies = []
+    for with_plans in (None, plans):
+        bodies += [
+            build_basic(pair, schema, with_plans),
+            build_cot(pair, schema, with_plans),
+            build_fewshot(pair, schema, with_plans, exemplars=exemplars),
+            build_explain(1, pair, schema, with_plans),
+            build_explain(2, pair, schema, with_plans),
+            build_decide(pair, schema, with_plans, expl1=f"first {text}",
+                         expl2=f"second {text}"),
+        ]
+    bodies.append(build_classify(f"verdict {text}"))
+    return [bundle.body for bundle in bodies]
+
+
+class TestSinglePass:
+    def test_inserted_markers_stay_verbatim(self):
+        """Filling is one pass: marker text inside a query, plan,
+        explanation or exemplar is never filled again."""
+        for neutral, marked in zip(_all_builders(NEUTRAL),
+                                   _all_builders(MARKERS)):
+            assert marked == neutral.replace(NEUTRAL, MARKERS)
+
+    def test_schema_text_is_never_stale(self, golden_pair):
+        """Schemas made and dropped in turn each get their own text,
+        though a new one may reuse the address of one freed before."""
+        addresses = set()
+        reused = 0
+        for i in range(50):
+            schema = SchemaDef((TableDef(f"t{i}", ("a", f"c{i}")),))
+            reused += id(schema) in addresses
+            addresses.add(id(schema))
+            body = build_basic(golden_pair, schema).body
+            assert f"Table t{i}, columns = [ *, a, c{i} ]" in body
+            del schema
+            gc.collect()
+        assert reused  # the case the test is for did come up
+
+    def test_examples_text_is_never_stale(self, golden_pair, golden_schema):
+        addresses = set()
+        reused = 0
+        for i in range(50):
+            exemplars = ExemplarSet(tuple(
+                Exemplar("s", "SELECT 1", "SELECT 2", label, f"why {i}")
+                for label in ("EQ", "EQ", "NEQ", "NEQ")))
+            reused += id(exemplars) in addresses
+            addresses.add(id(exemplars))
+            body = build_fewshot(golden_pair, golden_schema,
+                                 exemplars=exemplars).body
+            assert body.count(f"Explanation: why {i}\n") == 4
+            del exemplars
+            gc.collect()
+        assert reused
 
 
 class TestExemplarSet:

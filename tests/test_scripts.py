@@ -72,3 +72,13 @@ def test_diff_executor_finds_no_difference_with_itself():
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].endswith(" 0 differences")
     assert not result.stdout.startswith("DIFF")
+
+
+def test_diff_reports_finds_no_difference_with_itself():
+    src = Path(sqleq.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "diff_reports.py"),
+         str(src), "--tiny"],
+        capture_output=True, text=True, timeout=600, env=child_env())
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == "144 runs, 0 failed, 0 differences\n"

@@ -1,14 +1,13 @@
 """Normalization, exact-match, and schema serialization."""
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpusqueries as corpus
 import normalize_reference
+from conftest import perfbench_texts
 from sqleq.errors import SchemaError
 from sqleq.normalize import exact_match, normalize_query
 from sqleq.schema import (
@@ -73,21 +72,6 @@ class TestNormalize:
 _TRICKY = ["Σ", "σ", "ς", ".", "'", '"', "--", "/*", "*/", "''", '""',
            "\t", "\n", "\x1c", " ", "É", "A", "b", ";", "-", "/", "*",
            "SELECT", "x1"]
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _perfbench_texts(seed):
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    texts = []
-    for make in (workloads.difficulty_corpus, workloads.question_corpus,
-                 workloads.multi_clause_corpus):
-        for record in make(seed).records:
-            texts += [record["sql1"], record["sql2"]]
-    return texts
 
 
 class TestNormalizeAgainstReference:
@@ -107,7 +91,7 @@ class TestNormalizeAgainstReference:
 
     @pytest.mark.parametrize("seed", [3, 41])
     def test_perfbench_corpora(self, seed):
-        texts = _perfbench_texts(seed)
+        texts = perfbench_texts(seed)
         assert len(texts) > 1000
         assert [normalize_query(t) for t in texts] == \
             [normalize_reference.normalize_query(t) for t in texts]
