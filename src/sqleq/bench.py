@@ -136,6 +136,8 @@ def _pair_from_record(record, line_number, schemas):
 def _normalize_difficulty(value, line_number):
     if value is None:
         return "Unlabeled"
+    if value.__class__ is str and value in DIFFICULTIES:
+        return value  # already canonical
     key = "".join(ch for ch in str(value).lower() if ch.isalpha())
     if key.startswith("extra"):
         key = "extrahard"
@@ -231,18 +233,20 @@ def run_benchmark(dataset, strategy, plans_enabled, backend, cfg,
 
     Pairs run on `_check_pairs`'s worker threads, at most `parallelism`
     at a time; aggregation sorts by pair id so reports do not depend on
-    scheduling. Exemplar pairs (for few-shot) are dropped from the run
-    entirely.
+    scheduling. With plans, each distinct query text is planned once per
+    schema in the run. Exemplar pairs (for few-shot) are dropped from the
+    run entirely.
     """
     excluded = set()
     if cfg.exemplars is not None:
         excluded = set(cfg.exemplars.excluded_ids)
     pairs = [p for p in dataset.pairs if p.id not in excluded]
 
+    plan_memo = {}  # this run's plan texts, shared by its workers
     started = _now()
     verdicts = _check_pairs(
         pairs, lambda p: check_pair(p, dataset.schema_for(p), strategy,
-                                    plans_enabled, backend, cfg),
+                                    plans_enabled, backend, cfg, plan_memo),
         parallelism)
     finished = _now()
 

@@ -23,9 +23,10 @@ Resolution rules:
 Scopes follow execution: an expression subquery sees the row it is
 evaluated on, a derived table sees only the rows around its FROM
 clause, a CTE definition and LIMIT/OFFSET see no enclosing row. An
-expression is bound over `ast_nodes.select_level`, which ends its level
-at each nested statement: the binder binds that statement where the
-walk meets it, and an IN subquery's operand stays in the outer scope.
+expression is bound over its select level, walked as
+`ast_nodes.select_level` walks it, which ends the level at each nested
+statement: the binder binds that statement where the walk meets it, and
+an IN subquery's operand stays in the outer scope.
 
 Correlation: each scope has a level (its nesting depth), and the binder
 tracks the lowest level any column reference resolves to. A subquery
@@ -38,17 +39,24 @@ costs time, while a false "uncorrelated" would return wrong rows.
 
 from .ast_nodes import (
     ColumnRef, DerivedTable, Join, Literal, SelectItem, SelectStmt, SetOp,
-    Star, TableRef, is_aggregate_call, select_level,
+    Star, TableRef, children, is_aggregate_call,
 )
 from .errors import AmbiguousColumn, PlanError, UnresolvedName
 
 
 class Binding:
-    """Name resolution of one statement, keyed by id() of AST nodes."""
+    """Name resolution of one statement, keyed by id() of AST nodes.
+
+    Per SelectCore, `items` holds its select items with stars expanded,
+    `names` their output names (`output_name`), and `aggregates` the
+    `aggregate_calls` of those items and then of HAVING, in that order.
+    """
 
     def __init__(self):
         self.slots = {}        # ColumnRef -> (depth, slot)
         self.items = {}        # SelectCore -> [SelectItem]
+        self.names = {}        # SelectCore -> [str]
+        self.aggregates = {}   # SelectCore -> [FuncCall]
         self.grouped = set()   # SelectCores that aggregate
         self.order = {}        # SelectStmt -> [int | None]
         self.ctes = {}         # TableRef -> Cte it names
@@ -71,8 +79,15 @@ def bind(stmt, schema):
 def aggregate_calls(expr):
     """Aggregate calls at this select level (subqueries keep their own,
     and a call's arguments are not searched), last child first."""
-    return [node for node in select_level(expr, is_aggregate_call)
-            if is_aggregate_call(node)]
+    calls = []
+    stack = [expr]  # its select level, walked as `select_level` does
+    while stack:
+        node = stack.pop()
+        if is_aggregate_call(node):
+            calls.append(node)
+        elif node is expr or type(node) is not SelectStmt:
+            stack += children(node)
+    return calls
 
 
 def output_name(item, position):
@@ -88,10 +103,10 @@ class _Scope:
     __slots__ = ("relations", "parent", "level")
 
     def __init__(self, relations, parent):
-        self.relations = []  # [(alias, columns or None, offset)]
+        self.relations = []  # [(alias, lowered columns or None, offset)]
         offset = 0
-        for alias, columns in relations:
-            self.relations.append((alias, columns, offset))
+        for alias, columns, lowered in relations:
+            self.relations.append((alias, lowered, offset))
             # a recursive CTE's placeholder (None) never executes
             offset += len(columns or ())
         self.parent = parent
@@ -110,30 +125,29 @@ class _Scope:
     def _resolve_local(self, ref):
         name = ref.column.lower()
         if ref.table:
-            for alias, columns, offset in self.relations:
-                if alias == ref.table.lower():
-                    ordinal = _find_column(columns, name)
-                    if ordinal is None:
+            table = ref.table.lower()
+            for alias, lowered, offset in self.relations:
+                if alias == table:
+                    if lowered is None:
+                        return offset  # a placeholder has every column
+                    if name not in lowered:
                         raise UnresolvedName(f"{ref.table}.{ref.column}")
-                    return offset + ordinal
+                    return offset + lowered.index(name)
             return None
-        matches = []
-        for _alias, columns, offset in self.relations:
-            ordinal = _find_column(columns, name)
-            if ordinal is not None:
-                matches.append(offset + ordinal)
+        matches = [offset if lowered is None else offset + lowered.index(name)
+                   for _alias, lowered, offset in self.relations
+                   if lowered is None or name in lowered]
         if len(matches) > 1:
             raise AmbiguousColumn(ref.column)
         return matches[0] if matches else None
 
 
-def _find_column(columns, name):
+def _relation(alias, columns):
+    """(alias, columns, lowered columns) of a relation in a FROM clause;
+    both lists are None for a recursive CTE's placeholder."""
     if columns is None:
-        return 0  # recursive-CTE placeholder scope accepts any column
-    for i, column in enumerate(columns):
-        if column.lower() == name:
-            return i
-    return None
+        return alias, None, None
+    return alias, columns, [column.lower() for column in columns]
 
 
 class _Binder:
@@ -206,14 +220,20 @@ class _Binder:
         for expr in [core.where, *core.group_by, *per_group]:
             if expr is not None:
                 self.expr(expr, scope, ctes)
-        self.binding.items[id(core)] = items
-        if core.group_by or any(aggregate_calls(e) for e in per_group):
-            self.binding.grouped.add(id(core))
+        aggregates = []
+        for expr in per_group:
+            aggregates.extend(aggregate_calls(expr))
         names = [output_name(item, i) for i, item in enumerate(items)]
+        binding = self.binding
+        binding.items[id(core)] = items
+        binding.names[id(core)] = names
+        binding.aggregates[id(core)] = aggregates
+        if core.group_by or aggregates:
+            binding.grouped.add(id(core))
         return names, scope
 
     def from_item(self, item, ctes, outer):
-        """Relations [(alias, columns)] of a FROM item, in row order."""
+        """Relations [`_relation`] of a FROM item, in row order."""
         return self.tracked(item, outer, self._from_item, item, ctes, outer)
 
     def _from_item(self, item, ctes, outer):
@@ -222,19 +242,20 @@ class _Binder:
             if item.name in ctes:
                 cte, columns = ctes[item.name]
                 self.binding.ctes[id(item)] = cte
-                return [(alias, columns)]
+                return [_relation(alias, columns)]
             table = self.schema.find_table(item.name)
             if table is None:
                 raise UnresolvedName(item.name)
-            return [(alias, [c.lower() for c in table.columns])]
+            lowered = [c.lower() for c in table.columns]
+            return [(alias, lowered, lowered)]
         if isinstance(item, DerivedTable):
             names = self.statement(item.query, ctes, outer)
-            return [((item.alias or "subquery").lower(), names)]
+            return [_relation((item.alias or "subquery").lower(), names)]
         if isinstance(item, Join):
             relations = self.from_item(item.left, ctes, outer) + \
                 self.from_item(item.right, ctes, outer)
             seen = set()
-            for alias, _columns in relations:
+            for alias, _columns, _lowered in relations:
                 if alias in seen:
                     raise PlanError(f"duplicate relation alias {alias!r}")
                 seen.add(alias)
@@ -244,13 +265,17 @@ class _Binder:
         raise PlanError(f"cannot plan FROM item {item!r}")
 
     def expr(self, expr, scope, ctes):
-        for node in select_level(expr):
-            if isinstance(node, ColumnRef):
+        stack = [expr]  # its select level, walked as `select_level` does
+        while stack:
+            node = stack.pop()
+            if type(node) is ColumnRef:
                 depth, slot = scope.resolve(node)
                 self.binding.slots[id(node)] = depth, slot
                 self.reach = min(self.reach, scope.level - depth)
-            elif isinstance(node, SelectStmt):
+            elif type(node) is SelectStmt:
                 self.tracked(node, scope, self.statement, node, ctes, scope)
+            else:
+                stack += children(node)
 
     def order_keys(self, stmt, names, scope, ctes):
         lowered = [name.lower() for name in names]
@@ -284,7 +309,7 @@ def _expand_stars(items, relations):
             targets = [r for r in relations if r[0] == item.qualifier.lower()]
             if not targets:
                 raise UnresolvedName(item.qualifier)
-        for alias, columns in targets:
+        for alias, columns, _lowered in targets:
             if columns is None:
                 raise PlanError(
                     f"cannot expand * against relation {alias!r}")

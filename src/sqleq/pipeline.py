@@ -73,8 +73,13 @@ def verdict_to_dict(verdict):
     }
 
 
-def check_pair(pair, schema, strategy, plans_enabled, backend, cfg):
-    """Run one pair through a strategy and classify the outcome."""
+def check_pair(pair, schema, strategy, plans_enabled, backend, cfg,
+               plan_memo=None):
+    """Run one pair through a strategy and classify the outcome.
+
+    `plan_memo` is the memo `plan.pair_plans` keeps plan texts in; one
+    passed to every check of a run plans each distinct text once.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "fewshot" and cfg.exemplars is None:
@@ -85,7 +90,7 @@ def check_pair(pair, schema, strategy, plans_enabled, backend, cfg):
         return Verdict(label=LABEL_EQUIVALENT, pair_id=pair_id,
                        strategy=strategy, plans=plans_enabled, shortcut=True)
 
-    plans = pair_plans(pair, schema) if plans_enabled else None
+    plans = pair_plans(pair, schema, plan_memo) if plans_enabled else None
 
     try:
         return _run_strategy(pair, schema, strategy, plans, plans_enabled,

@@ -6,10 +6,14 @@ SELECT, ORDER BY, LIMIT) with no rewriting. Rendering emits one
 level. `plan_or_placeholder` maps every parse or planning failure (a
 `SqleqError`) to the fixed placeholder string; any other exception is a
 defect and propagates.
+
+A run plans each distinct query text once per schema: `run_benchmark`
+hands `pair_plans` a memo that lives as long as the run and holds plan
+texts only, the placeholder included, never an exception.
 """
 
 from .ast_nodes import DerivedTable, Literal, SelectStmt, SetOp, TableRef
-from .binder import aggregate_calls, bind, output_name
+from .binder import bind
 from .errors import SqleqError
 from .parser import parse_sql
 from .render import render_expression
@@ -65,10 +69,29 @@ def plan_or_placeholder(text, schema):
         return PLAN_ERROR_PLACEHOLDER
 
 
-def pair_plans(pair, schema):
-    """The (sql1, sql2) plan texts a prompt shows for a query pair."""
-    return (plan_or_placeholder(pair.sql1, schema),
-            plan_or_placeholder(pair.sql2, schema))
+def pair_plans(pair, schema, memo=None):
+    """The (sql1, sql2) plan texts a prompt shows for a query pair.
+
+    `memo`, a dict the caller owns, keeps the plan text of each (query
+    text, schema) this function has planned with it; a text found there
+    is not planned again. Without one, the pair's texts are planned
+    afresh.
+    """
+    if memo is None:
+        memo = {}
+    return (_memo_plan(pair.sql1, schema, memo),
+            _memo_plan(pair.sql2, schema, memo))
+
+
+def _memo_plan(text, schema, memo):
+    # the entry holds `schema` itself, so while the memo lives no other
+    # schema can take over its id; two threads may plan one text at
+    # once, and both get the same text
+    key = (text, id(schema))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (schema, plan_or_placeholder(text, schema))
+    return entry[1]
 
 
 # --- plan construction ---
@@ -125,12 +148,7 @@ def _plan_core(core, binding):
     if core.where is not None:
         plan = PlanNode("Filter", render_expression(core.where), [plan])
 
-    aggregates = []
-    for item in items:
-        aggregates.extend(aggregate_calls(item.expr))
-    if core.having is not None:
-        aggregates.extend(aggregate_calls(core.having))
-
+    aggregates = binding.aggregates[id(core)]
     if core.group_by or aggregates:
         group = ", ".join(render_expression(e) for e in core.group_by)
         aggs = ", ".join(dict.fromkeys(map(render_expression, aggregates)))
@@ -148,9 +166,8 @@ def _plan_core(core, binding):
     plan = PlanNode("Project", ", ".join(rendered), [plan])
 
     if core.distinct:
-        names = [output_name(item, i) for i, item in enumerate(items)]
-        plan = PlanNode("Aggregate",
-                        f"group=[{', '.join(names)}], aggs=[]", [plan])
+        names = ", ".join(binding.names[id(core)])
+        plan = PlanNode("Aggregate", f"group=[{names}], aggs=[]", [plan])
 
     return plan
 

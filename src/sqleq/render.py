@@ -130,63 +130,19 @@ def _name(name, quoted):
 
 
 def _expr(e, parent_prec):
-    if isinstance(e, Literal):
-        return _literal(e.value)
-    if isinstance(e, ColumnRef):
+    kind = type(e)  # exact node types, the most frequent first
+    if kind is ColumnRef:
         col = _name(e.column, e.column_quoted)
         if e.table:
             return f"{_name(e.table, e.table_quoted)}.{col}"
         return col
-    if isinstance(e, Binary):
+    if kind is Literal:
+        return _literal(e.value)
+    if kind is Binary:
         prec = BINDING_POWERS[e.op]
         text = f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}"
         return _wrap(text, prec, parent_prec)
-    if isinstance(e, Unary):
-        if e.op == "NOT":
-            return _wrap(f"NOT {_expr(e.operand, 3)}", 3, parent_prec)
-        return _wrap(f"{e.op}{_expr(e.operand, 7)}", 7, parent_prec)
-    if isinstance(e, IsNull):
-        word = "IS NOT NULL" if e.negated else "IS NULL"
-        return _wrap(f"{_expr(e.operand, 5)} {word}", 4, parent_prec)
-    if isinstance(e, InList):
-        word = "NOT IN" if e.negated else "IN"
-        items = ", ".join(_expr(i, 0) for i in e.items)
-        return _wrap(f"{_expr(e.operand, 5)} {word} ({items})", 4, parent_prec)
-    if isinstance(e, InSubquery):
-        word = "NOT IN" if e.negated else "IN"
-        sub = render_statement(e.query)
-        return _wrap(f"{_expr(e.operand, 5)} {word} ({sub})", 4, parent_prec)
-    if isinstance(e, Between):
-        word = "NOT BETWEEN" if e.negated else "BETWEEN"
-        text = (f"{_expr(e.operand, 5)} {word} "
-                f"{_expr(e.low, 5)} AND {_expr(e.high, 5)}")
-        return _wrap(text, 4, parent_prec)
-    if isinstance(e, Like):
-        word = "NOT LIKE" if e.negated else "LIKE"
-        text = f"{_expr(e.operand, 5)} {word} {_expr(e.pattern, 5)}"
-        return _wrap(text, 4, parent_prec)
-    if isinstance(e, Quantified):
-        if isinstance(e.operand, Subquery):
-            inner = f"({render_statement(e.operand.query)})"
-        else:
-            inner = f"({_expr(e.operand, 0)})"
-        text = f"{_expr(e.left, 5)} {e.op} {e.quantifier} {inner}"
-        return _wrap(text, 4, parent_prec)
-    if isinstance(e, Exists):
-        return f"EXISTS ({render_statement(e.query)})"
-    if isinstance(e, Subquery):
-        return f"({render_statement(e.query)})"
-    if isinstance(e, Case):
-        parts = ["CASE"]
-        if e.operand is not None:
-            parts.append(_expr(e.operand, 0))
-        for cond, result in e.whens:
-            parts.append(f"WHEN {_expr(cond, 0)} THEN {_expr(result, 0)}")
-        if e.else_ is not None:
-            parts.append(f"ELSE {_expr(e.else_, 0)}")
-        parts.append("END")
-        return " ".join(parts)
-    if isinstance(e, FuncCall):
+    if kind is FuncCall:
         if e.star:
             inner = "*"
         else:
@@ -196,9 +152,54 @@ def _expr(e, parent_prec):
         if e.window_text is not None:
             text += f" OVER {e.window_text}"
         return text
-    if isinstance(e, Cast):
+    if kind is Unary:
+        if e.op == "NOT":
+            return _wrap(f"NOT {_expr(e.operand, 3)}", 3, parent_prec)
+        return _wrap(f"{e.op}{_expr(e.operand, 7)}", 7, parent_prec)
+    if kind is IsNull:
+        word = "IS NOT NULL" if e.negated else "IS NULL"
+        return _wrap(f"{_expr(e.operand, 5)} {word}", 4, parent_prec)
+    if kind is InList:
+        word = "NOT IN" if e.negated else "IN"
+        items = ", ".join(_expr(i, 0) for i in e.items)
+        return _wrap(f"{_expr(e.operand, 5)} {word} ({items})", 4, parent_prec)
+    if kind is InSubquery:
+        word = "NOT IN" if e.negated else "IN"
+        sub = render_statement(e.query)
+        return _wrap(f"{_expr(e.operand, 5)} {word} ({sub})", 4, parent_prec)
+    if kind is Between:
+        word = "NOT BETWEEN" if e.negated else "BETWEEN"
+        text = (f"{_expr(e.operand, 5)} {word} "
+                f"{_expr(e.low, 5)} AND {_expr(e.high, 5)}")
+        return _wrap(text, 4, parent_prec)
+    if kind is Like:
+        word = "NOT LIKE" if e.negated else "LIKE"
+        text = f"{_expr(e.operand, 5)} {word} {_expr(e.pattern, 5)}"
+        return _wrap(text, 4, parent_prec)
+    if kind is Quantified:
+        if isinstance(e.operand, Subquery):
+            inner = f"({render_statement(e.operand.query)})"
+        else:
+            inner = f"({_expr(e.operand, 0)})"
+        text = f"{_expr(e.left, 5)} {e.op} {e.quantifier} {inner}"
+        return _wrap(text, 4, parent_prec)
+    if kind is Exists:
+        return f"EXISTS ({render_statement(e.query)})"
+    if kind is Subquery:
+        return f"({render_statement(e.query)})"
+    if kind is Case:
+        parts = ["CASE"]
+        if e.operand is not None:
+            parts.append(_expr(e.operand, 0))
+        for cond, result in e.whens:
+            parts.append(f"WHEN {_expr(cond, 0)} THEN {_expr(result, 0)}")
+        if e.else_ is not None:
+            parts.append(f"ELSE {_expr(e.else_, 0)}")
+        parts.append("END")
+        return " ".join(parts)
+    if kind is Cast:
         return _wrap(f"{_expr(e.operand, 8)}::{e.type_name}", 8, parent_prec)
-    if isinstance(e, ArrayLit):
+    if kind is ArrayLit:
         items = ", ".join(_expr(i, 0) for i in e.items)
         return f"ARRAY[{items}]"
     raise TypeError(f"not an expression: {e!r}")

@@ -16,10 +16,11 @@ from sqleq.bench import (
     CoverageReport, QueryPair, breakdown, compute_metrics,
     coverage_compare, emit_report, load_dataset, run_benchmark, write_report,
 )
-from sqleq import bench, normalize, pipeline
+from sqleq import bench, normalize, pipeline, plan
 from sqleq.errors import DatasetParseError, DuplicateId, MissingSchema
 from sqleq.pipeline import PipelineConfig
-from sqleq.prompts import exemplar_set_from_file
+from sqleq.plan import PLAN_ERROR_PLACEHOLDER, pair_plans
+from sqleq.prompts import build_strategy, exemplar_set_from_file
 
 
 def dataset_paths(tmp_path, records, schemas=None):
@@ -114,6 +115,30 @@ class TestLoadDataset:
         schemas.write_text(json.dumps(datafix.TOY_SCHEMAS))
         with pytest.raises(DatasetParseError, match="line 1"):
             load_dataset(data, schemas)
+
+    @pytest.mark.parametrize("value, difficulty", [
+        ("Easy", "Easy"), ("ExtraHard", "ExtraHard"),
+        ("Unlabeled", "Unlabeled"), (None, "Unlabeled"), ("hard", "Hard"),
+        ("MEDIUM", "Medium"), ("Extra Hard", "ExtraHard"),
+        ("extra-hard", "ExtraHard"), ("Extra", "ExtraHard"),
+        (" easy ", "Easy"), ("Extra_Hard!", "ExtraHard"), (["Easy"], "Easy"),
+        ("Difficult", None), ("", None), (5, None), (True, None),
+        ({"d": 1}, None),
+    ])
+    def test_difficulty_normalizes_or_reports_line(self, tmp_path, value,
+                                                   difficulty):
+        records = [{"id": "a", "sql1": "SELECT 1", "sql2": "SELECT 2",
+                    "schema": "toy", "label": "EQ", "difficulty": value}]
+        data, schemas = dataset_paths(tmp_path, records)
+        if difficulty is None:
+            with pytest.raises(DatasetParseError) as caught:
+                load_dataset(data, schemas)
+            assert str(caught.value) == \
+                f"line 1: unknown difficulty {value!r}"
+        else:
+            [pair] = load_dataset(data, schemas).pairs
+            assert pair.difficulty == difficulty
+            assert type(pair.difficulty) is str
 
     @pytest.mark.parametrize("line", [5, [1], "text", None])
     def test_line_that_is_not_an_object_reports_line(self, tmp_path, line):
@@ -360,6 +385,121 @@ class TestRunAndReports:
         assert report.metrics.eq_total + report.metrics.neq_total == 8
 
 
+class _RecordingBackend(MockBackend):
+    """A mock that keeps the body of every strategy prompt by pair id."""
+
+    def __init__(self):
+        super().__init__(rules=[MockRule(response="Equivalent")])
+        self.prompts = {}
+
+    def complete(self, bundle, cfg):
+        if bundle.strategy != "classify":
+            self.prompts[bundle.meta.get("pair_id")] = bundle.body
+        return super().complete(bundle, cfg)
+
+
+# `t` resolves `a` and `b` under "toy" and neither under "other"
+MEMO_SCHEMAS = {"toy": datafix.TOY_SCHEMAS["toy"],
+                "other": {"tables": [{"name": "t", "columns": ["c"]}]}}
+
+
+class TestPlanMemo:
+    """One run plans each distinct (query text, schema) once, and its
+    prompts are those of a run that plans every pair afresh."""
+
+    def _dataset(self, tmp_path, schemas=None, count=12):
+        texts = ["SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b = 2",
+                 "SELECT b FROM t", "SELECT FROM"]
+        records = [
+            {"id": f"p{i:03d}", "sql1": texts[i % 4],
+             "sql2": texts[(i + 1) % 4],
+             "schema": "toy" if i % 12 < 8 else "other", "label": "EQ"}
+            for i in range(count)
+        ]
+        data, schema_path = dataset_paths(
+            tmp_path, records, MEMO_SCHEMAS if schemas is None else schemas)
+        return load_dataset(data, schema_path)
+
+    def _run(self, dataset, parallelism=1):
+        backend = _RecordingBackend()
+        cfg = PipelineConfig(strategy_cfg=GenConfig(model="m"))
+        run_benchmark(dataset, "basic", True, backend, cfg,
+                      parallelism=parallelism)
+        return backend.prompts
+
+    def test_each_distinct_text_is_planned_once(self, tmp_path,
+                                                monkeypatch):
+        dataset = self._dataset(tmp_path)
+        planned = []
+
+        def counting(text, schema):
+            planned.append((text, id(schema)))
+            return original(text, schema)
+
+        original = plan.plan_or_placeholder
+        monkeypatch.setattr(plan, "plan_or_placeholder", counting)
+        self._run(dataset)
+        distinct = {(text, id(dataset.schema_for(pair)))
+                    for pair in dataset.pairs for text in (pair.sql1,
+                                                           pair.sql2)}
+        assert len(planned) == len(set(planned)) == len(distinct) == 8
+
+    def test_same_text_gets_each_schema_plan(self, tmp_path):
+        prompts = self._run(self._dataset(tmp_path))
+        # p000 (toy) and p008 (other) show the same two texts
+        assert "LogicalProject(a)" in prompts["p000"]
+        assert PLAN_ERROR_PLACEHOLDER not in prompts["p000"]
+        assert "LogicalProject" not in prompts["p008"]
+        assert prompts["p008"].count(PLAN_ERROR_PLACEHOLDER) == 2
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_prompts_match_unmemoized_plans(self, tmp_path, parallelism):
+        # workers that share the memo switch often, so two of them plan
+        # one text at once now and then
+        dataset = self._dataset(tmp_path, count=240)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            prompts = self._run(dataset, parallelism)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(prompts) == len(dataset.pairs)
+        for pair in dataset.pairs:
+            schema = dataset.schema_for(pair)
+            expected = build_strategy("basic", pair, schema,
+                                      pair_plans(pair, schema))
+            assert prompts[pair.id] == expected.body
+
+    def test_runs_do_not_share_plans(self, tmp_path):
+        # the second run's "toy" has the columns of "other"
+        renamed = dict(MEMO_SCHEMAS, toy=MEMO_SCHEMAS["other"])
+        (tmp_path / "1").mkdir()
+        (tmp_path / "2").mkdir()
+        first = self._run(self._dataset(tmp_path / "1"))
+        second = self._run(self._dataset(tmp_path / "2", renamed))
+        assert "LogicalProject(a)" in first["p000"]
+        assert second["p000"].count(PLAN_ERROR_PLACEHOLDER) == 2
+
+    def test_a_defect_propagates_and_is_not_kept(self, tmp_path,
+                                                 monkeypatch):
+        calls = []
+
+        def broken(ast, schema):
+            calls.append(ast)
+            raise RuntimeError("defect")
+
+        monkeypatch.setattr(plan, "build_plan", broken)
+        dataset = self._dataset(tmp_path)
+        pair = dataset.pairs[0]
+        memo = {}
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="defect"):
+                pair_plans(pair, dataset.schema_for(pair), memo)
+        assert len(calls) == 2 and memo == {}
+        with pytest.raises(RuntimeError, match="defect"):
+            self._run(dataset)
+
+
 class _HookBackend(MockBackend):
     """A mock whose first call of each pair (the strategy prompt) runs
     `hook(pair_id)` before answering; the classify call runs no hook."""
@@ -566,6 +706,10 @@ def test_traced_pairs_are_children_of_the_run_span(tmp_path):
     checks = [s for s in spans if s["name"] == "pipeline.check_pair"]
     assert len(checks) == 60
     assert {s["parent"] for s in checks} == {run}
+    # the plans of a pair are made inside its check
+    plans = [s for s in spans if s["name"] == "plan.plan_or_placeholder"]
+    assert plans
+    assert {s["parent"] for s in plans} <= {s["id"] for s in checks}
 
 
 class TestCoverage:

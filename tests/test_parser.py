@@ -9,7 +9,8 @@ import lexer_reference
 from conftest import perfbench_texts
 from sqleq.ast_nodes import (
     Between, Binary, Cast, ColumnRef, Cte, FuncCall, InList, IsNull, Join,
-    Like, Literal, Quantified, SelectCore, SelectStmt, Subquery, Unary, walk,
+    Like, Literal, Quantified, SelectCore, SelectItem, SelectStmt, Star,
+    Subquery, TableRef, Unary, walk,
 )
 from sqleq.cli import main
 from sqleq.errors import SqleqError, SqlSyntaxError, UnsupportedConstruct
@@ -19,7 +20,7 @@ from sqleq.lexer import OPERATORS, tokenize
 from sqleq.oracle import oracle_check
 from sqleq.parser import MAX_DEPTH, parse_sql
 from sqleq.plan import PLAN_ERROR_PLACEHOLDER, plan_or_placeholder
-from sqleq.render import render_statement
+from sqleq.render import render_expression, render_statement
 
 
 class TestBasics:
@@ -416,6 +417,15 @@ class TestRoundTrip:
         second = parse_sql(rendered)
         assert first == second
         assert render_statement(second) == rendered
+
+    @pytest.mark.parametrize("node", [
+        Star(), SelectItem(expr=Literal(1)), TableRef("t"),
+        parse_sql("SELECT 1"), "a", 1, None,
+    ])
+    def test_render_expression_rejects_a_non_expression(self, node):
+        with pytest.raises(TypeError) as caught:
+            render_expression(node)
+        assert str(caught.value) == f"not an expression: {node!r}"
 
 
 _names = st.sampled_from(["a", "b", "c", "playerid", "yearid"])
