@@ -18,8 +18,19 @@ do: once the package is imported it moves every object into the
 permanent generation (`gc.freeze()`), raises the generation-0
 threshold from 700 to `GC_THRESHOLD` allocations, and freezes the heap
 again after `main` returns, so interpreter teardown does not sweep it.
+`run` also sets the thread switch interval (`sys.setswitchinterval`)
+from CPython's 5 ms to `SWITCH_INTERVAL`. `bench` checks pairs on
+`--parallelism` worker threads; with the mock backend they are all
+CPU-bound, so the waiting one forces a hand-off of the GIL every 5 ms,
+each a wait for the OS to wake the other thread, and `--parallelism 2`
+ran about 10% slower than `--parallelism 1` on a `--with-plans` run.
+A thread that waits for I/O (the HTTP backend, or the main thread
+joining the workers) releases the GIL itself, so the interval only
+bounds how long a CPU-bound thread may keep the GIL from a waiting one.
+That includes the main thread when a signal arrives: Ctrl-C may wait up
+to `SWITCH_INTERVAL` before the main thread runs.
 `main` changes no process state, so in-process callers (tests, scripts,
-the benchmark tracer) keep the default collector.
+the benchmark tracer) keep the default collector and switch interval.
 """
 
 import argparse
@@ -63,6 +74,10 @@ EXIT_ERROR = 70
 # allocations between generation-0 collections under `run` (CPython's
 # default is 700)
 GC_THRESHOLD = 10_000
+# seconds a thread may hold the GIL while another waits for it, under
+# `run` (CPython's default is 0.005); the smallest one tried at which two
+# CPU-bound bench workers ran as fast as one
+SWITCH_INTERVAL = 0.02
 
 BACKENDS = ("mock", "http")
 
@@ -110,10 +125,13 @@ class UsageError(Exception):
 
 
 def run(argv=None):
-    """Run `main` with the process's collector set for an acyclic heap;
-    returns the exit code."""
+    """Run `main` with the process's collector set for an acyclic heap
+    and its switch interval set to `SWITCH_INTERVAL`; returns the exit
+    code. The interval also bounds how long Ctrl-C waits for the main
+    thread while a worker computes."""
     gc.freeze()
     gc.set_threshold(GC_THRESHOLD, *gc.get_threshold()[1:])
+    sys.setswitchinterval(SWITCH_INTERVAL)
     try:
         return main(argv)
     finally:

@@ -10,17 +10,27 @@ its closing quote, and a doubled quote inside stands for one quote.
 Unquoted identifiers and keywords are case-folded (keywords upper,
 identifiers lower); quoted identifiers and string literals keep their
 exact contents. Numbers are `1`, `1.5`, `.5`, `1e5` or `1.5E-3`; an
-exponent needs a digit, so `1e+` is `1`, `e`, `+`.
+exponent needs a digit, so `1e+` is `1`, `e`, `+`. A number is an int
+when it is all digits and a float otherwise; an int with more digits
+than Python converts, or a float past the largest float (`1e999`), is
+a SqlSyntaxError at its offset, so no literal is an infinity.
 
 `tokenize` scans a text with one `re.split` of a (gaps, token) pattern,
 done in C, and classifies each token by its first character; the loop
 over tokens builds no match object and does not see the gaps.
+
+A token is a `Token`, a named tuple (kind, value, raw, offset) with no
+instance dict: its fields read as attributes (or by index), and
+assigning, adding or deleting an attribute raises AttributeError.
+`tokenize` builds each one with `tuple.__new__`, which runs no
+Python-level `__init__` or `__new__`: that halves the cost of a token,
+made once per token of every parsed text.
 """
 
 import re
+from collections import namedtuple
 
 from .errors import SqlSyntaxError
-from .records import Frozen
 
 KEYWORDS = frozenset("""
     SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET AS ON JOIN INNER
@@ -59,6 +69,7 @@ _STEP = re.compile(
     r"|/\*(?s:.*)|['\"]|" + "|".join(map(re.escape, OPERATORS)) + r"|.|\Z)")
 
 _OPERATORS = frozenset(OPERATORS)
+_INFINITY = float("inf")
 # by the first character of an unclosed comment or quote
 _UNCLOSED = {
     "/": ("unterminated block comment", "*/"),
@@ -67,19 +78,12 @@ _UNCLOSED = {
 }
 
 
-class Token(Frozen):
-    def __init__(self, kind, value, raw, offset):
-        # kind: KW, IDENT, QIDENT, STRING, NUMBER, OP, EOF; value: the
-        # normalized text (keywords upper, identifiers lower); raw: the
-        # exact source slice; offset: byte offset of the first character.
-        # The fields go straight into the instance dict, which costs
-        # about half of four `object.__setattr__` calls; a token is made
-        # once per token of every parsed text and read about twice.
-        fields = self.__dict__
-        fields["kind"] = kind
-        fields["value"] = value
-        fields["raw"] = raw
-        fields["offset"] = offset
+class Token(namedtuple("Token", "kind value raw offset")):
+    """kind: KW, IDENT, QIDENT, STRING, NUMBER, OP, EOF; value: the
+    normalized text (keywords upper, identifiers lower) or the number;
+    raw: the exact source slice; offset: the index of its first
+    character in the text."""
+    __slots__ = ()
 
 
 def tokenize(text):
@@ -91,6 +95,7 @@ def tokenize(text):
     """
     tokens = []
     append = tokens.append
+    new = tuple.__new__  # new(Token, fields) runs no Python code
     pieces = iter(_STEP.split(text))
     next(pieces)  # the empty text before the first step
     offset = 0
@@ -103,31 +108,35 @@ def tokenize(text):
         if first.isalpha() or first == "_":
             upper = raw.upper()
             if upper in KEYWORDS:
-                append(Token("KW", upper, raw, offset))
+                append(new(Token, ("KW", upper, raw, offset)))
             else:
-                append(Token("IDENT", raw.lower(), raw, offset))
+                append(new(Token, ("IDENT", raw.lower(), raw, offset)))
         elif raw in _OPERATORS:
-            append(Token("OP", raw, raw, offset))
+            append(new(Token, ("OP", raw, raw, offset)))
         elif first.isdecimal() or first == ".":
-            append(Token("NUMBER", _number(raw, offset), raw, offset))
+            append(new(Token, ("NUMBER", _number(raw, offset), raw,
+                               offset)))
         elif first == "'" and raw != "'":
-            append(Token("STRING", raw[1:-1].replace("''", "'"), raw,
-                         offset))
+            append(new(Token, ("STRING", raw[1:-1].replace("''", "'"),
+                               raw, offset)))
         elif first == '"' and raw != '"':
-            append(Token("QIDENT", raw[1:-1].replace('""', '"'), raw,
-                         offset))
+            append(new(Token, ("QIDENT", raw[1:-1].replace('""', '"'),
+                               raw, offset)))
         else:  # an unclosed quote or comment, or a stray character
             message, expected = _UNCLOSED.get(
                 first, (f"unexpected character {first!r}", None))
             raise SqlSyntaxError(message, offset, expected)
         offset += len(raw)
-    append(Token("EOF", None, "", len(text)))
+    append(new(Token, ("EOF", None, "", len(text))))
     return tokens
 
 
 def _number(raw, offset):
     if not raw.isdecimal():
-        return float(raw)
+        value = float(raw)
+        if value == _INFINITY:  # past the largest float, as in `1e999`
+            raise SqlSyntaxError("numeric literal out of range", offset)
+        return value
     try:
         return int(raw)
     except ValueError:  # more digits than Python converts from text

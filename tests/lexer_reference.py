@@ -61,7 +61,10 @@ def tokenize(text):
 
 def _number(raw, offset):
     if not raw.isdecimal():
-        return float(raw)
+        value = float(raw)
+        if value == float("inf"):
+            raise SqlSyntaxError("numeric literal out of range", offset)
+        return value
     try:
         return int(raw)
     except ValueError:  # more digits than Python converts from text

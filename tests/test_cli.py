@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -9,9 +10,13 @@ import pytest
 
 import datafix
 from conftest import GOLDEN, FIXTURES, child_env, write_jsonl
-from sqleq.cli import GC_THRESHOLD, _build_parser, main, resolve_config
+from sqleq.cli import (
+    GC_THRESHOLD, SWITCH_INTERVAL, _build_parser, main, resolve_config,
+)
 from sqleq.pipeline import STRATEGIES
 
+# the two timestamps of a JSON report, whose values differ between runs
+_TIMESTAMPS = re.compile(r'^(  "(?:started|finished)_at": )"[^"\n]*"', re.M)
 GOLDEN_PAIR_ARGS = ["--sql1", "SELECT playerid FROM people",
                     "--sql2", "SELECT playerid FROM batting"]
 
@@ -656,9 +661,11 @@ class TestProcessEntryPoint:
         [],
     ])
     def test_main_leaves_the_collector_as_it_found_it(self, capsys, args):
-        before = gc.get_threshold(), gc.get_freeze_count()
+        before = (gc.get_threshold(), gc.get_freeze_count(),
+                  sys.getswitchinterval())
         main(args)
-        assert (gc.get_threshold(), gc.get_freeze_count()) == before
+        assert (gc.get_threshold(), gc.get_freeze_count(),
+                sys.getswitchinterval()) == before
 
     def test_run_freezes_the_heap_and_raises_the_threshold(self):
         done = self.child(
@@ -672,6 +679,44 @@ class TestProcessEntryPoint:
         assert GC_THRESHOLD > 700 and frozen > 0
         # frozen again after main: teardown has next to nothing to sweep
         assert tracked < 100
+
+    def test_run_sets_the_switch_interval(self):
+        done = self.child(
+            "-c", "import sys, sqleq.cli\n"
+            "before = sys.getswitchinterval()\n"
+            "code = sqleq.cli.run(['features', '--sql', 'SELECT 1'])\n"
+            "print(code, before, sys.getswitchinterval())")
+        code, before, after = done.stdout.splitlines()[-1].split()
+        assert (int(code), float(before)) == (0, 0.005)
+        assert float(after) == SWITCH_INTERVAL > 0.005
+
+    def test_bench_report_is_the_same_at_any_parallelism(self, tmp_path):
+        """Worker threads under `run`'s policies write the report one
+        thread writes, but for its timestamps and the parallelism its
+        settings record."""
+        records = datafix.question_records()
+        data = write_jsonl(tmp_path / "pairs.jsonl", records)
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+        script = tmp_path / "mock.json"
+        script.write_text(json.dumps(datafix.scripted_question_rules()))
+        reports = []
+        for parallelism in (1, 2):
+            out = tmp_path / f"report-{parallelism}.json"
+            done = self.child(
+                "-m", "sqleq.cli", "bench", "--backend", "mock",
+                "--with-plans", "--dataset", str(data),
+                "--schemas", str(schemas), "--strategy", "basic",
+                "--mock-script", str(script), "--out", str(out),
+                "--format", "json", "--parallelism", str(parallelism))
+            assert done.returncode == 0, done.stderr
+            report, stamps = _TIMESTAMPS.subn(r'\1""', out.read_text())
+            assert stamps == 2
+            assert report.count(f'"parallelism": {parallelism},') == 2
+            reports.append(report)
+        assert reports[1] == reports[0].replace('"parallelism": 1,',
+                                                '"parallelism": 2,')
+        assert len(json.loads(reports[0])["pairs"]) == len(records)
 
     @pytest.mark.parametrize("args,code", [
         ([], 64),

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import corpusqueries as corpus
-from sqleq.ast_nodes import ColumnRef, walk
+from sqleq.ast_nodes import ColumnRef, Literal, walk
 from sqleq.binder import bind
 from sqleq.errors import InstanceError, RuntimeExecError, UnsupportedFeature
 from sqleq.executor import execute, instance_from_dict
@@ -842,11 +842,23 @@ class TestErrorsRaiseOnlyWhereEvaluated:
         ("SELECT ROUND(x, 'x') FROM t", "ROUND digits must be an integer"),
         ("SELECT ROUND(x, 1.5) FROM t", "ROUND digits must be an integer"),
         ("SELECT CAST(x * 1e308 AS INT) FROM t", "non-finite"),
-        ("SELECT CAST(1e999 AS INT) FROM t", "cannot cast inf to int"),
-        ("SELECT ROUND(1e999) FROM t", "ROUND gives a non-finite number"),
         ("SELECT UPPER() FROM t", "UPPER needs an argument"),
     ])
     def test_python_errors_become_runtime_errors(self, nums, sql, message):
         _, inst = nums
         with pytest.raises(RuntimeExecError, match=message):
             run(sql, inst)
+
+    @pytest.mark.parametrize("sql,message", [
+        ("SELECT CAST(0.5 AS INT) FROM t", "cannot cast inf to int"),
+        ("SELECT ROUND(0.5) FROM t", "ROUND gives a non-finite number"),
+    ])
+    def test_infinite_literal_of_a_built_tree(self, nums, sql, message):
+        """No SQL text lexes to an infinity (`1e999` is a syntax error),
+        but a caller may build the tree itself."""
+        _, inst = nums
+        ast = parse_sql(sql)
+        (literal,) = [node for node in walk(ast) if type(node) is Literal]
+        literal.value = float("inf")
+        with pytest.raises(RuntimeExecError, match=message):
+            execute(ast, inst)

@@ -113,6 +113,49 @@ class TestLexicalRules:
         assert excinfo.value.offset == 0
 
 
+class TestFloatLiteralRange:
+    """A float literal past the largest float is a syntax error at its
+    offset, as an int too long to convert is: no literal reaches the
+    renderer, the planner or the executor as an infinity."""
+
+    @pytest.fixture
+    def instance(self, toy_schema):
+        return instance_from_dict(
+            {"tables": {"t": {"columns": ["a", "b"], "rows": [[1, 2]]}}},
+            toy_schema)
+
+    @pytest.mark.parametrize("literal", [
+        "1e999", "9" * 5000 + ".5", "1.8E308", ".1e+310",
+    ], ids=["1e999", "5000-digit-float", "1.8E308", ".1e+310"])
+    def test_overflowing_float_is_a_syntax_error(self, literal, toy_schema,
+                                                 instance, capsys):
+        sql = f"SELECT a, {literal} FROM t"
+        for step in (tokenize, parse_sql):
+            with pytest.raises(SqlSyntaxError) as excinfo:
+                step(sql)
+            assert excinfo.value.offset == 10
+            assert str(excinfo.value) == \
+                "numeric literal out of range at offset 10"
+        assert plan_or_placeholder(sql, toy_schema) == PLAN_ERROR_PLACEHOLDER
+        outcome = oracle_check(sql, "SELECT a, 1 FROM t", [instance])
+        assert (outcome.status, outcome.errors) == ("inconclusive", (
+            "SqlSyntaxError: numeric literal out of range at offset 10",))
+        assert main(["features", "--sql", sql]) == 65
+        assert capsys.readouterr().err == (
+            "error: SqlSyntaxError: numeric literal out of range at offset "
+            "10\n")
+
+    @pytest.mark.parametrize("literal,value", [
+        ("1.7976931348623157e308", sys.float_info.max),
+        ("1e308", 1e308),
+        ("1e-999", 0.0),
+        ("9" * 300 + ".5", float("9" * 300 + ".5")),
+    ])
+    def test_finite_and_underflowing_floats_lex(self, literal, value):
+        number, _ = tokenize(literal)
+        assert (number.kind, number.value) == ("NUMBER", value)
+
+
 # Fragments that probe the lexical rules: quotes and their escapes, both
 # comment forms, number pieces and characters that are digits or letters
 # only to some of Python's string predicates.
