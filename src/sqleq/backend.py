@@ -9,9 +9,11 @@ RNG). A 429 or 503 that carries Retry-After (delta-seconds or an HTTP
 date) waits that long instead, capped at the longest backoff the
 configured retries reach; an unparsable value falls back to the
 backoff. Every other 4xx fails at once: 401/403 as AuthError, the rest as
-TransportError. The HTTP stack (urllib, http.client, ssl) is imported
-when the first client is built, so a process that never builds one,
-such as an oracle or mock run, does not load it.
+TransportError. Building a client raises ValueError for an endpoint
+that is not an http or https URL with a host, which no retry could
+reach. The HTTP stack (urllib, http.client, ssl) is imported when the
+first client is built, so a process that never builds one, such as an
+oracle or mock run, does not load it.
 
 The mock backend maps script rules to fixed responses and is a pure
 function of the prompt bytes and script: same inputs, same Completion.
@@ -74,6 +76,7 @@ class HttpBackend:
         import urllib.error
         import urllib.request
         self._urllib = urllib   # with .request and .error loaded
+        _check_endpoint(endpoint)
         self.endpoint = endpoint
         self.api_key = api_key
         self._limiter = threading.Semaphore(parallelism)
@@ -156,6 +159,22 @@ class HttpBackend:
             except OSError as exc:   # URLError and timeouts included
                 raise _Transport(str(exc)) from exc
         return _parse_completion(body)
+
+
+def _check_endpoint(endpoint):
+    """ValueError unless `endpoint` is an http or https URL with a host
+    and, if it gives one, a valid port: a request to any other could
+    never succeed, however often it were retried."""
+    from urllib.parse import urlsplit
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # raises for a port that is not a number or too large
+    except ValueError as exc:
+        raise ValueError(f"{endpoint!r}: {exc}") from None
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"{endpoint!r} is not an http or https URL")
+    if not parts.hostname:
+        raise ValueError(f"{endpoint!r} names no host")
 
 
 def _parse_completion(body):

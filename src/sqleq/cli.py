@@ -31,6 +31,11 @@ That includes the main thread when a signal arrives: Ctrl-C may wait up
 to `SWITCH_INTERVAL` before the main thread runs.
 `main` changes no process state, so in-process callers (tests, scripts,
 the benchmark tracer) keep the default collector and switch interval.
+
+Only `oracle` executes statements, so only it loads the interpreter
+(`interpreter.py`), before its first pair; that is after `run`'s first
+`gc.freeze()`, so the interpreter's module objects stay in the
+collector's generations. `features` imports `features.py` itself.
 """
 
 import argparse
@@ -49,7 +54,6 @@ from .errors import (
     SchemaError, SqleqError, SqlSyntaxError, UnsupportedConstruct,
 )
 from .executor import instance_from_dict
-from .features import extract_features
 from .oracle import oracle_check
 from .parser import parse_sql
 from .pipeline import (
@@ -296,8 +300,11 @@ def _make_backend(conf):
     if not conf["endpoint"]:
         raise UsageError("http backend requires --endpoint (or config)")
     gen = _gen_config(conf, conf["model"])
-    return HttpBackend(conf["endpoint"], api_key=conf["api_key"],
-                       parallelism=gen.parallelism)
+    try:
+        return HttpBackend(conf["endpoint"], api_key=conf["api_key"],
+                           parallelism=gen.parallelism)
+    except ValueError as exc:
+        raise UsageError(f"bad endpoint: {exc}") from exc
 
 
 # GenConfig field -> the setting that gives it
@@ -406,7 +413,11 @@ def cmd_bench(args):
         score_exact_matches=args.score_exact_matches,
         extra_config={"seed": conf["seed"]},
     )
-    write_report(report, args.format, args.out)
+    try:
+        write_report(report, args.format, args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write report {args.out}: "
+                         f"{exc.strerror or exc}") from exc
     metrics = report.metrics.as_dict()
     if args.format == "json":
         print(json.dumps({"out": args.out, "metrics": metrics},
@@ -428,6 +439,7 @@ def cmd_plan(args):
 
 
 def cmd_features(args):
+    from .features import extract_features
     profile = extract_features(parse_sql(args.sql))
     print(json.dumps(profile.as_dict(), sort_keys=True))
     return 0
@@ -474,6 +486,9 @@ def cmd_oracle(args):
         raw_instances.extend(data if isinstance(data, list) else [data])
     if not raw_instances:
         raise UsageError("the --instances files hold no instance")
+    # `execute` would import the interpreter in the first pair's run;
+    # loaded here, no traced execute span pays for it
+    from . import interpreter  # noqa: F401
 
     refuted = consistent = inconclusive = 0
     loaded = {}  # schema name -> instances, or their load errors

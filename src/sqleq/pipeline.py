@@ -173,8 +173,10 @@ def prune_output(text):
     Model output occasionally degenerates into repeated lines or stray
     control characters; both are removed before classification.
     """
-    cleaned = "".join(
-        ch for ch in text if ch in ("\n", "\t") or ch.isprintable())
+    cleaned = text
+    if not text.replace("\n", "").replace("\t", "").isprintable():
+        cleaned = "".join(
+            ch for ch in text if ch in ("\n", "\t") or ch.isprintable())
     lines = []
     previous = None
     for line in cleaned.split("\n"):

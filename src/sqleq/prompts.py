@@ -1,10 +1,14 @@
 """Prompt construction for the four strategies and the classifier stage.
 
 Templates live under templates/ with <<MARKER>> slots. Each template is
-read and split into literal pieces and marker names once per process,
-the first time it is used; filling one joins the pieces with the values
-of its markers in a single pass, so inserted content is never rescanned
-(a query containing a marker or a section header stays verbatim). The
+read through the package's own loader (`__spec__.loader.get_data`, which
+a zip import serves too; importlib.resources would load pathlib, zipfile
+and tempfile into every process), decoded as UTF-8 with no newline
+translation, and split into literal pieces and marker names once per
+process, the first time it is used; filling one joins the pieces with
+the values of its markers in a single pass, so inserted content is never
+rescanned (a query containing a marker or a section header stays
+verbatim). The
 schema text of a `SchemaDef` and the example block of an `ExemplarSet`
 are rendered once per object, as the same text goes into every prompt
 of a run. All bodies use LF newlines with exactly one blank line between
@@ -14,10 +18,10 @@ classifier prompt, which ends at the header.
 
 import functools
 import json
+import os
 import random
 import re
 import weakref
-from importlib import resources
 
 from .errors import BadExemplarSet, EmptyExplanation, InsufficientPairs
 from .records import Frozen, Record
@@ -221,8 +225,8 @@ _MARKER = re.compile(r"<<(\w+)>>")
 def _template(name):
     """The template's pieces: literal text at even indexes, marker names
     at odd ones."""
-    text = resources.files("sqleq").joinpath("templates", f"{name}.txt") \
-        .read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "templates", f"{name}.txt")
+    text = __spec__.loader.get_data(path).decode("utf-8")
     return tuple(_MARKER.split(text))
 
 

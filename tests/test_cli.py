@@ -80,6 +80,19 @@ class TestCheck:
         assert code == 69
         assert capsys.readouterr().err.startswith("error: TransportError: ")
 
+    @pytest.mark.parametrize("endpoint", [
+        "http://[::1", "localhost:9/x", "ftp://127.0.0.1:9/y",
+        "http://127.0.0.1:abc/v1",
+    ])
+    def test_unusable_endpoint_usage_error(self, schema_file, endpoint,
+                                           capsys):
+        # rejected before any request: no retries, no waiting
+        code = main(["check", *GOLDEN_PAIR_ARGS, "--schema", schema_file,
+                     "--backend", "http", "--endpoint", endpoint])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad endpoint: {endpoint!r}")
+
     def test_missing_schema_file_usage_error(self, capsys):
         code = main(["check", "--sql1", "SELECT 1", "--sql2", "SELECT 2",
                      "--schema", "/nowhere/schema.json"])
@@ -208,6 +221,25 @@ class TestBench:
         assert summary["out"] == str(out)
         payload = json.loads(out.read_text())
         assert len(payload["pairs"]) == 20
+
+    @pytest.mark.parametrize("out", [".", "missing/report.json",
+                                     "report.json/x"])
+    def test_unwritable_report_path_usage_error(self, tmp_path, out,
+                                                capsys):
+        # a directory, a missing directory, a file used as a directory
+        data = write_jsonl(tmp_path / "pairs.jsonl", [{
+            "id": "p1", "sql1": "SELECT playerid FROM people",
+            "sql2": "SELECT playerid FROM batting", "schema": "baseball",
+            "label": "NEQ"}])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+        (tmp_path / "report.json").write_text("")
+        out = str(tmp_path / out)
+        code = main(["bench", "--dataset", str(data), "--schemas",
+                     str(schemas), "--strategy", "basic", "--out", out])
+        assert code == 64
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write report {out}: ")
 
     def test_missing_dataset_usage_error(self, tmp_path, capsys):
         schemas = tmp_path / "schemas.json"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import queryfam
-from sqleq import executor
+from sqleq import interpreter
 from sqleq.ast_nodes import (
     Cte, DerivedTable, Exists, InSubquery, Join, SelectCore, Subquery,
     TableRef, walk,
@@ -103,13 +103,13 @@ class TestCorrelationFlags:
 def count_runs(monkeypatch, query):
     """Count the _exec_stmt calls that run `query`."""
     calls = Counter()
-    real = executor._exec_stmt
+    real = interpreter._exec_stmt
 
     def counting(stmt, env, outer_ctx):
         calls[id(stmt)] += 1
         return real(stmt, env, outer_ctx)
 
-    monkeypatch.setattr(executor, "_exec_stmt", counting)
+    monkeypatch.setattr(interpreter, "_exec_stmt", counting)
     return lambda: calls[id(query)]
 
 
@@ -117,14 +117,14 @@ def record_index_builds(monkeypatch):
     """List that gets the row count of every _Index built."""
     built = []
 
-    class Recording(executor._Index):
+    class Recording(interpreter._Index):
         __slots__ = ()
 
         def __init__(self, rows, *args):
             built.append(len(rows))
             super().__init__(rows, *args)
 
-    monkeypatch.setattr(executor, "_Index", Recording)
+    monkeypatch.setattr(interpreter, "_Index", Recording)
     return built
 
 

@@ -46,14 +46,14 @@ SINGLE_PATH_STDLIB = ("urllib.request", "http.client", "ssl", "csv",
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _loaded(setup, names):
-    """The `names` in sys.modules of a fresh interpreter that has run
-    `setup`."""
+def _loaded(setup, names, flags=()):
+    """The `names` in sys.modules of a fresh interpreter, started with
+    `flags`, that has run `setup`."""
     script = (f"import json, sys\n{setup}\n"
               f"print(json.dumps([n for n in {list(names)!r} "
               f"if n in sys.modules]))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -69,7 +69,7 @@ def test_cli_import_loads_every_traced_module_and_no_single_path_stdlib():
     assert _loaded("import sqleq.cli", SINGLE_PATH_STDLIB) == []
 
 
-def test_oracle_run_leaves_the_http_stack_unloaded(tmp_path):
+def _oracle_argv(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(json.dumps({
         "id": "p1", "sql1": "SELECT a FROM t", "sql2": "SELECT a FROM t",
@@ -80,16 +80,30 @@ def test_oracle_run_leaves_the_http_stack_unloaded(tmp_path):
     instance = tmp_path / "instance.json"
     instance.write_text(json.dumps(
         {"tables": {"t": {"columns": ["a"], "rows": [[1], [2]]}}}))
-    argv = ["oracle", "--dataset", str(pairs), "--schemas", str(schemas),
+    return ["oracle", "--dataset", str(pairs), "--schemas", str(schemas),
             "--instances", str(instance), "--format", "json"]
+
+
+def test_oracle_run_leaves_the_http_stack_unloaded(tmp_path):
     setup = ("from sqleq.cli import main\n"
-             f"assert main({argv!r}) == 0")
+             f"assert main({_oracle_argv(tmp_path)!r}) == 0")
     assert _loaded(setup, ["http.client"]) == []
 
 
-def test_mock_bench_run_loads_no_executor_pool_or_logging(tmp_path):
-    # run_benchmark's workers are plain threads: concurrent.futures, and
-    # the logging it imports, would cost every bench process their import
+def test_oracle_run_loads_the_interpreter_before_its_first_pair(tmp_path):
+    # so no traced execute span pays for compiling it
+    setup = ("import sqleq.cli as cli\n"
+             "real, seen = cli.oracle_check, []\n"
+             "def spy(*args):\n"
+             "    seen.append('sqleq.interpreter' in sys.modules)\n"
+             "    return real(*args)\n"
+             "cli.oracle_check = spy\n"
+             f"assert cli.main({_oracle_argv(tmp_path)!r}) == 0\n"
+             "assert seen == [True]")
+    assert _loaded(setup, ["sqleq.interpreter"]) == ["sqleq.interpreter"]
+
+
+def _bench_argv(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(json.dumps({
         "id": f"p{i}", "sql1": "SELECT a FROM t",
@@ -98,12 +112,36 @@ def test_mock_bench_run_loads_no_executor_pool_or_logging(tmp_path):
     schemas = tmp_path / "schemas.json"
     schemas.write_text(json.dumps({"s": {
         "tables": [{"name": "t", "columns": ["a"]}]}}))
-    argv = ["bench", "--dataset", str(pairs), "--schemas", str(schemas),
+    return ["bench", "--dataset", str(pairs), "--schemas", str(schemas),
             "--strategy", "basic", "--backend", "mock", "--parallelism",
             "2", "--out", str(tmp_path / "report.json")]
+
+
+def test_mock_bench_run_loads_no_executor_pool_or_logging(tmp_path):
+    # run_benchmark's workers are plain threads: concurrent.futures, and
+    # the logging it imports, would cost every bench process their import
     setup = ("from sqleq.cli import main\n"
-             f"assert main({argv!r}) == 0")
+             f"assert main({_bench_argv(tmp_path)!r}) == 0")
     assert _loaded(setup, ["concurrent.futures", "logging"]) == []
+
+
+# modules that only `execute` and `sqleq features` need
+DEFERRED = ("sqleq.interpreter", "sqleq.features")
+
+
+def test_cli_import_and_mock_bench_run_leave_deferred_modules_unloaded(
+        tmp_path):
+    assert _loaded("import sqleq.cli", DEFERRED) == []
+    setup = ("from sqleq.cli import main\n"
+             f"assert main({_bench_argv(tmp_path)!r}) == 0")
+    assert _loaded(setup, DEFERRED) == []
+
+
+def test_cli_import_without_site_loads_no_resource_machinery():
+    # templates are read through the package's loader; a site .pth
+    # file may load these modules itself, so the child runs with -S
+    names = ("importlib.resources", "pathlib", "zipfile", "tempfile")
+    assert _loaded("import sqleq.cli", names, flags=["-S"]) == []
 
 
 def test_building_an_http_backend_loads_the_http_stack():
