@@ -136,6 +136,11 @@ def _check_primary_keys(instance):
 
 # --- public entry point ---
 
+# `interpreter.run`, bound on the first `execute` call: an import
+# statement run on every call would cost each execution about 1 µs
+_run = None
+
+
 def execute(ast, instance):
     """Run a statement against an instance; returns a ResultTable.
 
@@ -148,7 +153,9 @@ def execute(ast, instance):
             raise UnsupportedFeature("recursive CTE")
         if isinstance(node, FuncCall) and node.is_window:
             raise UnsupportedFeature("window function")
-    from .interpreter import run
-    width, rows = run(ast, instance)
+    global _run
+    if _run is None:
+        from .interpreter import run as _run
+    width, rows = _run(ast, instance)
     return ResultTable(column_count=width, rows=rows,
                        ordered=bool(ast.order_by))
