@@ -355,6 +355,82 @@ class TestSubqueries:
         assert rows == [(99,)]
 
 
+T_ROWS = [(1, 10), (2, 20), (2, 5)]
+S_ROWS = [(1, 0), (2, 1), (3, 1)]
+
+
+@pytest.fixture
+def ts_tables():
+    """(instance, sqlite3 connection) over t(a, b) and s(a, c)."""
+    schema = SchemaDef(tables=(TableDef("t", ("a", "b")),
+                               TableDef("s", ("a", "c"))))
+    inst = make_instance(schema, t=[list(row) for row in T_ROWS],
+                         s=[list(row) for row in S_ROWS])
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE t (a, b)")
+    conn.execute("CREATE TABLE s (a, c)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)", T_ROWS)
+    conn.executemany("INSERT INTO s VALUES (?, ?)", S_ROWS)
+    return inst, conn
+
+
+class TestEnclosingRowsMatchSqlite:
+    """Subqueries that read enclosing rows from a group, from an
+    aggregate's argument, two levels down, and through a CTE that runs
+    inside them give sqlite3's rows."""
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT a, COUNT(*) FROM t GROUP BY a "
+         "HAVING COUNT(*) > (SELECT COUNT(*) FROM s WHERE s.a = t.a)",
+         [(2, 2)]),
+        ("SELECT a, SUM((SELECT c FROM s WHERE s.a = t.a)) FROM t "
+         "GROUP BY a", [(1, 0), (2, 2)]),
+        ("SELECT t.a, (SELECT SUM(s.c + t.b) FROM s) FROM t",
+         [(1, 32), (2, 62), (2, 17)]),
+        ("SELECT t.a, t.b FROM t WHERE EXISTS (SELECT 1 FROM "
+         "(SELECT s.c FROM s WHERE s.a = t.a AND s.c > 0) d)",
+         [(2, 20), (2, 5)]),
+        # siblings two levels down, both reading t
+        ("SELECT t.b, (SELECT (SELECT COUNT(*) FROM s s2 WHERE s2.a <= t.a)"
+         " + (SELECT MAX(s3.c) FROM s s3 WHERE s3.a = t.a) "
+         "FROM s WHERE s.a = t.a) FROM t", [(10, 1), (20, 3), (5, 3)]),
+        ("SELECT t.a FROM t WHERE EXISTS (SELECT 1 FROM s WHERE s.a = t.a "
+         "AND EXISTS (SELECT 1 FROM s s2 WHERE s2.c = s.c AND s2.a > t.a) "
+         "AND EXISTS (SELECT 1 FROM s s3 WHERE s3.a < t.a))", [(2,), (2,)]),
+        ("SELECT t.b, (SELECT s.a * t.a AS k FROM s ORDER BY k DESC "
+         "LIMIT 1 OFFSET 1) FROM t", [(10, 2), (20, 4), (5, 4)]),
+        # the CTE's own correlated subquery runs while t's row is read
+        ("SELECT t.a, (WITH c AS (SELECT s.a, (SELECT COUNT(*) FROM s s2 "
+         "WHERE s2.c = s.c) AS n FROM s) SELECT COUNT(*) FROM c "
+         "WHERE c.a >= t.a) FROM t", [(1, 3), (2, 2), (2, 2)]),
+    ])
+    def test_rows(self, ts_tables, sql, expected):
+        inst, conn = ts_tables
+        assert run(sql, inst).rows == conn.execute(sql).fetchall() == \
+            expected
+
+    def test_correlated_hidden_order_key_with_limit(self, ts_tables):
+        # sqlite3 reads no enclosing column in a subquery's ORDER BY, so
+        # its side names the key in a correlated derived table
+        inst, conn = ts_tables
+        ours = run("SELECT t.b, (SELECT s.a FROM s ORDER BY "
+                   "ABS(s.a - t.a) DESC, s.a LIMIT 1) FROM t", inst).rows
+        theirs = conn.execute(
+            "SELECT t.b, (SELECT k FROM (SELECT s.a AS k, ABS(s.a - t.a) "
+            "AS d FROM s ORDER BY d DESC, s.a LIMIT 1) q) FROM t").fetchall()
+        assert ours == theirs == [(10, 3), (20, 1), (5, 1)]
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a, COUNT(*) FROM t",
+        "SELECT COUNT(*) FROM t HAVING a > 0",
+    ])
+    def test_column_of_an_aggregate_over_no_rows_raises(self, sql):
+        schema = SchemaDef(tables=(TableDef("t", ("a", "b")),))
+        with pytest.raises(RuntimeExecError,
+                           match="column read in an aggregate over no rows"):
+            run(sql, make_instance(schema))
+
+
 class TestNoCyclicGarbage:
     """`execute` leaves no reference cycles behind, so a run never waits
     on the cyclic collector; subquery statements compile closures that
@@ -372,6 +448,11 @@ class TestNoCyclicGarbage:
         "SELECT v FROM l WHERE k NOT IN (SELECT r.k{div} FROM r)",
         "SELECT v FROM l WHERE k IN "
         "(SELECT r.k{div} FROM r WHERE r.w > l.v)",
+        "SELECT k, COUNT(*) FROM l GROUP BY k HAVING COUNT(*) >= "
+        "(SELECT COUNT(*) FROM r WHERE r.k = l.k AND r.k{div} > 0)",
+        "SELECT v FROM l WHERE EXISTS (SELECT 1 FROM r WHERE r.k = l.k "
+        "AND EXISTS (SELECT 1 FROM r AS r2 WHERE r2.w = r.w "
+        "AND l.k{div} = 1))",
     ]
 
     @staticmethod
