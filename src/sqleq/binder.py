@@ -6,8 +6,10 @@ tree itself carries no per-schema state and one parsed statement can
 run against several instances.
 
 Rows are flat tuples: a FROM clause concatenates its relations in
-source order, so a column reference becomes (outer depth, slot) -- step
-`depth` enclosing row contexts out, then read `row[slot]`.
+source order, so a column reference becomes (outer depth, slot): `slot`
+of the row of the scope `depth` scopes out. `Binding.levels` gives the
+level of that scope, which names the cell the executor reads an
+enclosing row from.
 
 Resolution rules:
 - a qualified name `t.c` looks for relation alias `t` in the innermost
@@ -28,8 +30,13 @@ expression is bound over its select level, walked as
 statement: the binder binds that statement where the walk meets it, and
 an IN subquery's operand stays in the outer scope.
 
-Correlation: each scope has a level (its nesting depth), and the binder
-tracks the lowest level any column reference resolves to. A subquery
+Levels: a scope's level is one more than its enclosing scope's. A CTE
+definition and LIMIT/OFFSET bind in a scope with no row at the level of
+the statement's own cores, so every scope a subquery runs, those
+included, lies above the level of the row the subquery runs on.
+
+Correlation: the binder tracks the lowest level any column reference
+resolves to. A subquery
 statement or FROM item with a reference that resolves to a scope
 outside it reads an enclosing row; its id goes into
 `Binding.correlated`. The executor runs the other subqueries once and
@@ -60,6 +67,9 @@ class Binding:
         self.grouped = set()   # SelectCores that aggregate
         self.order = {}        # SelectStmt -> [int | None]
         self.ctes = {}         # TableRef -> Cte it names
+        # ColumnRef -> level of the scope it reads; subquery SelectStmt
+        # -> level of the row it runs on
+        self.levels = {}
         # subquery SelectStmts and FROM items that read an enclosing row
         self.correlated = set()
 
@@ -102,7 +112,7 @@ class _Scope:
     """Relations of one flat row plus the scope of the enclosing row."""
     __slots__ = ("relations", "parent", "level")
 
-    def __init__(self, relations, parent):
+    def __init__(self, relations, parent, level=None):
         self.relations = []  # [(alias, lowered columns or None, offset)]
         offset = 0
         for alias, columns, lowered in relations:
@@ -110,7 +120,9 @@ class _Scope:
             # a recursive CTE's placeholder (None) never executes
             offset += len(columns or ())
         self.parent = parent
-        self.level = 0 if parent is None else parent.level + 1
+        if level is None:
+            level = 0 if parent is None else parent.level + 1
+        self.level = level
 
     def resolve(self, ref):
         scope, depth = self, 0
@@ -178,6 +190,7 @@ class _Binder:
 
         `ctes` maps each visible CTE name to (Cte, output columns).
         """
+        no_row = _Scope([], None, 0 if outer is None else outer.level + 1)
         if stmt.ctes:
             ctes = dict(ctes)
             for cte in stmt.ctes:
@@ -186,13 +199,12 @@ class _Binder:
                     placeholder = cte.columns or _peek_output_names(cte.query)
                     visible = {**ctes, cte.name: (cte, placeholder)}
                 names = self.isolated(self.statement, cte.query, visible,
-                                      None)
+                                      no_row)
                 ctes[cte.name] = (cte, list(cte.columns) or names)
         names, scope = self.body(stmt.body, ctes, outer)
         if stmt.order_by:
             self.order_keys(stmt, names, scope or _Scope([], outer), ctes)
         if stmt.limit is not None:
-            no_row = _Scope([], None)
             for expr in (stmt.limit.count, stmt.limit.offset):
                 if expr is not None:
                     self.isolated(self.expr, expr, no_row, ctes)
@@ -271,8 +283,10 @@ class _Binder:
             if type(node) is ColumnRef:
                 depth, slot = scope.resolve(node)
                 self.binding.slots[id(node)] = depth, slot
-                self.reach = min(self.reach, scope.level - depth)
+                level = self.binding.levels[id(node)] = scope.level - depth
+                self.reach = min(self.reach, level)
             elif type(node) is SelectStmt:
+                self.binding.levels[id(node)] = scope.level
                 self.tracked(node, scope, self.statement, node, ctes, scope)
             else:
                 stack += children(node)

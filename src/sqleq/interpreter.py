@@ -10,13 +10,20 @@ concatenation.
 Names bind first (`binder.bind`), so a name error -- UnresolvedName,
 AmbiguousColumn, a duplicate alias -- is raised before any row is read.
 Rows are flat tuples: a join concatenates its two sides (an outer join
-pads the missing side with NULLs) and a column reference reads
-`row[slot]` after stepping out `depth` enclosing row contexts.
+pads the missing side with NULLs) and a column of the working row reads
+`row[slot]`. Enclosing rows reach a subquery as parameters, as in
+PostgreSQL's PARAM_EXEC parameters of correlated SubPlans: each scope
+level has one cell, `env.levels[level]`; a correlated subquery
+evaluated on a row of level L stores that row in `levels[L]` before it
+runs, and a column of an enclosing scope reads `levels[level][slot]`.
+Every scope that run reaches lies above L (the binder numbers CTE
+definitions and LIMIT/OFFSET after their enclosing level), so no one
+overwrites a cell while it is read.
 
 An ORDER BY key that names no output column is a hidden column (as in
 PostgreSQL's "resjunk" entries): the select core appends its value after
-the output columns, computed after them in the same row or group
-context, and the sort cuts it off again. A set operation, a
+the output columns, computed after them on the same working row, and
+the sort cuts it off again. A set operation, a
 parenthesized statement or a DISTINCT core cannot, and raises if it has
 rows.
 
@@ -29,18 +36,18 @@ closures and the per-execute caches that hold them are let go when
 `run` returns or raises, so a run leaves no reference cycles behind
 for the cyclic garbage collector.
 
-An expression that reads only columns of the working row (depth 0) and
-holds no aggregate and no correlated subquery is row-local: it compiles
-to a row function `f(row)` (`_compile_row`), a column to an
-`itemgetter`, which every per-row step (WHERE, a join's ON, GROUP BY
-keys, aggregate arguments, and in a core that is not grouped HAVING,
-select items and hidden ORDER BY keys) maps over its rows (`_on_rows`).
-Any other expression compiles to a closure over the row context
-(`_compile`), run in one context kept for it, or over a grouped core's
-groups. A comparison with a non-NULL literal applies Python's operator
-when the other side has the literal's exact type, as the value model
-does for two cells of one scalar type; AND and OR check each operand
-inline, the left before the right runs.
+Every expression compiles to one row function `f(row)` (`_compile`),
+a column of the working row to an `itemgetter`, which each per-row step
+(WHERE, a join's ON, GROUP BY keys, HAVING, select items, hidden ORDER
+BY keys, aggregate arguments) maps over its rows. A grouped core's
+working row is its group's first row plus one trailing cell that holds
+the group's member rows; the core compiles its aggregates to read that
+cell at its FROM rows' width, and an aggregate anywhere else raises. An
+aggregate over no input rows gets a `_NoRow`, whose column reads raise.
+A comparison with a non-NULL literal applies Python's operator when the
+other side has the literal's exact type, as the value model does for
+two cells of one scalar type; AND and OR check each operand inline, the
+left before the right runs.
 
 What reads no enclosing row runs once per execute, on first use, and
 its result is kept (`_run_once`): every CTE, and each subquery and FROM
@@ -69,6 +76,10 @@ Semantics notes:
   True survive WHERE/ON/HAVING;
 - aggregates skip NULLs (except COUNT(*)); SUM/AVG/MIN/MAX of no values
   is NULL, COUNT is 0;
+- an aggregate whose argument reads columns, all of enclosing scopes
+  (`SELECT (SELECT COUNT(t.b)) FROM t`), raises UnsupportedFeature
+  before any row is read: SQL aggregates it in the enclosing query, not
+  in the groups of its own core;
 - no result of arithmetic, SUM, AVG or a cast to a real type is an
   infinity or NaN: those raise RuntimeExecError instead, since a NaN
   never equals itself and would make a query differ from itself.
@@ -83,10 +94,10 @@ from .ast_nodes import (
     ArrayLit, Between, Binary, Case, Cast, ColumnRef, DerivedTable,
     Exists, FuncCall, InList, InSubquery, IsNull, Join, Like, Literal,
     Quantified, SelectStmt, SetOp, Subquery, TableRef, Unary,
-    children, is_aggregate_call, select_level,
+    is_aggregate_call, select_level,
 )
-from .binder import bind
-from .errors import RuntimeExecError
+from .binder import aggregate_calls, bind
+from .errors import RuntimeExecError, UnsupportedFeature
 from .values import (
     canon, canon_row, is_number, is_scalar, row_keys, sort_key, sorts_raw,
     values_equal,
@@ -96,58 +107,70 @@ from .values import (
 def run(ast, instance):
     """(width, rows) of a statement `executor.execute` has checked for
     unsupported features, run against `instance`."""
-    env = _Env(instance, bind(ast, instance.schema))
+    binding = bind(ast, instance.schema)
+    _check_aggregates(binding)
+    env = _Env(instance, binding)
     try:
-        return _exec_stmt(ast, env, None)
+        return _exec_stmt(ast, env)
     finally:
         # compiled closures hold the env that caches them: break the
         # cycles so the run leaves no garbage for the cyclic collector
-        for cache in (env.memo, env.keys, env.fns, env.row_fns, env.on_rows):
+        for cache in (env.memo, env.keys, env.fns):
             cache.clear()
 
 
+def _check_aggregates(binding):
+    """Raise UnsupportedFeature for an aggregate call whose argument
+    reads columns, all of enclosing scopes: SQL aggregates such a call
+    in the enclosing query, while this interpreter would aggregate it in
+    its own core's groups."""
+    for calls in binding.aggregates.values():
+        for call in calls:
+            outer = {binding.slots[id(node)][0] > 0
+                     for arg in call.args for node in select_level(arg)
+                     if type(node) is ColumnRef}
+            if outer == {True}:
+                raise UnsupportedFeature(
+                    f"aggregate {call.name.upper()} of enclosing columns")
+
+
 class _Env:
-    """Instance, the statement's binding, the results of what runs once
-    per execute (`memo`, see `_run_once`, and IN value sets), the
-    equality keys of each condition and the index last built on them
-    (`keys`, see `_hash_probe`), and what is compiled so far: context
-    closures (`fns`), row functions (`row_fns`) and what `_on_rows`
-    hands out (`on_rows`), all keyed by id() of AST nodes."""
-    __slots__ = ("instance", "binding", "memo", "keys", "fns", "row_fns",
-                 "on_rows")
+    """Instance, the statement's binding, the cells of enclosing rows
+    (`levels`: scope level -> the row a subquery last ran on), the
+    results of what runs once per execute (`memo`, see `_run_once`, and
+    IN value sets), the equality keys of each condition and the index
+    last built on them (`keys`, see `_hash_probe`), and the row
+    functions compiled so far (`fns`); the caches are keyed by id() of
+    AST nodes."""
+    __slots__ = ("instance", "binding", "levels", "memo", "keys", "fns")
 
     def __init__(self, instance, binding):
         self.instance = instance
         self.binding = binding
+        self.levels = {}
         self.memo = {}
         self.keys = {}
         self.fns = {}
-        self.row_fns = {}
-        self.on_rows = {}
-
-
-class _Ctx:
-    """One flat working row, the enclosing row context, and the member
-    rows of the group when aggregating."""
-    __slots__ = ("row", "outer", "group")
-
-    def __init__(self, row, outer=None, group=None):
-        self.row = row
-        self.outer = outer
-        self.group = group
 
 
 class _NoRow:
-    """Row of an aggregate over no input rows: it has no column values."""
+    """Working row of an aggregate over no input rows: the cell at
+    `width` holds no member rows, and a column read raises."""
+    __slots__ = ("width",)
+
+    def __init__(self, width):
+        self.width = width
 
     def __getitem__(self, slot):
+        if slot == self.width:
+            return []
         raise RuntimeExecError("column read in an aggregate over no rows")
 
 
-def _exec_stmt(stmt, env, outer_ctx):
+def _exec_stmt(stmt, env):
     """Returns (width, rows)."""
     for cte in stmt.ctes:
-        width, _ = _run_once(cte.query, _exec_stmt, env, None)
+        width, _ = _run_once(cte.query, _exec_stmt, env)
         if cte.columns and len(cte.columns) != width:
             raise RuntimeExecError(
                 f"CTE {cte.name!r} column list arity mismatch")
@@ -155,7 +178,7 @@ def _exec_stmt(stmt, env, outer_ctx):
     order = env.binding.order.get(id(stmt), ())
     hidden = [item.expr for index, item in zip(order, stmt.order_by)
               if index is None]
-    width, rows = _exec_body(stmt.body, env, outer_ctx, hidden)
+    width, rows = _exec_body(stmt.body, env, hidden)
 
     if stmt.order_by:
         if hidden and rows and len(rows[0]) == width:
@@ -169,19 +192,19 @@ def _exec_stmt(stmt, env, outer_ctx):
     return width, rows
 
 
-def _exec_body(body, env, outer_ctx, hidden=()):
+def _exec_body(body, env, hidden=()):
     """Returns (width, rows); a select core appends the values of the
     `hidden` expressions to its rows, after the `width` output columns."""
     if isinstance(body, SetOp):
-        return _exec_setop(body, env, outer_ctx)
+        return _exec_setop(body, env)
     if isinstance(body, SelectStmt):
-        return _exec_stmt(body, env, outer_ctx)
-    return _exec_core(body, env, outer_ctx, hidden)
+        return _exec_stmt(body, env)
+    return _exec_core(body, env, hidden)
 
 
-def _exec_setop(op, env, outer_ctx):
-    width, left = _exec_body(op.left, env, outer_ctx)
-    right_width, right = _exec_body(op.right, env, outer_ctx)
+def _exec_setop(op, env):
+    width, left = _exec_body(op.left, env)
+    right_width, right = _exec_body(op.right, env)
     if width != right_width:
         raise RuntimeExecError(
             f"{op.kind.upper()} arms have different column counts")
@@ -205,49 +228,54 @@ def _exec_setop(op, env, outer_ctx):
     return width, rows
 
 
-def _exec_core(core, env, outer_ctx, hidden):
-    rows = [()]
+def _exec_core(core, env, hidden):
+    width, rows = 0, [()]
     if core.from_item is not None:
-        rows = _run_once(core.from_item, _exec_from, env, outer_ctx)[1]
+        width, rows = _run_once(core.from_item, _exec_from, env)
     if core.where is not None:
-        probe = _hash_probe(core.where, 0, rows, env, outer_ctx)
-        if probe is not None:  # the probing row is the enclosing one
+        probe = _hash_probe(core.where, 0, rows, env)
+        if probe is not None:  # the probing sides read enclosing rows
             index, fns = probe
             rows = [rows[i] for i in index.probe([f(()) for f in fns])]
-        where = _on_rows(core.where, env, outer_ctx)
+        where = _compile(core.where, env)
         rows = [row for row in rows if where(row) is True]
 
-    grouped = id(core) in env.binding.grouped
-    if grouped:  # the steps below map group contexts instead of rows
-        rows = _group(rows, core.group_by, env, outer_ctx)
+    if id(core) in env.binding.grouped:  # the steps below map group rows
+        rows = _group(rows, width, core.group_by, env)
+        calls = env.binding.aggregates[id(core)]
+        for expr in hidden:
+            calls = calls + aggregate_calls(expr)
+        for call in calls:  # before anything compiles them as outside
+            if id(call) not in env.fns:
+                env.fns[id(call)] = _build_aggregate(call, width, env)
     if core.having is not None:
-        (having,) = _fns([core.having], env, outer_ctx, grouped)
+        having = _compile(core.having, env)
         rows = [row for row in rows if having(row) is True]
     exprs = [item.expr for item in env.binding.items[id(core)]]
-    out = list(_tuples(_fns(exprs, env, outer_ctx, grouped), rows))
+    out = list(_tuples([_compile(expr, env) for expr in exprs], rows))
 
-    if core.distinct:  # a distinct row has no one context for hidden keys
+    if core.distinct:  # a distinct row has no one working row for keys
         out = _dedupe(out, row_keys(out))
     elif hidden:  # a second pass: every select item runs before any key
-        keys = _tuples(_fns(hidden, env, outer_ctx, grouped), rows)
+        keys = _tuples([_compile(expr, env) for expr in hidden], rows)
         out = [row + key for row, key in zip(out, keys)]
 
     return len(exprs), out
 
 
-def _run_once(node, run, env, outer_ctx):
-    """`run(node, env, outer_ctx)` for a statement or FROM item in
+def _run_once(node, run, env):
+    """`run(node, env)` for a statement or FROM item in
     `Binding.correlated`. Any other reads no enclosing row, so it runs
     once per execute, on first use, and its result is kept in `memo`."""
     if id(node) in env.binding.correlated:
-        return run(node, env, outer_ctx)
+        return run(node, env)
     result = env.memo.get(id(node))
     if result is None:
-        result = env.memo[id(node)] = run(node, env, None)
+        result = env.memo[id(node)] = run(node, env)
     return result
 
 
-def _exec_from(item, env, outer_ctx):
+def _exec_from(item, env):
     """Returns (row width, flat rows) of a FROM item."""
     if isinstance(item, TableRef):
         cte = env.binding.ctes.get(id(item))
@@ -257,19 +285,17 @@ def _exec_from(item, env, outer_ctx):
         return len(columns), rows
 
     if isinstance(item, DerivedTable):
-        return _exec_stmt(item.query, env, outer_ctx)
+        return _exec_stmt(item.query, env)
 
     if isinstance(item, Join):
-        left_width, left = _run_once(item.left, _exec_from, env, outer_ctx)
-        right_width, right = _run_once(item.right, _exec_from, env,
-                                       outer_ctx)
+        left_width, left = _run_once(item.left, _exec_from, env)
+        right_width, right = _run_once(item.right, _exec_from, env)
         condition = None if item.kind == "cross" else item.condition
         keep = probe = None
         if condition is not None:
-            keep = _on_rows(condition, env, outer_ctx)
+            keep = _compile(condition, env)
             if left:
-                probe = _hash_probe(condition, left_width, right, env,
-                                    outer_ctx)
+                probe = _hash_probe(condition, left_width, right, env)
         if probe is not None:
             index, fns = probe
             probes = _tuples(fns, left)
@@ -299,18 +325,17 @@ def _exec_from(item, env, outer_ctx):
     raise RuntimeExecError(f"cannot evaluate FROM item {item!r}")
 
 
-def _group(rows, group_by, env, outer_ctx):
-    """Contexts of the groups of `rows` in first-occurrence order, each
-    reading its first row; NULL keys group together."""
+def _group(rows, width, group_by, env):
+    """The working rows of the groups of `rows`, in first-occurrence
+    order: a group's first row, then one cell at `width` holding its
+    member rows; NULL keys group together."""
     if not group_by:
-        rep = rows[0] if rows else _NoRow()
-        return [_Ctx(rep, outer_ctx, group=rows)]
-    keys = list(_tuples(_fns(group_by, env, outer_ctx, False), rows))
+        return [rows[0] + (rows,) if rows else _NoRow(width)]
+    fns = [_compile(expr, env) for expr in group_by]
     buckets = {}
-    for key, row in zip(row_keys(keys), rows):
+    for key, row in zip(row_keys(list(_tuples(fns, rows))), rows):
         buckets.setdefault(key, []).append(row)
-    return [_Ctx(members[0], outer_ctx, group=members)
-            for members in buckets.values()]
+    return [members[0] + (members,) for members in buckets.values()]
 
 
 def _sort_rows(rows, stmt, width, env):
@@ -352,7 +377,7 @@ def _apply_limit(rows, limit, env):
 
 
 def _limit_value(expr, env, what):
-    value = _compile(expr, env)(_Ctx(()))
+    value = _compile(expr, env)(())
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise RuntimeExecError(f"{what} requires a non-negative integer")
     return value
@@ -392,10 +417,10 @@ def _key(values):
     return None if None in values else canon_row(values)
 
 
-def _hash_probe(condition, width, right, env, outer_ctx):
-    """(`_Index` of `right`, functions of the probing sides from `_fns`)
-    on the `x = y` conjuncts of `condition` with one side reading only
-    fixed slots (depth 0, past the probing row's `width` columns) and the
+def _hash_probe(condition, width, right, env):
+    """(`_Index` of `right`, row functions of the probing sides) on the
+    `x = y` conjuncts of `condition` with one side reading only fixed
+    slots (depth 0, past the probing row's `width` columns) and the
     other only other ones, neither holding a subquery or an aggregate;
     None without such a conjunct or without rows in `right`. The keys
     and the last index are kept in `env.keys`; the index is built again
@@ -412,15 +437,15 @@ def _hash_probe(condition, width, right, env, outer_ctx):
                 sides = sides[::-1]
             elif not (reads[0] == {True} and reads[1] == {False}):
                 continue
-            fixed.append(_compile_row(sides[0], env))
-            probing.append(sides[1])
+            fixed.append(_compile(sides[0], env))
+            probing.append(_compile(sides[1], env))
         entry = env.keys[id(condition)] = [fixed, probing, None]
     fixed, probing, index = entry
     if not fixed or not right:
         return None
     if index is None or index.rows is not right:
         index = entry[2] = _Index(right, fixed, (None,) * width)
-    return index, _fns(probing, env, outer_ctx, False)
+    return index, probing
 
 
 def _conjuncts(condition):
@@ -446,25 +471,6 @@ def _reads(expr, binding, width):
             depth, slot = binding.slots[id(node)]
             reads.add(depth == 0 and slot >= width)
     return reads
-
-
-def _row_local(expr, env):
-    """Whether `expr` reads only columns of the working row and holds no
-    aggregate and no correlated subquery."""
-    stack = [expr]  # its select level, walked as `select_level` does
-    while stack:
-        node = stack.pop()
-        if type(node) is ColumnRef:
-            if env.binding.slots[id(node)][0]:
-                return False
-        elif isinstance(node, SelectStmt):
-            if id(node) in env.binding.correlated:
-                return False
-        elif is_aggregate_call(node):
-            return False
-        else:
-            stack += children(node)
-    return True
 
 
 class _ValueSet:
@@ -604,66 +610,18 @@ def _like_regex(pattern):
 
 # --- expression compilation ---
 #
-# One builder per node type serves both targets: it compiles its
-# operands with `sub`, the compile function of its target, and its
-# function takes `x`, the row or the context, and hands it on. Only
-# columns, correlated subqueries and aggregates read a context itself.
+# Every expression compiles to a function of the working row. A column
+# of an enclosing scope reads that scope's cell in `env.levels`, which a
+# correlated subquery fills with the row it runs on before it runs, and
+# an aggregate reads the member rows from its group's working row.
 
 def _compile(expr, env):
-    """The context closure of `expr` in this execute, built on first use;
-    a column of the working row reads `ctx.row[slot]`."""
+    """The row function of `expr` in this execute, built on first use."""
     fn = env.fns.get(id(expr))
     if fn is None:
         build = _BUILDERS.get(type(expr), _build_unknown)
-        fn = env.fns[id(expr)] = build(expr, env, _compile)
+        fn = env.fns[id(expr)] = build(expr, env)
     return fn
-
-
-def _compile_row(expr, env):
-    """The row function of row-local `expr` in this execute, built on
-    first use; a column is `itemgetter(slot)`."""
-    fn = env.row_fns.get(id(expr))
-    if fn is None:
-        build = _BUILDERS.get(type(expr), _build_unknown)
-        fn = env.row_fns[id(expr)] = build(expr, env, _compile_row)
-    return fn
-
-
-def _on_rows(expr, env, outer_ctx):
-    """Function from a working row below `outer_ctx` to the value of
-    `expr` in it: the row function of a row-local expression, else its
-    context closure run in one context kept for it, pointed at
-    `outer_ctx` here. Its uses never overlap: a step is done with it
-    when it returns, and no expression runs itself."""
-    entry = env.on_rows.get(id(expr))
-    if entry is None:
-        entry = env.on_rows[id(expr)] = _row_entry(expr, env)
-    fn, ctx = entry
-    if ctx is not None:
-        ctx.outer = outer_ctx
-    return fn
-
-
-def _row_entry(expr, env):
-    """(`expr` as a function of the working row; None, or the context
-    its context closure runs in, whose `outer` the caller sets)."""
-    if _row_local(expr, env):
-        return _compile_row(expr, env), None
-    fn = _compile(expr, env)
-    ctx = _Ctx(None)
-
-    def on_row(row):
-        ctx.row = row
-        return fn(ctx)
-    return on_row, ctx
-
-
-def _fns(exprs, env, outer_ctx, grouped):
-    """Functions of `exprs` in a core's step: `_on_rows`, or context
-    closures when the core is `grouped` and the step maps its groups."""
-    if grouped:
-        return [_compile(expr, env) for expr in exprs]
-    return [_on_rows(expr, env, outer_ctx) for expr in exprs]
 
 
 def _tuples(fns, rows):
@@ -676,49 +634,39 @@ def _tuples(fns, rows):
     return zip(*[map(fn, rows) for fn in fns]) if fns else [()] * len(rows)
 
 
-def _build_unknown(expr, env, sub):
+def _build_unknown(expr, env):
     name = type(expr).__name__
 
-    def unknown(x):
+    def unknown(row):
         raise RuntimeExecError(f"cannot evaluate {name}")
     return unknown
 
 
-def _build_literal(expr, env, sub):
+def _build_literal(expr, env):
     value = expr.value
-    return lambda x: value
+    return lambda row: value
 
 
-def _build_column(expr, env, sub):
-    # the hottest closure: reads of the row and of the enclosing row
-    # skip the loop, which measured a fifth of `oracle-scan`'s executor time
+def _build_column(expr, env):
     depth, slot = env.binding.slots[id(expr)]
-    if sub is _compile_row:  # a row-local column: depth 0
-        return operator.itemgetter(slot)
     if depth == 0:
-        return lambda ctx: ctx.row[slot]
-    if depth == 1:
-        return lambda ctx: ctx.outer.row[slot]
-
-    def column(ctx):
-        for _ in range(depth):
-            ctx = ctx.outer
-        return ctx.row[slot]
-    return column
+        return operator.itemgetter(slot)
+    levels, level = env.levels, env.binding.levels[id(expr)]
+    return lambda row: levels[level][slot]
 
 
-def _build_unary(expr, env, sub):
-    operand = sub(expr.operand, env)
+def _build_unary(expr, env):
+    operand = _compile(expr.operand, env)
     op = expr.op
     if op == "NOT":
-        def not_(x):
-            value = operand(x)
+        def not_(row):
+            value = operand(row)
             return None if value is None else (not _truthy(value))
         return not_
     negate = op == "-"
 
-    def sign(x):
-        value = operand(x)
+    def sign(row):
+        value = operand(row)
         if value is None:
             return None
         if not is_number(value):
@@ -727,21 +675,21 @@ def _build_unary(expr, env, sub):
     return sign
 
 
-def _build_binary(expr, env, sub):
+def _build_binary(expr, env):
     op = expr.op
     if op in _COMPARISONS:
-        versus = _build_versus_literal(expr, env, sub)
+        versus = _build_versus_literal(expr, env)
         if versus is not None:
             return versus
-    left = sub(expr.left, env)
-    right = sub(expr.right, env)
+    left = _compile(expr.left, env)
+    right = _compile(expr.right, env)
     # a value that is not None, True or False is not a boolean
     if op == "AND":
-        def and_(x):
-            a = left(x)
+        def and_(row):
+            a = left(row)
             if a is not True and a is not False and a is not None:
                 raise _not_boolean()
-            b = right(x)
+            b = right(row)
             if b is not True and b is not False and b is not None:
                 raise _not_boolean()
             if a is False or b is False:
@@ -749,11 +697,11 @@ def _build_binary(expr, env, sub):
             return None if a is None or b is None else True
         return and_
     if op == "OR":
-        def or_(x):
-            a = left(x)
+        def or_(row):
+            a = left(row)
             if a is not True and a is not False and a is not None:
                 raise _not_boolean()
-            b = right(x)
+            b = right(row)
             if b is not True and b is not False and b is not None:
                 raise _not_boolean()
             if a is True or b is True:
@@ -763,15 +711,15 @@ def _build_binary(expr, env, sub):
     if op in _COMPARISONS:
         compare = _COMPARISONS[op]
 
-        def comparison(x):
-            a = left(x)
-            b = right(x)
+        def comparison(row):
+            a = left(row)
+            b = right(row)
             return None if a is None or b is None else compare(a, b)
         return comparison
     if op == "||":
-        def concat(x):
-            a = left(x)
-            b = right(x)
+        def concat(row):
+            a = left(row)
+            b = right(row)
             if isinstance(a, tuple) or isinstance(b, tuple):
                 return (a if isinstance(a, tuple) else (a,)) + \
                     (b if isinstance(b, tuple) else (b,))
@@ -782,7 +730,7 @@ def _build_binary(expr, env, sub):
     return _build_arithmetic(op, left, right)
 
 
-def _build_versus_literal(expr, env, sub):
+def _build_versus_literal(expr, env):
     """The comparison of an operand with a non-NULL scalar literal, on
     either side (mirrored when on the left); None for any other
     comparison. A value of the literal's exact type compares with
@@ -797,7 +745,7 @@ def _build_versus_literal(expr, env, sub):
     kind = type(value)
     plain = _PLAIN_COMPARISONS[op]
     compare = _COMPARISONS[op]
-    if sub is _compile_row and type(operand) is ColumnRef:
+    if type(operand) is ColumnRef and not env.binding.slots[id(operand)][0]:
         # read inline: an `itemgetter` call costs such a WHERE a few %
         slot = env.binding.slots[id(operand)][1]
 
@@ -809,10 +757,10 @@ def _build_versus_literal(expr, env, sub):
                 return plain(a, value)
             return compare(a, value)
         return column_versus_literal
-    value_of = sub(operand, env)
+    value_of = _compile(operand, env)
 
-    def versus_literal(x):
-        a = value_of(x)
+    def versus_literal(row):
+        a = value_of(row)
         if a is None:
             return None
         if type(a) is kind:
@@ -825,9 +773,9 @@ def _build_arithmetic(op, left, right):
     apply = _ARITHMETIC.get(op)
     by_zero = {"/": "division by zero", "%": "modulo by zero"}.get(op)
 
-    def arithmetic(x):
-        a = left(x)
-        b = right(x)
+    def arithmetic(row):
+        a = left(row)
+        b = right(row)
         if a is None or b is None:
             return None
         if not is_number(a) or not is_number(b):
@@ -843,62 +791,62 @@ def _build_arithmetic(op, left, right):
     return arithmetic
 
 
-def _build_is_null(expr, env, sub):
-    operand = sub(expr.operand, env)
+def _build_is_null(expr, env):
+    operand = _compile(expr.operand, env)
     negated = expr.negated
-    return lambda x: (operand(x) is None) is not negated
+    return lambda row: (operand(row) is None) is not negated
 
 
-def _build_in_list(expr, env, sub):
-    operand = sub(expr.operand, env)
+def _build_in_list(expr, env):
+    operand = _compile(expr.operand, env)
     negated = expr.negated
     if all(isinstance(item, Literal) for item in expr.items):
         members = _ValueSet([item.value for item in expr.items])
 
-        def in_literals(x):
-            result = members.contains(operand(x))
+        def in_literals(row):
+            result = members.contains(operand(row))
             return _negate3(result) if negated else result
         return in_literals
-    items = [sub(item, env) for item in expr.items]
+    items = [_compile(item, env) for item in expr.items]
 
-    def in_list(x):
-        value = operand(x)
-        result = _ValueSet([item(x) for item in items]).contains(value)
+    def in_list(row):
+        value = operand(row)
+        result = _ValueSet([item(row) for item in items]).contains(value)
         return _negate3(result) if negated else result
     return in_list
 
 
-def _build_in_subquery(expr, env, sub):
-    operand = sub(expr.operand, env)
-    query = expr.query
+def _build_in_subquery(expr, env):
+    operand = _compile(expr.operand, env)
+    run = _subquery(expr.query, env)
     negated = expr.negated
-    correlated = id(query) in env.binding.correlated
+    correlated = id(expr.query) in env.binding.correlated
 
-    def in_subquery(x):
-        value = operand(x)
+    def in_subquery(row):
+        value = operand(row)
         if correlated:
-            members = _ValueSet(_column(query, env, x, "IN"))
+            members = _ValueSet(_column(run, row, "IN"))
         else:
             members = env.memo.get(id(expr))
             if members is None:
                 members = env.memo[id(expr)] = _ValueSet(
-                    _column(query, env, x, "IN"))
+                    _column(run, row, "IN"))
         result = members.contains(value)
         return _negate3(result) if negated else result
     return in_subquery
 
 
-def _build_between(expr, env, sub):
-    operand = sub(expr.operand, env)
-    low = sub(expr.low, env)
-    high = sub(expr.high, env)
+def _build_between(expr, env):
+    operand = _compile(expr.operand, env)
+    low = _compile(expr.low, env)
+    high = _compile(expr.high, env)
     negated = expr.negated
     le = _COMPARISONS["<="]
 
-    def between(x):
-        value = operand(x)
-        lo = low(x)
-        hi = high(x)
+    def between(row):
+        value = operand(row)
+        lo = low(row)
+        hi = high(row)
         above = None if lo is None or value is None else le(lo, value)
         below = None if value is None or hi is None else le(value, hi)
         result = _and3(above, below)
@@ -906,26 +854,26 @@ def _build_between(expr, env, sub):
     return between
 
 
-def _build_like(expr, env, sub):
-    operand = sub(expr.operand, env)
+def _build_like(expr, env):
+    operand = _compile(expr.operand, env)
     negated = expr.negated
     if isinstance(expr.pattern, Literal) and \
             isinstance(expr.pattern.value, str):
         match = re.compile(_like_regex(expr.pattern.value)).fullmatch
 
-        def like_literal(x):
-            value = operand(x)
+        def like_literal(row):
+            value = operand(row)
             if value is None:
                 return None
             if not isinstance(value, str):
                 raise RuntimeExecError("LIKE needs text operands")
             return (match(value) is not None) is not negated
         return like_literal
-    pattern_of = sub(expr.pattern, env)
+    pattern_of = _compile(expr.pattern, env)
 
-    def like(x):
-        value = operand(x)
-        pattern = pattern_of(x)
+    def like(row):
+        value = operand(row)
+        pattern = pattern_of(row)
         if value is None or pattern is None:
             return None
         if not isinstance(value, str) or not isinstance(pattern, str):
@@ -935,16 +883,16 @@ def _build_like(expr, env, sub):
     return like
 
 
-def _build_exists(expr, env, sub):
-    query = expr.query
-    return lambda x: bool(_run_once(query, _exec_stmt, env, x)[1])
+def _build_exists(expr, env):
+    run = _subquery(expr.query, env)
+    return lambda row: bool(run(row)[1])
 
 
-def _build_subquery(expr, env, sub):
-    query = expr.query
+def _build_subquery(expr, env):
+    run = _subquery(expr.query, env)
 
-    def scalar(x):
-        rows = _column(query, env, x, "scalar")
+    def scalar(row):
+        rows = _column(run, row, "scalar")
         if len(rows) > 1:
             raise RuntimeExecError(
                 "scalar subquery returned more than one row")
@@ -952,22 +900,22 @@ def _build_subquery(expr, env, sub):
     return scalar
 
 
-def _build_quantified(expr, env, sub):
-    left = sub(expr.left, env)
+def _build_quantified(expr, env):
+    left = _compile(expr.left, env)
     op = expr.op
     any_ = expr.quantifier == "ANY"
     if isinstance(expr.operand, Subquery):
-        query = expr.operand.query
+        run = _subquery(expr.operand.query, env)
         operand = None
     else:
-        operand = sub(expr.operand, env)
+        operand = _compile(expr.operand, env)
 
-    def quantified(x):
-        value = left(x)
-        if operand is None:  # a subquery: `x` is a context
-            values = _column(query, env, x, "quantified")
+    def quantified(row):
+        value = left(row)
+        if operand is None:  # a subquery
+            values = _column(run, row, "quantified")
         else:
-            array = operand(x)
+            array = operand(row)
             if array is None:
                 return None
             if not isinstance(array, tuple):
@@ -984,51 +932,55 @@ def _build_quantified(expr, env, sub):
     return quantified
 
 
-def _build_case(expr, env, sub):
-    whens = [(sub(cond, env), sub(result, env))
+def _build_case(expr, env):
+    whens = [(_compile(cond, env), _compile(result, env))
              for cond, result in expr.whens]
-    else_ = None if expr.else_ is None else sub(expr.else_, env)
+    else_ = None if expr.else_ is None else _compile(expr.else_, env)
     if expr.operand is None:
-        def searched(x):
+        def searched(row):
             for cond, result in whens:
-                if cond(x) is True:
-                    return result(x)
-            return None if else_ is None else else_(x)
+                if cond(row) is True:
+                    return result(row)
+            return None if else_ is None else else_(row)
         return searched
-    subject_of = sub(expr.operand, env)
+    subject_of = _compile(expr.operand, env)
 
-    def simple(x):
-        subject = subject_of(x)
+    def simple(row):
+        subject = subject_of(row)
         for cond, result in whens:
-            if _compare("=", subject, cond(x)) is True:
-                return result(x)
-        return None if else_ is None else else_(x)
+            if _compare("=", subject, cond(row)) is True:
+                return result(row)
+        return None if else_ is None else else_(row)
     return simple
 
 
-def _build_call(call, env, sub):
-    if call.is_aggregate:
-        return _build_aggregate(call, env)
+def _build_call(call, env):
+    if call.is_aggregate:  # a grouped core builds its own beforehand
+        message = f"aggregate {call.name.upper()} outside a grouped context"
+
+        def outside(row):
+            raise RuntimeExecError(message)
+        return outside
     name = call.name
-    args = [sub(arg, env) for arg in call.args]
+    args = [_compile(arg, env) for arg in call.args]
     if name == "coalesce":
-        def coalesce(x):
-            for value in [arg(x) for arg in args]:
+        def coalesce(row):
+            for value in [arg(row) for arg in args]:
                 if value is not None:
                     return value
             return None
         return coalesce
     if name == "nullif":
-        def nullif(x):
-            values = [arg(x) for arg in args]
+        def nullif(row):
+            values = [arg(row) for arg in args]
             if len(values) != 2:
                 raise RuntimeExecError("NULLIF takes two arguments")
             return None if _compare("=", *values) is True else values[0]
         return nullif
     builtin = _SCALAR_BUILTINS.get(name)
 
-    def scalar_call(x):
-        values = [arg(x) for arg in args]
+    def scalar_call(row):
+        values = [arg(row) for arg in args]
         if builtin is None:
             raise RuntimeExecError(f"unknown function {name!r}")
         if any(value is None for value in values):
@@ -1099,32 +1051,23 @@ _SCALAR_BUILTINS = {
 }
 
 
-def _build_aggregate(call, env):
-    name = call.name.upper()
-    outside = f"aggregate {name} outside a grouped context"
+def _build_aggregate(call, width, env):
+    """Aggregate `call` of a grouped core whose working rows hold the
+    member rows at `width`."""
     if call.star:
-        def count_star(ctx):
-            if ctx.group is None:
-                raise RuntimeExecError(outside)
-            return len(ctx.group)
-        return count_star
+        return lambda row: len(row[width])
     if len(call.args) != 1:
-        def wrong_arity(ctx):
-            if ctx.group is None:
-                raise RuntimeExecError(outside)
-            raise RuntimeExecError(f"{name} takes exactly one argument")
+        message = f"{call.name.upper()} takes exactly one argument"
+
+        def wrong_arity(row):
+            raise RuntimeExecError(message)
         return wrong_arity
     finish = _AGGREGATES[call.name]
     distinct = call.distinct
-    value_of, member = _row_entry(call.args[0], env)
+    value_of = _compile(call.args[0], env)
 
-    def aggregate(ctx):
-        members = ctx.group
-        if members is None:
-            raise RuntimeExecError(outside)
-        if member is not None:
-            member.outer = ctx.outer
-        values = [value for value in map(value_of, members)
+    def aggregate(row):
+        values = [value for value in map(value_of, row[width])
                   if value is not None]
         if distinct:
             values = _dedupe(values, map(canon, values))
@@ -1167,14 +1110,14 @@ _AGGREGATES = {
 }
 
 
-def _build_cast(expr, env, sub):
-    operand = sub(expr.operand, env)
+def _build_cast(expr, env):
+    operand = _compile(expr.operand, env)
     type_name = expr.type_name
     base = type_name.split("(")[0].strip().lower()
     convert = _CASTS.get(base)
 
-    def cast(x):
-        value = operand(x)
+    def cast(row):
+        value = operand(row)
         if value is None:
             return None
         if convert is None:
@@ -1223,19 +1166,33 @@ _CASTS = {
 }
 
 
-def _build_array(expr, env, sub):
-    items = [sub(item, env) for item in expr.items]
-    return lambda x: tuple([item(x) for item in items])
+def _build_array(expr, env):
+    items = [_compile(item, env) for item in expr.items]
+    return lambda row: tuple([item(row) for item in items])
 
 
-def _column(query, env, x, what):
-    """Values of a subquery that must return one column; `x` is the
-    context it runs for, or a row function's row when it is not
-    correlated (`_run_once`)."""
-    width, rows = _run_once(query, _exec_stmt, env, x)
+def _subquery(query, env):
+    """Function from the row a subquery expression is evaluated on to
+    the (width, rows) of its statement `query`: a correlated one first
+    stores the row in the cell of its level, which the enclosing columns
+    it reads read; any other runs once (`_run_once`)."""
+    if id(query) not in env.binding.correlated:
+        return lambda row: _run_once(query, _exec_stmt, env)
+    levels, level = env.levels, env.binding.levels[id(query)]
+
+    def correlated(row):
+        levels[level] = row
+        return _exec_stmt(query, env)
+    return correlated
+
+
+def _column(run, row, what):
+    """Values of a subquery that must return one column, `run` (from
+    `_subquery`) on `row`."""
+    width, rows = run(row)
     if width != 1:
         raise RuntimeExecError(f"{what} subquery must return one column")
-    return [row[0] for row in rows]
+    return [cells[0] for cells in rows]
 
 
 _BUILDERS = {

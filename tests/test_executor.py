@@ -376,8 +376,9 @@ def ts_tables():
 
 class TestEnclosingRowsMatchSqlite:
     """Subqueries that read enclosing rows from a group, from an
-    aggregate's argument, two levels down, and through a CTE that runs
-    inside them give sqlite3's rows."""
+    aggregate's argument, two levels down, and past a CTE or a LIMIT
+    that runs inside them give sqlite3's rows; an aggregate of enclosing
+    columns alone is unsupported."""
 
     @pytest.mark.parametrize("sql,expected", [
         ("SELECT a, COUNT(*) FROM t GROUP BY a "
@@ -403,6 +404,12 @@ class TestEnclosingRowsMatchSqlite:
         ("SELECT t.a, (WITH c AS (SELECT s.a, (SELECT COUNT(*) FROM s s2 "
          "WHERE s2.c = s.c) AS n FROM s) SELECT COUNT(*) FROM c "
          "WHERE c.a >= t.a) FROM t", [(1, 3), (2, 2), (2, 2)]),
+        # so does the LIMIT's, before the second arm reads s's row
+        ("SELECT t.a, (SELECT (SELECT SUM(u.x) FROM (SELECT v.x FROM "
+         "(SELECT t2.a AS x FROM t t2 LIMIT (SELECT COUNT(*) FROM s s2 "
+         "WHERE EXISTS (SELECT 1 FROM s s3 WHERE s3.a = s2.a + 1))) v "
+         "UNION ALL SELECT t3.b FROM t t3 WHERE t3.a = s.a) u) "
+         "FROM s WHERE s.a = t.a) FROM t", [(1, 13), (2, 28), (2, 28)]),
     ])
     def test_rows(self, ts_tables, sql, expected):
         inst, conn = ts_tables
@@ -419,6 +426,38 @@ class TestEnclosingRowsMatchSqlite:
             "SELECT t.b, (SELECT k FROM (SELECT s.a AS k, ABS(s.a - t.a) "
             "AS d FROM s ORDER BY d DESC, s.a LIMIT 1) q) FROM t").fetchall()
         assert ours == theirs == [(10, 3), (20, 1), (5, 1)]
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT t.a, (SELECT COUNT(*) FROM s WHERE s.a = t.a), "
+         "(SELECT COUNT(1) FROM s WHERE s.a > t.a) FROM t",
+         [(1, 1, 2), (2, 1, 1), (2, 1, 1)]),
+        ("SELECT t.a, (SELECT MAX(s.c * t.b) FROM s WHERE s.a >= t.a) "
+         "FROM t", [(1, 10), (2, 20), (2, 5)]),
+    ])
+    def test_aggregates_of_star_literals_and_inner_columns_run(
+            self, ts_tables, sql, expected):
+        inst, conn = ts_tables
+        assert run(sql, inst).rows == conn.execute(sql).fetchall() == \
+            expected
+
+    @pytest.mark.parametrize("sql,counterpart", [
+        ("SELECT (SELECT COUNT(t.b)) FROM t", "SELECT COUNT(b) FROM t"),
+        ("SELECT (SELECT SUM(t.b)) FROM t", "SELECT SUM(b) FROM t"),
+        ("SELECT (SELECT SUM(t.b + 1) FROM s) FROM t",
+         "SELECT SUM(b + 1) FROM t"),
+    ])
+    def test_aggregate_of_enclosing_columns_only_is_unsupported(
+            self, ts_tables, sql, counterpart):
+        # SQL aggregates such a call in the enclosing query: sqlite3
+        # gives one row, where aggregating it per inner group gave three
+        inst, conn = ts_tables
+        assert conn.execute(sql).fetchall() == \
+            conn.execute(counterpart).fetchall()
+        outcome = oracle_check(sql, counterpart, [inst])
+        assert outcome.status == "inconclusive"
+        empty = make_instance(inst.schema)
+        with pytest.raises(UnsupportedFeature, match="enclosing columns"):
+            run(sql, empty)
 
     @pytest.mark.parametrize("sql", [
         "SELECT a, COUNT(*) FROM t",

@@ -105,9 +105,9 @@ def count_runs(monkeypatch, query):
     calls = Counter()
     real = interpreter._exec_stmt
 
-    def counting(stmt, env, outer_ctx):
+    def counting(stmt, *args):
         calls[id(stmt)] += 1
-        return real(stmt, env, outer_ctx)
+        return real(stmt, *args)
 
     monkeypatch.setattr(interpreter, "_exec_stmt", counting)
     return lambda: calls[id(query)]
