@@ -39,6 +39,7 @@ collector's generations. `features` imports `features.py` itself.
 """
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -406,6 +407,10 @@ def cmd_bench(args):
     if args.strategy == "fewshot" and cfg.exemplars is None:
         raise UsageError("fewshot strategy needs exemplars "
                          "(--exemplars-file or enough labeled pairs)")
+    unwritable = _unwritable(args.out)
+    if unwritable:  # found before any pair calls the backend
+        raise UsageError(f"cannot write report {args.out}: "
+                         f"{os.strerror(unwritable)}")
     report = run_benchmark(
         dataset, args.strategy, args.with_plans, backend, cfg,
         parallelism=conf["parallelism"],
@@ -430,6 +435,19 @@ def cmd_bench(args):
               f"({metrics['neq_correct']}/{metrics['neq_total']}), "
               f"GM {fmt_metric(metrics['gm'])}")
     return 0
+
+
+def _unwritable(path):
+    """The errno that opening `path` to write the report would fail
+    with, as far as the file system tells without creating or truncating
+    anything; 0 when none."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        return errno.EISDIR
+    if not os.path.isdir(parent):
+        return errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    target = path if os.path.exists(path) else parent
+    return 0 if os.access(target, os.W_OK) else errno.EACCES
 
 
 def cmd_plan(args):

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import re
 import socket
 import subprocess
@@ -240,6 +241,36 @@ class TestBench:
         assert code == 64
         assert capsys.readouterr().err.startswith(
             f"error: cannot write report {out}: ")
+
+    @pytest.mark.parametrize("out", [".", "missing/report.json",
+                                     "report.json/x", "locked/report.json"])
+    def test_unwritable_report_path_found_before_any_pair_runs(
+            self, tmp_path, out, capsys, monkeypatch):
+        # with an HTTP backend every pair would be paid for in vain
+        runs = []
+        monkeypatch.setattr("sqleq.cli.run_benchmark",
+                            lambda *args, **kwargs: runs.append(args))
+        data = write_jsonl(tmp_path / "pairs.jsonl", [{
+            "id": "p1", "sql1": "SELECT playerid FROM people",
+            "sql2": "SELECT playerid FROM batting", "schema": "baseball",
+            "label": "NEQ"}])
+        schemas = tmp_path / "schemas.json"
+        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+        (tmp_path / "report.json").write_text("kept")
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        if out.startswith("locked") and os.access(locked, os.W_OK):
+            pytest.skip("this user may write into a read-only directory")
+        out = str(tmp_path / out)
+        code = main(["bench", "--dataset", str(data), "--schemas",
+                     str(schemas), "--strategy", "basic", "--out", out])
+        assert code == 64
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write report {out}: ")
+        assert runs == []
+        assert not (tmp_path / "missing").exists()
+        assert (tmp_path / "report.json").read_text() == "kept"
+        assert list(locked.iterdir()) == []
 
     def test_missing_dataset_usage_error(self, tmp_path, capsys):
         schemas = tmp_path / "schemas.json"
