@@ -10,8 +10,11 @@ parse and run the same statements on the same instances:
   every second one with look-alike cells (NULL, TRUE, FALSE, 0, 1, 1.0,
   -0.0, 2.5, 'x', '1') mixed into its instance; each runs on its
   instance and on the instance with every table's rows reversed, and,
-  on its instance, as the FROM item of a correlated scalar subquery,
-  keyed on its first output column (`= t.a`) and unkeyed (`> t.a`);
+  on its instance, as the FROM item of a subquery correlated with t0,
+  keyed on its first output column (`= t.a`) and unkeyed (`> t.a`):
+  a scalar subquery on each row of t0, and a HAVING subquery on each
+  group of a grouped core over t0, so that the subquery reads the
+  enclosing row from a group;
 - every string constant of `tests/*.py` that parses as a statement, on
   three small look-alike instances of a schema made up from the tables
   and columns it names;
@@ -169,6 +172,14 @@ def nested(sql, column, op):
             f"WHERE q.{column} {op} t.a) FROM t0 t")
 
 
+def in_having(sql, column, op):
+    """`sql` as the FROM item of a subquery in the HAVING of a core
+    grouped on t0.a, correlated with the group on `q.<column> <op>
+    t.a`."""
+    return (f"SELECT t.a FROM t0 t GROUP BY t.a HAVING (SELECT COUNT(*) "
+            f"FROM ({sql}) q WHERE q.{column} {op} t.a) > 0")
+
+
 def queryfam_cases(differ, count, seed):
     rng = random.Random(seed)
     schema = queryfam.schema_dict()
@@ -183,10 +194,12 @@ def queryfam_cases(differ, count, seed):
                                 reversed_rows(instance))
         differ.compare(where + " (the two orders)", sql, first, second)
         column = first_output_name(sql, schema_def)
-        if column is not None:
+        if column is None:
+            continue
+        for wrap in (nested, in_having):
             for op, how in (("=", "keyed"), (">", "unkeyed")):
-                differ.execute(f"{where} (nested, {how})",
-                               nested(sql, column, op), schema, instance)
+                differ.execute(f"{where} ({wrap.__name__}, {how})",
+                               wrap(sql, column, op), schema, instance)
 
 
 def statements_of_tests():
