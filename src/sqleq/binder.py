@@ -32,13 +32,12 @@ an IN subquery's operand stays in the outer scope.
 
 Levels: a scope's level is one more than its enclosing scope's. A CTE
 definition and LIMIT/OFFSET bind in a scope with no row at the level of
-the statement's own cores, so every scope a subquery runs, those
-included, lies above the level of the row the subquery runs on.
+the statement's own cores, not at 0, so every scope a subquery's run
+reaches lies above the level of the row the subquery runs on.
 
 Correlation: the binder tracks the lowest level any column reference
-resolves to. A subquery
-statement or FROM item with a reference that resolves to a scope
-outside it reads an enclosing row; its id goes into
+resolves to. A subquery statement or FROM item with a reference that
+resolves to a scope outside it reads an enclosing row; its id goes into
 `Binding.correlated`. The executor runs the other subqueries once and
 keeps the rows of the other FROM items, so a false "correlated" only
 costs time, while a false "uncorrelated" would return wrong rows.

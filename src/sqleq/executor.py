@@ -144,9 +144,10 @@ _run = None
 def execute(ast, instance):
     """Run a statement against an instance; returns a ResultTable.
 
-    Raises UnsupportedFeature for recursive CTEs or window calls, a
-    PlanError (UnresolvedName, AmbiguousColumn, duplicate alias) when a
-    name does not bind, and RuntimeExecError for runtime violations.
+    Raises UnsupportedFeature for recursive CTEs, window calls or an
+    aggregate whose argument reads only enclosing columns, a PlanError
+    (UnresolvedName, AmbiguousColumn, duplicate alias) when a name does
+    not bind, and RuntimeExecError for runtime violations.
     """
     for node in walk(ast):
         if isinstance(node, Cte) and node.recursive:
