@@ -203,6 +203,20 @@ class TestPlanFeaturesPrompt:
         assert tuple(strategy.choices) == STRATEGIES
 
 
+def bench_one_pair(tmp_path, out):
+    """Exit code of `sqleq bench` over one pair with its report going to
+    `tmp_path / out`, beside a file `report.json` that holds "kept"."""
+    data = write_jsonl(tmp_path / "pairs.jsonl", [{
+        "id": "p1", "sql1": "SELECT playerid FROM people",
+        "sql2": "SELECT playerid FROM batting", "schema": "baseball",
+        "label": "NEQ"}])
+    schemas = tmp_path / "schemas.json"
+    schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
+    (tmp_path / "report.json").write_text("kept")
+    return main(["bench", "--dataset", str(data), "--schemas", str(schemas),
+                 "--strategy", "basic", "--out", str(tmp_path / out)])
+
+
 class TestBench:
     def test_end_to_end_with_mock(self, tmp_path, capsys):
         records = datafix.question_records()[:20]
@@ -225,22 +239,17 @@ class TestBench:
 
     @pytest.mark.parametrize("out", [".", "missing/report.json",
                                      "report.json/x"])
+    @pytest.mark.parametrize("checked_first", [True, False])
     def test_unwritable_report_path_usage_error(self, tmp_path, out,
-                                                capsys):
-        # a directory, a missing directory, a file used as a directory
-        data = write_jsonl(tmp_path / "pairs.jsonl", [{
-            "id": "p1", "sql1": "SELECT playerid FROM people",
-            "sql2": "SELECT playerid FROM batting", "schema": "baseball",
-            "label": "NEQ"}])
-        schemas = tmp_path / "schemas.json"
-        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
-        (tmp_path / "report.json").write_text("")
-        out = str(tmp_path / out)
-        code = main(["bench", "--dataset", str(data), "--schemas",
-                     str(schemas), "--strategy", "basic", "--out", out])
-        assert code == 64
+                                                checked_first, capsys,
+                                                monkeypatch):
+        # a directory, a missing directory, a file used as a directory;
+        # past the check before the run, the write itself fails
+        if not checked_first:
+            monkeypatch.setattr("sqleq.cli._unwritable", lambda path: 0)
+        assert bench_one_pair(tmp_path, out) == 64
         assert capsys.readouterr().err.startswith(
-            f"error: cannot write report {out}: ")
+            f"error: cannot write report {tmp_path / out}: ")
 
     @pytest.mark.parametrize("out", [".", "missing/report.json",
                                      "report.json/x", "locked/report.json"])
@@ -250,23 +259,13 @@ class TestBench:
         runs = []
         monkeypatch.setattr("sqleq.cli.run_benchmark",
                             lambda *args, **kwargs: runs.append(args))
-        data = write_jsonl(tmp_path / "pairs.jsonl", [{
-            "id": "p1", "sql1": "SELECT playerid FROM people",
-            "sql2": "SELECT playerid FROM batting", "schema": "baseball",
-            "label": "NEQ"}])
-        schemas = tmp_path / "schemas.json"
-        schemas.write_text(json.dumps(datafix.QUESTION_SCHEMAS))
-        (tmp_path / "report.json").write_text("kept")
         locked = tmp_path / "locked"
         locked.mkdir(mode=0o500)
         if out.startswith("locked") and os.access(locked, os.W_OK):
             pytest.skip("this user may write into a read-only directory")
-        out = str(tmp_path / out)
-        code = main(["bench", "--dataset", str(data), "--schemas",
-                     str(schemas), "--strategy", "basic", "--out", out])
-        assert code == 64
+        assert bench_one_pair(tmp_path, out) == 64
         assert capsys.readouterr().err.startswith(
-            f"error: cannot write report {out}: ")
+            f"error: cannot write report {tmp_path / out}: ")
         assert runs == []
         assert not (tmp_path / "missing").exists()
         assert (tmp_path / "report.json").read_text() == "kept"
