@@ -17,8 +17,8 @@ level has one cell, `env.levels[level]`; a correlated subquery
 evaluated on a row of level L stores that row in `levels[L]` before it
 runs, and a column of an enclosing scope reads `levels[level][slot]`.
 Every scope that run reaches lies above L (the binder numbers CTE
-definitions and LIMIT/OFFSET after their enclosing level), so no one
-overwrites a cell while it is read.
+definitions and LIMIT/OFFSET from their statement's level, not from
+0), so no one overwrites a cell while it is read.
 
 An ORDER BY key that names no output column is a hidden column (as in
 PostgreSQL's "resjunk" entries): the select core appends its value after
