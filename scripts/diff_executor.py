@@ -12,9 +12,10 @@ parse and run the same statements on the same instances:
   instance and on the instance with every table's rows reversed, and,
   on its instance, as the FROM item of a subquery correlated with t0,
   keyed on its first output column (`= t.a`) and unkeyed (`> t.a`):
-  a scalar subquery on each row of t0, and a HAVING subquery on each
-  group of a grouped core over t0, so that the subquery reads the
-  enclosing row from a group;
+  a scalar subquery on each row of t0, a HAVING subquery on each group
+  of a grouped core over t0, so that the subquery reads the enclosing
+  row from a group, and a subquery in the aggregate of such a core's
+  hidden ORDER BY key, run on each member row;
 - every string constant of `tests/*.py` that parses as a statement, on
   three small look-alike instances of a schema made up from the tables
   and columns it names;
@@ -180,6 +181,14 @@ def in_having(sql, column, op):
             f"FROM ({sql}) q WHERE q.{column} {op} t.a) > 0")
 
 
+def in_order_key(sql, column, op):
+    """`sql` as the FROM item of a subquery in a SUM that a core grouped
+    on t0.a sorts by, correlated with each member row on `q.<column>
+    <op> t.a`."""
+    return (f"SELECT t.a FROM t0 t GROUP BY t.a ORDER BY SUM((SELECT "
+            f"COUNT(*) FROM ({sql}) q WHERE q.{column} {op} t.a))")
+
+
 def queryfam_cases(differ, count, seed):
     rng = random.Random(seed)
     schema = queryfam.schema_dict()
@@ -196,7 +205,7 @@ def queryfam_cases(differ, count, seed):
         column = first_output_name(sql, schema_def)
         if column is None:
             continue
-        for wrap in (nested, in_having):
+        for wrap in (nested, in_having, in_order_key):
             for op, how in (("=", "keyed"), (">", "unkeyed")):
                 differ.execute(f"{where} ({wrap.__name__}, {how})",
                                wrap(sql, column, op), schema, instance)

@@ -35,6 +35,11 @@ definition and LIMIT/OFFSET bind in a scope with no row at the level of
 the statement's own cores, not at 0, so every scope a subquery's run
 reaches lies above the level of the row the subquery runs on.
 
+Aggregates: a core with a GROUP BY, or an aggregate call in its select
+items or HAVING, is grouped. Those calls and the aggregate calls of its
+statement's hidden ORDER BY keys (bound to None) aggregate its groups:
+`Binding.group_calls` holds them, and any other call is outside a group.
+
 Correlation: the binder tracks the lowest level any column reference
 resolves to. A subquery statement or FROM item with a reference that
 resolves to a scope outside it reads an enclosing row; its id goes into
@@ -56,6 +61,8 @@ class Binding:
     Per SelectCore, `items` holds its select items with stars expanded,
     `names` their output names (`output_name`), and `aggregates` the
     `aggregate_calls` of those items and then of HAVING, in that order.
+    `group_calls` holds every call that aggregates a grouped core's
+    groups, those of its statement's hidden ORDER BY keys too.
     """
 
     def __init__(self):
@@ -64,6 +71,7 @@ class Binding:
         self.names = {}        # SelectCore -> [str]
         self.aggregates = {}   # SelectCore -> [FuncCall]
         self.grouped = set()   # SelectCores that aggregate
+        self.group_calls = {}  # FuncCall -> itself
         self.order = {}        # SelectStmt -> [int | None]
         self.ctes = {}         # TableRef -> Cte it names
         # ColumnRef -> level of the scope it reads; subquery SelectStmt
@@ -241,6 +249,7 @@ class _Binder:
         binding.aggregates[id(core)] = aggregates
         if core.group_by or aggregates:
             binding.grouped.add(id(core))
+            binding.group_calls.update((id(call), call) for call in aggregates)
         return names, scope
 
     def from_item(self, item, ctes, outer):
@@ -306,6 +315,9 @@ class _Binder:
             else:
                 self.expr(expr, scope, ctes)
                 keys.append(None)
+                if id(stmt.body) in self.binding.grouped:
+                    self.binding.group_calls.update(
+                        (id(call), call) for call in aggregate_calls(expr))
         self.binding.order[id(stmt)] = keys
 
 

@@ -129,6 +129,15 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError for an argument it rejects: argparse would exit
+    2, which `check` gives for Unknown."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def run(argv=None):
     """Run `main` with the process's collector set for an acyclic heap
     and its switch interval set to `SWITCH_INTERVAL`; returns the exit
@@ -145,11 +154,11 @@ def run(argv=None):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_help(sys.stderr)
-        return EXIT_USAGE
     try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_help(sys.stderr)
+            return EXIT_USAGE
         return args.func(args)
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -168,7 +177,7 @@ def main(argv=None):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqleq",
         description="SQL query-pair equivalence checking toolkit")
     parser.add_argument("--config", help="config file (TOML or JSON); "
@@ -198,6 +207,7 @@ def _build_parser():
     p.add_argument("--unknown-policy", choices=UNKNOWN_POLICIES)
     p.add_argument("--score-exact-matches", action="store_true")
     _backend_flags(p)
+    p.add_argument("--seed", type=int, help="exemplar sampling seed")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("plan", help="print the logical plan for a query")
@@ -245,7 +255,6 @@ def _backend_flags(p):
     p.add_argument("--mock-script", help="mock rules JSON file")
     p.add_argument("--exemplars-file", dest="exemplars",
                    help="exemplar JSON file for fewshot")
-    p.add_argument("--seed", type=int, help="exemplar sampling seed")
 
 
 def resolve_config(args):

@@ -11,7 +11,7 @@ import math
 
 from .ast_nodes import Cte, FuncCall, walk
 from .errors import InstanceError, RuntimeExecError, UnsupportedFeature
-from .values import canon, cell_types, raw_keys_exact
+from .values import SCALAR_TYPES, canon, cell_types, raw_keys_exact
 
 
 # --- data containers ---
@@ -77,7 +77,7 @@ def instance_from_dict(data, schema):
         # whole columns first; on any fault the row-by-row check finds
         # the first one in row-major order
         if all(type(row) is list and len(row) == width for row in rows) \
-                and all(map(_valid_column, zip(*rows))):
+                and all(map(_valid_cells, zip(*rows))):
             rows = list(map(tuple, rows))
         else:
             rows = [_checked_row(name, row, width) for row in rows]
@@ -87,10 +87,10 @@ def instance_from_dict(data, schema):
     return instance
 
 
-_CELL_TYPES = frozenset((type(None), bool, int, float, str))
+_CELL_TYPES = SCALAR_TYPES | {type(None)}
 
 
-def _valid_column(cells):
+def _valid_cells(cells):
     types = set(map(type, cells))
     if not types <= _CELL_TYPES:
         return False
@@ -104,17 +104,11 @@ def _checked_row(name, row, width):
     if len(row) != width:
         raise InstanceError(f"table {name!r} row arity {len(row)} != {width}")
     for cell in row:
-        if not _valid_cell(cell):
+        if not _valid_cells((cell,)):
             raise InstanceError(
                 f"table {name!r} cell {cell!r} is not null, a boolean, a "
                 f"number, or text")
     return tuple(row)
-
-
-def _valid_cell(cell):
-    if type(cell) is float:
-        return math.isfinite(cell)
-    return type(cell) in _CELL_TYPES
 
 
 def _check_primary_keys(instance):

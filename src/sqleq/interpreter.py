@@ -40,10 +40,10 @@ Every expression compiles to one row function `f(row)` (`_compile`),
 a column of the working row to an `itemgetter`, which each per-row step
 (WHERE, a join's ON, GROUP BY keys, HAVING, select items, hidden ORDER
 BY keys, aggregate arguments) maps over its rows. A grouped core's
-working row is its group's first row plus one trailing cell that holds
-the group's member rows; the core compiles its aggregates to read that
-cell at its FROM rows' width, and an aggregate anywhere else raises. An
-aggregate over no input rows gets a `_NoRow`, whose column reads raise.
+working row is its group's first row plus a last cell that holds the
+group's member rows. An aggregate call reads that cell when the binder
+put it in `Binding.group_calls`, and raises anywhere else; one over no
+input rows gets a `_NoRow`, whose column reads raise.
 A comparison with a non-NULL literal applies Python's operator when the
 other side has the literal's exact type, as the value model does for
 two cells of one scalar type; AND and OR check each operand inline, the
@@ -77,7 +77,8 @@ Semantics notes:
 - aggregates skip NULLs (except COUNT(*)); SUM/AVG/MIN/MAX of no values
   is NULL, COUNT is 0;
 - an aggregate whose argument reads columns, all of enclosing scopes
-  (`SELECT (SELECT COUNT(t.b)) FROM t`), raises UnsupportedFeature
+  (`SELECT (SELECT COUNT(t.b)) FROM t`), in a grouped core's select
+  items, HAVING or hidden ORDER BY keys raises UnsupportedFeature
   before any row is read: SQL aggregates it in the enclosing query, not
   in the groups of its own core;
 - no result of arithmetic, SUM, AVG or a cast to a real type is an
@@ -96,7 +97,7 @@ from .ast_nodes import (
     Quantified, SelectStmt, SetOp, Subquery, TableRef, Unary,
     is_aggregate_call, select_level,
 )
-from .binder import aggregate_calls, bind
+from .binder import bind
 from .errors import RuntimeExecError, UnsupportedFeature
 from .values import (
     canon, canon_row, is_number, is_scalar, row_keys, sort_key, sorts_raw,
@@ -120,18 +121,16 @@ def run(ast, instance):
 
 
 def _check_aggregates(binding):
-    """Raise UnsupportedFeature for an aggregate call whose argument
-    reads columns, all of enclosing scopes: SQL aggregates such a call
-    in the enclosing query, while this interpreter would aggregate it in
-    its own core's groups."""
-    for calls in binding.aggregates.values():
-        for call in calls:
-            outer = {binding.slots[id(node)][0] > 0
-                     for arg in call.args for node in select_level(arg)
-                     if type(node) is ColumnRef}
-            if outer == {True}:
-                raise UnsupportedFeature(
-                    f"aggregate {call.name.upper()} of enclosing columns")
+    """Raise UnsupportedFeature for a call of `Binding.group_calls` whose
+    argument reads columns, all of enclosing scopes: SQL aggregates it
+    in the enclosing query, not in the groups of its own core."""
+    for call in binding.group_calls.values():
+        outer = {binding.slots[id(node)][0] > 0
+                 for arg in call.args for node in select_level(arg)
+                 if type(node) is ColumnRef}
+        if outer == {True}:
+            raise UnsupportedFeature(
+                f"aggregate {call.name.upper()} of enclosing columns")
 
 
 class _Env:
@@ -154,15 +153,12 @@ class _Env:
 
 
 class _NoRow:
-    """Working row of an aggregate over no input rows: the cell at
-    `width` holds no member rows, and a column read raises."""
-    __slots__ = ("width",)
-
-    def __init__(self, width):
-        self.width = width
+    """Working row of an aggregate over no input rows: its last cell
+    holds no member rows, and a column read raises."""
+    __slots__ = ()
 
     def __getitem__(self, slot):
-        if slot == self.width:
+        if slot == -1:
             return []
         raise RuntimeExecError("column read in an aggregate over no rows")
 
@@ -229,9 +225,9 @@ def _exec_setop(op, env):
 
 
 def _exec_core(core, env, hidden):
-    width, rows = 0, [()]
+    rows = [()]
     if core.from_item is not None:
-        width, rows = _run_once(core.from_item, _exec_from, env)
+        _, rows = _run_once(core.from_item, _exec_from, env)
     if core.where is not None:
         probe = _hash_probe(core.where, 0, rows, env)
         if probe is not None:  # the probing sides read enclosing rows
@@ -241,13 +237,7 @@ def _exec_core(core, env, hidden):
         rows = [row for row in rows if where(row) is True]
 
     if id(core) in env.binding.grouped:  # the steps below map group rows
-        rows = _group(rows, width, core.group_by, env)
-        calls = env.binding.aggregates[id(core)]
-        for expr in hidden:
-            calls = calls + aggregate_calls(expr)
-        for call in calls:  # before anything compiles them as outside
-            if id(call) not in env.fns:
-                env.fns[id(call)] = _build_aggregate(call, width, env)
+        rows = _group(rows, core.group_by, env)
     if core.having is not None:
         having = _compile(core.having, env)
         rows = [row for row in rows if having(row) is True]
@@ -325,12 +315,12 @@ def _exec_from(item, env):
     raise RuntimeExecError(f"cannot evaluate FROM item {item!r}")
 
 
-def _group(rows, width, group_by, env):
+def _group(rows, group_by, env):
     """The working rows of the groups of `rows`, in first-occurrence
-    order: a group's first row, then one cell at `width` holding its
-    member rows; NULL keys group together."""
+    order: a group's first row, then one last cell holding its member
+    rows; NULL keys group together."""
     if not group_by:
-        return [rows[0] + (rows,) if rows else _NoRow(width)]
+        return [rows[0] + (rows,) if rows else _NoRow()]
     fns = [_compile(expr, env) for expr in group_by]
     buckets = {}
     for key, row in zip(row_keys(list(_tuples(fns, rows))), rows):
@@ -528,12 +518,6 @@ def _str(value, convert=str):
         raise RuntimeExecError("integer too long to convert to text") from exc
 
 
-def _truthy(value):
-    if isinstance(value, bool):
-        return value
-    raise RuntimeExecError("NOT needs a boolean operand")
-
-
 def _not_boolean():
     return RuntimeExecError("AND/OR need boolean operands")
 
@@ -548,16 +532,6 @@ def _and3(a, b):
 
 def _negate3(value):
     return None if value is None else (not value)
-
-
-def _compare(op, left, right):
-    """Three-valued comparison under the value model."""
-    if left is None or right is None:
-        return None
-    compare = _COMPARISONS.get(op)
-    if compare is None:
-        raise RuntimeExecError(f"unknown comparison {op}")
-    return compare(left, right)
 
 
 def _ordering(order):
@@ -609,11 +583,6 @@ def _like_regex(pattern):
 
 
 # --- expression compilation ---
-#
-# Every expression compiles to a function of the working row. A column
-# of an enclosing scope reads that scope's cell in `env.levels`, which a
-# correlated subquery fills with the row it runs on before it runs, and
-# an aggregate reads the member rows from its group's working row.
 
 def _compile(expr, env):
     """The row function of `expr` in this execute, built on first use."""
@@ -661,7 +630,11 @@ def _build_unary(expr, env):
     if op == "NOT":
         def not_(row):
             value = operand(row)
-            return None if value is None else (not _truthy(value))
+            if type(value) is bool:
+                return not value
+            if value is None:
+                return None
+            raise RuntimeExecError("NOT needs a boolean operand")
         return not_
     negate = op == "-"
 
@@ -903,6 +876,10 @@ def _build_subquery(expr, env):
 def _build_quantified(expr, env):
     left = _compile(expr.left, env)
     op = expr.op
+    compare = _COMPARISONS.get(op)
+    if compare is None:
+        def compare(value, member):
+            raise RuntimeExecError(f"unknown comparison {op}")
     any_ = expr.quantifier == "ANY"
     if isinstance(expr.operand, Subquery):
         run = _subquery(expr.operand.query, env)
@@ -921,14 +898,11 @@ def _build_quantified(expr, env):
             if not isinstance(array, tuple):
                 raise RuntimeExecError("ANY/ALL needs a subquery or array")
             values = array
-        results = [_compare(op, value, v) for v in values]
-        if any_:
-            if any(r is True for r in results):
-                return True
-            return None if any(r is None for r in results) else False
-        if any(r is False for r in results):
-            return False
-        return None if any(r is None for r in results) else True
+        results = [None if value is None or v is None else compare(value, v)
+                   for v in values]
+        if any_ in results:  # a TRUE decides ANY, a FALSE ALL
+            return any_
+        return None if None in results else not any_
     return quantified
 
 
@@ -948,14 +922,18 @@ def _build_case(expr, env):
     def simple(row):
         subject = subject_of(row)
         for cond, result in whens:
-            if _compare("=", subject, cond(row)) is True:
+            value = cond(row)
+            if subject is not None and value is not None and \
+                    values_equal(subject, value):
                 return result(row)
         return None if else_ is None else else_(row)
     return simple
 
 
 def _build_call(call, env):
-    if call.is_aggregate:  # a grouped core builds its own beforehand
+    if id(call) in env.binding.group_calls:
+        return _build_aggregate(call, env)
+    if call.is_aggregate:
         message = f"aggregate {call.name.upper()} outside a grouped context"
 
         def outside(row):
@@ -975,7 +953,11 @@ def _build_call(call, env):
             values = [arg(row) for arg in args]
             if len(values) != 2:
                 raise RuntimeExecError("NULLIF takes two arguments")
-            return None if _compare("=", *values) is True else values[0]
+            left, right = values
+            if left is not None and right is not None and \
+                    values_equal(left, right):
+                return None
+            return left
         return nullif
     builtin = _SCALAR_BUILTINS.get(name)
 
@@ -1051,11 +1033,11 @@ _SCALAR_BUILTINS = {
 }
 
 
-def _build_aggregate(call, width, env):
-    """Aggregate `call` of a grouped core whose working rows hold the
-    member rows at `width`."""
+def _build_aggregate(call, env):
+    """Aggregate `call` of a grouped core, whose working rows hold the
+    member rows in their last cell."""
     if call.star:
-        return lambda row: len(row[width])
+        return lambda row: len(row[-1])
     if len(call.args) != 1:
         message = f"{call.name.upper()} takes exactly one argument"
 
@@ -1067,7 +1049,7 @@ def _build_aggregate(call, width, env):
     value_of = _compile(call.args[0], env)
 
     def aggregate(row):
-        values = [value for value in map(value_of, row[width])
+        values = [value for value in map(value_of, row[-1])
                   if value is not None]
         if distinct:
             values = _dedupe(values, map(canon, values))

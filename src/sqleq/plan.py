@@ -148,10 +148,10 @@ def _plan_core(core, binding):
     if core.where is not None:
         plan = PlanNode("Filter", render_expression(core.where), [plan])
 
-    aggregates = binding.aggregates[id(core)]
-    if core.group_by or aggregates:
+    if id(core) in binding.grouped:
         group = ", ".join(render_expression(e) for e in core.group_by)
-        aggs = ", ".join(dict.fromkeys(map(render_expression, aggregates)))
+        aggs = ", ".join(dict.fromkeys(
+            map(render_expression, binding.aggregates[id(core)])))
         plan = PlanNode("Aggregate", f"group=[{group}], aggs=[{aggs}]", [plan])
 
     if core.having is not None:

@@ -28,6 +28,7 @@ REAL_ABS_TOL = 1e-12
 # exact type of a scalar cell -> its rank in the order; ints and floats
 # share a rank, so the keys (rank, value) of 1 and 1.0 are equal
 _RANKS = {bool: 1, int: 2, float: 2, str: 3}
+SCALAR_TYPES = frozenset(_RANKS)  # the exact types of a non-NULL scalar
 _NUMBER = 2
 _ARRAY = 4
 _MASK = (_NUMBER,)  # a number left out of a key; no `canon` key equals it
@@ -35,7 +36,7 @@ _MASK = (_NUMBER,)  # a number left out of a key; no `canon` key equals it
 
 def is_scalar(value):
     """Whether `value` is a boolean, a number or text."""
-    return type(value) in _RANKS
+    return type(value) in SCALAR_TYPES
 
 
 def is_number(value):

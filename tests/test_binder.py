@@ -87,3 +87,26 @@ def test_names_and_aggregates_of_each_core(sql, schema, baseball_schema):
             [id(call) for call in expected]
         assert (id(core) in binding.grouped) == \
             bool(core.group_by or expected)
+
+
+@pytest.mark.parametrize("sql, names", [
+    # items, HAVING and hidden ORDER BY keys of a grouped core; not a
+    # key that names an output column, nor an aggregate's argument
+    ("SELECT a, SUM(b) AS s FROM t GROUP BY a HAVING MAX(b) > 0 "
+     "ORDER BY s, COUNT(*) DESC, MIN(b) + AVG(SUM(b))",
+     ["sum", "max", "count", "min", "avg"]),
+    ("SELECT COUNT(*) FROM t ORDER BY SUM(b)", ["count", "sum"]),
+    # each subquery's core by itself, an outer-only argument too
+    ("SELECT (SELECT COUNT(*) FROM u ORDER BY SUM(t.b)) FROM t",
+     ["count", "sum"]),
+    ("SELECT a FROM t GROUP BY a ORDER BY (SELECT MAX(c) FROM u)", ["max"]),
+    # no grouped core: every call is outside a grouped context
+    ("SELECT a FROM t WHERE SUM(b) > 0 ORDER BY COUNT(*)", []),
+    ("SELECT COUNT(*) FROM t UNION SELECT a FROM u ORDER BY SUM(1)",
+     ["count"]),
+])
+def test_group_calls_are_those_a_grouped_core_reads_its_group_for(sql, names):
+    binding = bind(parse_sql(sql), TU)
+    calls = binding.group_calls.values()
+    assert sorted(call.name for call in calls) == sorted(names)
+    assert all(binding.group_calls[id(call)] is call for call in calls)

@@ -708,6 +708,45 @@ class TestConfigResolution:
         assert main([]) == 64
 
 
+class TestArgumentErrors:
+    """An argument the parser rejects is a usage error (64), not
+    argparse's exit code 2, which `check` gives for Unknown."""
+
+    REJECTED = [
+        ["check", "--sql1", "SELECT 1", "--bogus"],
+        ["check", "--sql1", "SELECT 1", "--sql2", "SELECT 1"],
+        ["check", *GOLDEN_PAIR_ARGS, "--schema", "s.json", "--strategy", "x"],
+        # check samples no exemplars, so it takes no seed
+        ["check", *GOLDEN_PAIR_ARGS, "--schema", "s.json", "--seed", "1"],
+        ["bench", "--dataset", "d", "--schemas", "s", "--out", "o",
+         "--parallelism", "x"],
+        ["nope"],
+    ]
+
+    @pytest.mark.parametrize("args", REJECTED)
+    def test_main_and_the_process_exit_64(self, capsys, args):
+        assert main(args) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sqleq")
+        assert "\nerror: sqleq" in err
+        done = subprocess.run([sys.executable, "-m", "sqleq.cli", *args],
+                              env=child_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (64, "", err)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "--help"])
+        assert exited.value.code == 0
+        assert "--sql1" in capsys.readouterr().out
+
+    def test_bench_keeps_its_seed(self):
+        args = _build_parser().parse_args(
+            ["bench", "--dataset", "d", "--schemas", "s", "--out", "o",
+             "--seed", "7"])
+        assert resolve_config(args)["seed"] == 7
+
+
 class TestProcessEntryPoint:
     """`run` (the `sqleq` script, `python -m sqleq.cli`) sets the
     process's collector for an acyclic heap; `main` leaves it alone."""

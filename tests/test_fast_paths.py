@@ -1,9 +1,9 @@
-"""The executor's two compile targets give the same values and errors:
-an expression of the working row runs as a row function, one inside a
-correlated subquery as a closure over the row context. Also pinned: a
-comparison with a literal, AND/OR, plain-column projections, group keys
-and aggregate arguments, the order in which per-row steps run, and
-instances validated by column."""
+"""An expression gives the same values and errors whether it reads the
+columns of its working row or, inside a correlated subquery, those of
+the enclosing row, from the cell the subquery stores that row in. Also
+pinned: a comparison with a literal, AND/OR, plain-column projections,
+group keys and aggregate arguments, the order in which per-row steps
+run, and instances validated by column."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,8 +166,8 @@ def outcome(sql, instance):
                           st.sampled_from(_LOOK_ALIKE)), max_size=5),
        st.sampled_from(_SHAPES), st.booleans())
 def test_row_functions_match_context_closures(rows, shape, in_where):
-    """Each shape runs at depth 0 (a row function) and in a scalar
-    subquery reading t as its enclosing row (a context closure)."""
+    """Each shape runs on t's rows as the working row and in a scalar
+    subquery that reads t's row as its enclosing row."""
     instance = instance_from_dict({"tables": {"t": {
         "columns": ["id", "a", "b"],
         "rows": [[i, a, b] for i, (a, b) in enumerate(rows)]}}}, TWO_COLUMNS)
